@@ -129,8 +129,12 @@ Workload make_workload(std::size_t n, st::stats::Rng& rng) {
   // Normal background: every node rates two direct neighbours, one 2-hop
   // neighbour (friend-of-friend closeness, Eq. 3), and 1% of nodes rate a
   // distant stranger (bottleneck path, Eq. 4).
+  // A copy of v's row, reused across nodes: rate() records interactions,
+  // which may compact the graph and invalidate every neighbors() span.
+  std::vector<NodeId> neighbors;
   for (NodeId v = static_cast<NodeId>(colluders); v < n; ++v) {
-    auto neighbors = w.graph.neighbors(v);
+    const auto row = w.graph.neighbors(v);
+    neighbors.assign(row.begin(), row.end());
     if (neighbors.empty()) continue;
     for (int k = 0; k < 2; ++k) {
       NodeId peer = neighbors[rng.index(neighbors.size())];

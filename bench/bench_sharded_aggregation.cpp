@@ -104,8 +104,12 @@ Workload make_workload(std::size_t n, st::stats::Rng& rng) {
     rate(c + 1, c, 1.0, 20);
   }
 
+  // A copy of v's row, reused across nodes: rate() records interactions,
+  // which may compact the graph and invalidate every neighbors() span.
+  std::vector<NodeId> neighbors;
   for (NodeId v = static_cast<NodeId>(colluders); v < n; ++v) {
-    auto neighbors = w.graph.neighbors(v);
+    const auto row = w.graph.neighbors(v);
+    neighbors.assign(row.begin(), row.end());
     if (neighbors.empty()) continue;
     for (int k = 0; k < 2; ++k) {
       NodeId peer = neighbors[rng.index(neighbors.size())];

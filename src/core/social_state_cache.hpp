@@ -16,17 +16,19 @@
 // Two layers of entries:
 //
 //   * structure entries — common-friend sets (witnessed by the structure
-//     revisions of both endpoints) and BFS shortest paths. A cached path
-//     is the lexicographically smallest shortest path (what ascending-
-//     adjacency FIFO BFS returns — a graph-intrinsic value, not an
-//     algorithm accident), so it is witnessed precisely: it can only
-//     change if a brand-new adjacency appears somewhere (the graph's
-//     edge-addition epoch — new edges can shorten distances or create
-//     lex-smaller competitors) or if the structural state of a node ON
-//     the path changes (edge removal / type change touching the path).
-//     Removals and type churn elsewhere in the graph leave every cached
-//     path exactly valid — the expensive hop-capped BFS is redone only
-//     when its answer could actually differ.
+//     revisions of both endpoints) and shortest paths. A cached path is
+//     the lexicographically smallest shortest path, which is
+//     SocialGraph::shortest_path()'s contract whatever traversal computes
+//     it (a forward FIFO BFS over ascending rows returns it, and so does
+//     today's meet-in-the-middle search — DESIGN.md §14/§15). Being a
+//     graph-intrinsic value, not an algorithm accident, it is witnessed
+//     precisely: it can only change if a brand-new adjacency appears
+//     somewhere (the graph's edge-addition epoch — new edges can shorten
+//     distances or create lex-smaller competitors) or if the structural
+//     state of a node ON the path changes (edge removal / type change
+//     touching the path). Removals and type churn elsewhere in the graph
+//     leave every cached path exactly valid — the hop-capped search is
+//     redone only when its answer could actually differ.
 //
 //   * value entries — full Omega_c(i,j) and Omega_s(a,b). Each carries the
 //     exact witness set of nodes whose state the computation read, with
@@ -318,11 +320,14 @@ class SocialStateCache {
   };
 
   /// Memoised shortest path, directional key (a path i->j is not a path
-  /// j->i). An empty node list records "unreachable within max_hops" —
-  /// negative results are exactly as expensive to rediscover. Valid while
-  /// the edge-addition epoch holds and every non-sink path node's
-  /// structural state is untouched (see the structure-entry notes above);
-  /// an unreachable record needs only the addition gate.
+  /// j->i: the lex-min path from j need not be the reverse). An empty
+  /// node list records "unreachable within max_hops" — negative results
+  /// are exactly as expensive to rediscover. `path` is the lex-min
+  /// shortest path (SocialGraph::shortest_path()'s contract, which any
+  /// traversal behind it must keep), so it is valid while the
+  /// edge-addition epoch holds and every non-sink path node's structural
+  /// state is untouched (see the structure-entry notes above); an
+  /// unreachable record needs only the addition gate.
   struct PathEntry {
     std::vector<NodeId> path;
     Revision addition_epoch = 0;

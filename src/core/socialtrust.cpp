@@ -44,6 +44,9 @@ SocialTrustPlugin::SocialTrustPlugin(
   auto& registry = obs::Obs::instance().registry();
   obs_.total_us = &registry.histogram("socialtrust.update.total_us");
   obs_.collect_us = &registry.histogram("socialtrust.update.collect_us");
+  obs_.tally_us = &registry.histogram("socialtrust.update.tally_us");
+  obs_.coeff_us = &registry.histogram("socialtrust.update.coeff_us");
+  obs_.baseline_us = &registry.histogram("socialtrust.update.baseline_us");
   obs_.loo_us = &registry.histogram("socialtrust.update.loo_us");
   obs_.adjust_us = &registry.histogram("socialtrust.update.adjust_us");
   obs_.intervals = &registry.counter("socialtrust.intervals");
@@ -153,10 +156,13 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // Stage timers (no-ops when st::obs is disabled). The three stage
   // spans cover: collect = pair tally + sort + coefficient collection +
   // system baseline; loo = per-rater leave-one-out aggregates; adjust =
-  // detect-and-adjust + ordered reduction.
+  // detect-and-adjust + ordered reduction. Inside collect, tally (pass 1),
+  // coeff (pass 3a) and baseline (pass 3b) time its sub-stages; the dirty
+  // scan (pass 2b) has its own timer.
   obs::ScopedTimer total_timer(*obs_.total_us);
   obs::ScopedTimer collect_timer(*obs_.collect_us);
   double collect_us = 0.0, loo_us = 0.0, adjust_us = 0.0;
+  double tally_us = 0.0, coeff_us = 0.0, baseline_us = 0.0;
 
   // No cache wipe here: social_cache_ persists across intervals and
   // revalidates each entry against graph/profile revisions, so values
@@ -180,6 +186,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // rater's sorted history and recovers the canonical order by walking
   // raters ascending — no hash map, no sort, no per-interval clearing
   // (slot scratch is stamp-gated by interval_seq_).
+  obs::ScopedTimer tally_timer(*obs_.tally_us);
   std::vector<PairKey> keys;
   std::vector<double> tally_pos, tally_neg;
   std::vector<std::uint32_t> ridx_off;  // n_pairs + 1, CSR offsets
@@ -324,6 +331,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   }
   const std::size_t n_pairs = keys.size();
   report_.pairs_total = n_pairs;
+  tally_us = tally_timer.stop();
 
   // 2. System-average per-pair frequency F for this interval.
   double total_count = 0.0;
@@ -371,6 +379,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // exact values a full recompute yields — carried entries are
   // witness-clean by construction — so everything downstream is
   // schedule-independent.
+  obs::ScopedTimer coeff_timer(*obs_.coeff_us);
   std::vector<double> pair_c(n_pairs), pair_s(n_pairs);
   if (!dirty_mode) {
     dirty_stats_.pairs_dirty = n_pairs;
@@ -406,6 +415,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
     dirty_stats_.pairs_dirty = dirty_idx.size();
     dirty_stats_.pairs_carried = n_pairs - dirty_idx.size();
   }
+  coeff_us = coeff_timer.stop();
 
   // 3b. Gaussian baseline statistics.
   // System-wide aggregates over this interval's active pairs serve either
@@ -415,10 +425,12 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // statistics (median centre, MAD-derived width): colluding pairs can be
   // a sizeable fraction of the interval's pairs, and with mean/stddev the
   // attack would inflate the baseline spread enough to exonerate itself.
+  obs::ScopedTimer baseline_timer(*obs_.baseline_us);
   std::vector<double> sys_c_values = pair_c;
   std::vector<double> sys_s_values = pair_s;
   const CoefficientStats system_c = robust_stats(sys_c_values);
   const CoefficientStats system_s = robust_stats(sys_s_values);
+  baseline_us = baseline_timer.stop();
   collect_us = collect_timer.stop();
 
   obs::ScopedTimer loo_timer(*obs_.loo_us);
@@ -602,6 +614,9 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         {"b4", static_cast<double>(report_.b4)},
         {"mean_weight", report_.mean_weight},
         {"collect_us", collect_us},
+        {"tally_us", tally_us},
+        {"coeff_us", coeff_us},
+        {"baseline_us", baseline_us},
         {"loo_us", loo_us},
         {"adjust_us", adjust_us},
         {"total_us", total_us},
@@ -664,6 +679,9 @@ void SocialTrustPlugin::update_sharded(std::span<const Rating> cycle_ratings) {
         {"b4", static_cast<double>(report_.b4)},
         {"mean_weight", report_.mean_weight},
         {"collect_us", 0.0},
+        {"tally_us", 0.0},
+        {"coeff_us", 0.0},
+        {"baseline_us", 0.0},
         {"loo_us", 0.0},
         {"adjust_us", 0.0},
         {"total_us", total_us},

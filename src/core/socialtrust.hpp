@@ -346,6 +346,9 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   struct ObsHandles {
     obs::Histogram* total_us = nullptr;    ///< socialtrust.update.total_us
     obs::Histogram* collect_us = nullptr;  ///< socialtrust.update.collect_us
+    obs::Histogram* tally_us = nullptr;    ///< socialtrust.update.tally_us
+    obs::Histogram* coeff_us = nullptr;    ///< socialtrust.update.coeff_us
+    obs::Histogram* baseline_us = nullptr;  ///< socialtrust.update.baseline_us
     obs::Histogram* loo_us = nullptr;      ///< socialtrust.update.loo_us
     obs::Histogram* adjust_us = nullptr;   ///< socialtrust.update.adjust_us
     obs::Counter* intervals = nullptr;     ///< socialtrust.intervals

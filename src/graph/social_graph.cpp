@@ -437,106 +437,189 @@ namespace {
 #define ST_PREFETCH(addr) ((void)0)
 #endif
 
-/// Reusable BFS workspace. A hop-capped BFS on a large graph spends a
-/// surprising share of its time on setup — an O(n) visited/parent fill
-/// plus std::queue's deque allocations — so the traversals below reuse a
+/// Reusable search workspace. A hop-capped search on a large graph spends
+/// a surprising share of its time on setup — an O(n) visited/parent fill
+/// plus std::queue's deque allocations — so the search below reuses a
 /// per-thread scratch: visits are stamp-gated (no clearing between
-/// calls) and the frontier is two flat level vectors. thread_local keeps
-/// concurrent BFS calls (the parallel update interval) fully disjoint,
-/// and the scratch never leaks into results: every BFS is still a pure
-/// function of (graph, a, b, max_hops).
+/// calls) and each side's frontier is two flat level vectors.
+/// thread_local keeps concurrent searches (the parallel update interval)
+/// fully disjoint, and the scratch never leaks into results: every
+/// search is still a pure function of (graph, a, b, max_hops).
 struct BfsScratch {
-  /// Per-node word packing the visit stamp (low 32 bits) with the BFS
-  /// parent (high 32): testing "seen?" and recording the discovery are
-  /// one cache-line touch per node instead of two separate random
-  /// accesses into a stamp array and a parent array — the innermost
-  /// memory traffic of the whole traversal.
-  std::vector<std::uint64_t> node_state;
+  /// One word per side per node, each packing the visit stamp (low 32
+  /// bits) with that side's payload (high 32): the BFS parent for the
+  /// forward side, the hop level from the sink for the backward side.
+  /// The two words are interleaved so "seen by this side?" and "seen by
+  /// the other side?" are one cache-line touch per node — the innermost
+  /// memory traffic of the whole search.
+  struct NodeState {
+    std::uint64_t fwd = 0;
+    std::uint64_t bwd = 0;
+  };
+  std::vector<NodeState> node_state;
   std::uint32_t epoch = 0;
-  std::vector<NodeId> current;
-  std::vector<NodeId> next;
+  std::vector<NodeId> fwd_current;
+  std::vector<NodeId> fwd_next;
+  std::vector<NodeId> bwd_current;
+  std::vector<NodeId> bwd_next;
 
-  bool seen(NodeId v) const noexcept {
-    return static_cast<std::uint32_t>(node_state[v]) == epoch;
+  std::uint64_t stamped(std::uint32_t payload) const noexcept {
+    return epoch | (std::uint64_t{payload} << 32);
   }
-  void mark(NodeId v, NodeId parent) noexcept {
-    node_state[v] = epoch | (std::uint64_t{parent} << 32);
+  bool fwd_seen(NodeId v) const noexcept {
+    return static_cast<std::uint32_t>(node_state[v].fwd) == epoch;
+  }
+  bool bwd_seen(NodeId v) const noexcept {
+    return static_cast<std::uint32_t>(node_state[v].bwd) == epoch;
+  }
+  void mark_fwd(NodeId v, NodeId parent) noexcept {
+    node_state[v].fwd = stamped(parent);
+  }
+  void mark_bwd(NodeId v, std::uint32_t level) noexcept {
+    node_state[v].bwd = stamped(level);
   }
   NodeId parent_of(NodeId v) const noexcept {
-    return static_cast<NodeId>(node_state[v] >> 32);
+    return static_cast<NodeId>(node_state[v].fwd >> 32);
+  }
+  bool at_bwd_level(NodeId v, std::uint32_t level) const noexcept {
+    return node_state[v].bwd == stamped(level);
   }
 };
 
 BfsScratch& bfs_scratch(std::size_t n) {
   thread_local BfsScratch scratch;
   if (scratch.node_state.size() < n) {
-    scratch.node_state.resize(n, 0);
+    scratch.node_state.resize(n);
   }
   if (++scratch.epoch == 0) {
     // u32 stamp wrapped: stale words could alias the fresh epoch, so
-    // clear once per 2^32 traversals and restart above the zero-init.
-    std::fill(scratch.node_state.begin(), scratch.node_state.end(), 0);
+    // clear once per 2^32 searches and restart above the zero-init.
+    std::fill(scratch.node_state.begin(), scratch.node_state.end(),
+              BfsScratch::NodeState{});
     scratch.epoch = 1;
   }
-  scratch.current.clear();
-  scratch.next.clear();
+  scratch.fwd_current.clear();
+  scratch.fwd_next.clear();
+  scratch.bwd_current.clear();
+  scratch.bwd_next.clear();
   return scratch;
+}
+
+/// Adjacency rows as the search reads them: straight off the flat CSR
+/// arrays when no overlay row is live (the steady state after
+/// begin_interval()), through the overlay-routing neighbors() otherwise.
+/// Either way each row is one contiguous ascending slice.
+struct SearchRows {
+  const SocialGraph& g;
+  const std::uint64_t* offsets;
+  const NodeId* targets;
+  bool pure_csr;
+
+  std::span<const NodeId> operator()(NodeId v) const noexcept {
+    if (!pure_csr) return g.neighbors(v);
+    return {targets + offsets[v],
+            static_cast<std::size_t>(offsets[v + 1] - offsets[v])};
+  }
+  /// Hides the two random fetches each frontier node costs — its offsets
+  /// entry and its target row — by issuing them a little ahead of the
+  /// expansion; visit order is untouched.
+  void prefetch(const std::vector<NodeId>& frontier,
+                std::size_t idx) const noexcept {
+    if (idx + 2 < frontier.size()) ST_PREFETCH(offsets + frontier[idx + 2]);
+    if (idx + 1 < frontier.size()) {
+      ST_PREFETCH(targets + offsets[frontier[idx + 1]]);
+    }
+  }
+};
+
+/// Where the two searches met: `via` is the first node of forward level
+/// `fwd_level`, in forward FIFO discovery order, with a neighbour at
+/// backward level `bwd_level`. The a-b distance is fwd_level + bwd_level
+/// + 1.
+struct Meeting {
+  NodeId via = 0;
+  std::uint32_t fwd_level = 0;
+  std::uint32_t bwd_level = 0;
+};
+
+/// Meet-in-the-middle search between a != b (DESIGN.md §15). Each round
+/// expands one whole level of whichever frontier is smaller; the forward
+/// side expands exactly as the classic FIFO BFS from `a` does (ascending
+/// rows, first discovery wins), so its levels, their discovery order and
+/// its parent links are that BFS's. The backward side from `b` records
+/// only levels. No node is seen by both sides until the round that meets
+/// them, so the first meeting fixes the distance; the round that finds it
+/// also names `via`:
+///   * forward round: the frontier node being expanded when its row first
+///     shows a backward-seen neighbour — frontier order is FIFO order;
+///   * backward round: the level is finished, which marks every forward
+///     frontier node adjacent to it, and the first marked one in frontier
+///     order is taken.
+/// Returns nullopt when the distance exceeds max_hops or a frontier runs
+/// dry first.
+std::optional<Meeting> meet_in_the_middle(BfsScratch& s,
+                                          const SearchRows& rows, NodeId a,
+                                          NodeId b, std::size_t max_hops) {
+  s.mark_fwd(a, a);
+  s.mark_bwd(b, 0);
+  s.fwd_current.push_back(a);
+  s.bwd_current.push_back(b);
+  std::uint32_t rf = 0;
+  std::uint32_t rb = 0;
+  while (std::size_t{rf} + rb < max_hops && !s.fwd_current.empty() &&
+         !s.bwd_current.empty()) {
+    if (s.fwd_current.size() <= s.bwd_current.size()) {
+      s.fwd_next.clear();
+      for (std::size_t idx = 0; idx < s.fwd_current.size(); ++idx) {
+        const NodeId node = s.fwd_current[idx];
+        rows.prefetch(s.fwd_current, idx);
+        const std::span<const NodeId> row = rows(node);
+        for (std::size_t k = 0; k < row.size(); ++k) {
+          if (k + 4 < row.size()) ST_PREFETCH(&s.node_state[row[k + 4]]);
+          const NodeId next = row[k];
+          if (s.fwd_seen(next)) continue;
+          if (s.bwd_seen(next)) return Meeting{node, rf, rb};
+          s.mark_fwd(next, node);
+          s.fwd_next.push_back(next);
+        }
+      }
+      std::swap(s.fwd_current, s.fwd_next);
+      ++rf;
+    } else {
+      s.bwd_next.clear();
+      bool met = false;
+      for (std::size_t idx = 0; idx < s.bwd_current.size(); ++idx) {
+        const NodeId node = s.bwd_current[idx];
+        rows.prefetch(s.bwd_current, idx);
+        const std::span<const NodeId> row = rows(node);
+        for (std::size_t k = 0; k < row.size(); ++k) {
+          if (k + 4 < row.size()) ST_PREFETCH(&s.node_state[row[k + 4]]);
+          const NodeId next = row[k];
+          if (s.bwd_seen(next)) continue;
+          met = met || s.fwd_seen(next);
+          s.mark_bwd(next, rb + 1);
+          s.bwd_next.push_back(next);
+        }
+      }
+      if (met) {
+        for (const NodeId node : s.fwd_current) {
+          if (s.at_bwd_level(node, rb + 1)) return Meeting{node, rf, rb};
+        }
+      }
+      std::swap(s.bwd_current, s.bwd_next);
+      ++rb;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 std::optional<std::size_t> SocialGraph::distance(
     NodeId a, NodeId b, std::size_t max_hops) const {
-  check_node(a);
-  check_node(b);
-  if (a == b) return 0;
-  // Level-synchronous BFS with a hop cap; the paper only ever needs
-  // distances <= 4. Levels are expanded in the same FIFO order the
-  // classic queue formulation uses, so the hop count found first is
-  // identical. Each frontier node's neighbour row is one contiguous CSR
-  // slice, so the expansion is cache-linear; with no overlay rows live
-  // (the steady state after begin_interval()) rows come straight off the
-  // flat arrays, skipping the per-node overlay-routing probe.
-  BfsScratch& s = bfs_scratch(node_count_);
-  const bool pure_csr = rel_overlay_live_ == 0;
-  s.mark(a, a);
-  s.current.push_back(a);
-  for (std::size_t hops = 0; hops < max_hops && !s.current.empty(); ++hops) {
-    s.next.clear();
-    for (std::size_t idx = 0; idx < s.current.size(); ++idx) {
-      const NodeId node = s.current[idx];
-      // Hide the two random fetches each frontier node costs — its
-      // offsets entry and its target row — by issuing them a little
-      // ahead; visit order is untouched.
-      if (idx + 2 < s.current.size()) {
-        ST_PREFETCH(&rel_offsets_[s.current[idx + 2]]);
-      }
-      if (idx + 1 < s.current.size()) {
-        ST_PREFETCH(rel_targets_.data() + rel_offsets_[s.current[idx + 1]]);
-      }
-      const NodeId* targets;
-      std::size_t size;
-      if (pure_csr) {
-        const std::uint64_t begin = rel_offsets_[node];
-        targets = rel_targets_.data() + begin;
-        size = static_cast<std::size_t>(rel_offsets_[node + 1] - begin);
-      } else {
-        const RelRow row = rel_row(node);
-        targets = row.targets;
-        size = row.size;
-      }
-      for (std::size_t k = 0; k < size; ++k) {
-        if (k + 4 < size) ST_PREFETCH(&s.node_state[targets[k + 4]]);
-        const NodeId next = targets[k];
-        if (s.seen(next)) continue;
-        if (next == b) return hops + 1;
-        s.mark(next, node);
-        s.next.push_back(next);
-      }
-    }
-    std::swap(s.current, s.next);
-  }
-  return std::nullopt;
+  const auto path = shortest_path(a, b, max_hops);
+  if (!path) return std::nullopt;
+  return path->size() - 1;
 }
 
 std::optional<std::vector<NodeId>> SocialGraph::shortest_path(
@@ -544,57 +627,34 @@ std::optional<std::vector<NodeId>> SocialGraph::shortest_path(
   check_node(a);
   check_node(b);
   if (a == b) return std::vector<NodeId>{a};
-  // Same level-synchronous traversal as distance(); the parent links
-  // record the first discovery, so the reconstructed path is the exact
-  // path the queue-based BFS returned (discovery order is unchanged —
-  // bottleneck closeness depends on the specific path, not just its
-  // length, making that equivalence part of the bit-identity contract).
   BfsScratch& s = bfs_scratch(node_count_);
-  const bool pure_csr = rel_overlay_live_ == 0;
-  s.mark(a, a);
-  s.current.push_back(a);
-  for (std::size_t hops = 0; hops < max_hops && !s.current.empty(); ++hops) {
-    s.next.clear();
-    for (std::size_t idx = 0; idx < s.current.size(); ++idx) {
-      const NodeId node = s.current[idx];
-      // Hide the two random fetches each frontier node costs — its
-      // offsets entry and its target row — by issuing them a little
-      // ahead; visit order is untouched.
-      if (idx + 2 < s.current.size()) {
-        ST_PREFETCH(&rel_offsets_[s.current[idx + 2]]);
-      }
-      if (idx + 1 < s.current.size()) {
-        ST_PREFETCH(rel_targets_.data() + rel_offsets_[s.current[idx + 1]]);
-      }
-      const NodeId* targets;
-      std::size_t size;
-      if (pure_csr) {
-        const std::uint64_t begin = rel_offsets_[node];
-        targets = rel_targets_.data() + begin;
-        size = static_cast<std::size_t>(rel_offsets_[node + 1] - begin);
-      } else {
-        const RelRow row = rel_row(node);
-        targets = row.targets;
-        size = row.size;
-      }
-      for (std::size_t k = 0; k < size; ++k) {
-        if (k + 4 < size) ST_PREFETCH(&s.node_state[targets[k + 4]]);
-        const NodeId next = targets[k];
-        if (s.seen(next)) continue;
-        s.mark(next, node);
-        if (next == b) {
-          std::vector<NodeId> path{b};
-          for (NodeId cur = b; cur != a; cur = s.parent_of(cur))
-            path.push_back(s.parent_of(cur));
-          std::reverse(path.begin(), path.end());
-          return path;
-        }
-        s.next.push_back(next);
+  const SearchRows rows{*this, rel_offsets_.data(), rel_targets_.data(),
+                        rel_overlay_live_ == 0};
+  const std::optional<Meeting> m = meet_in_the_middle(s, rows, a, b, max_hops);
+  if (!m) return std::nullopt;
+  // The lexicographically smallest shortest path, which is exactly what
+  // the forward FIFO BFS returns (DESIGN.md §14/§15): the lex-min path
+  // to `via` along the forward parent links, then from `via` the
+  // smallest-id neighbour one backward level nearer `b` at every step
+  // (rows ascend, so the first hit is the smallest).
+  std::vector<NodeId> path(std::size_t{m->fwd_level} + m->bwd_level + 2);
+  NodeId cur = m->via;
+  for (std::size_t step = m->fwd_level + 1; step-- > 0;) {
+    path[step] = cur;
+    cur = s.parent_of(cur);
+  }
+  cur = m->via;
+  for (std::size_t step = m->fwd_level + 1; step < path.size(); ++step) {
+    const auto level = static_cast<std::uint32_t>(path.size() - 1 - step);
+    for (const NodeId next : rows(cur)) {
+      if (s.at_bwd_level(next, level)) {
+        cur = next;
+        break;
       }
     }
-    std::swap(s.current, s.next);
+    path[step] = cur;
   }
-  return std::nullopt;
+  return path;
 }
 
 void SocialGraph::clear_node(NodeId node) {

@@ -148,14 +148,24 @@ class SocialGraph {
   /// Nodes appearing in both neighbour lists (the k of Eq. 3), ascending.
   std::vector<NodeId> common_friends(NodeId a, NodeId b) const;
 
-  /// BFS hop distance between a and b, searching at most `max_hops` hops.
-  /// Returns nullopt when unreachable within the cap. distance(a,a) == 0.
+  /// Hop distance between a and b if it is at most `max_hops`, else
+  /// nullopt. distance(a,a) == 0. Answered by the same search as
+  /// shortest_path(), so it always equals shortest_path()->size() - 1.
   std::optional<std::size_t> distance(NodeId a, NodeId b,
                                       std::size_t max_hops = 6) const;
 
-  /// One shortest path a -> ... -> b within `max_hops` (inclusive of both
-  /// endpoints), or nullopt. Used by the bottleneck-closeness fallback of
-  /// Eq. (4).
+  /// The lexicographically smallest of all shortest paths a -> ... -> b
+  /// (both endpoints included; compared node id by node id from `a`), or
+  /// nullopt when the distance exceeds `max_hops`. shortest_path(a,a) ==
+  /// {a}. Used by the bottleneck-closeness fallback of Eq. (4).
+  ///
+  /// The result is a function of the graph alone — it is the path a FIFO
+  /// BFS over ascending rows returns — whatever traversal computes it
+  /// (today a meet-in-the-middle search, DESIGN.md §15). Cached path
+  /// entries rely on that: the path can change only through an edit at
+  /// one of its own nodes or a brand-new adjacency somewhere
+  /// (edge_addition_epoch(), DESIGN.md §14). It is direction-dependent:
+  /// shortest_path(b, a) need not be the reverse.
   std::optional<std::vector<NodeId>> shortest_path(
       NodeId a, NodeId b, std::size_t max_hops = 6) const;
 

@@ -25,6 +25,11 @@ class CliArgs {
 
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, std::string def) const;
+  /// Numeric flags: `def` when the flag is absent or has no value.
+  /// Otherwise the whole value must parse (base 10 for the integer
+  /// getters) and fit the type — get_u64 rejects a minus sign, and
+  /// get_double rejects inf/nan — or std::invalid_argument naming the
+  /// flag and its value is thrown.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   std::uint64_t get_u64(const std::string& name, std::uint64_t def) const;
   double get_double(const std::string& name, double def) const;

@@ -15,8 +15,10 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/similarity.hpp"
@@ -47,6 +49,10 @@ using graph::SocialGraph;
 
 // ---------------------------------------------------------------------------
 // SocialGraph vs ReferenceSocialGraph
+
+/// Hop caps the path queries are compared at: none, adjacent only, the
+/// friend-of-friend reach, one beyond it, and the default.
+constexpr std::size_t kHopCaps[] = {0, 1, 2, 3, 6};
 
 /// Compares every public accessor over every node/pair. O(n^2) — keep n
 /// small; the point is exhaustiveness, not scale.
@@ -90,10 +96,12 @@ void expect_graphs_identical(const SocialGraph& csr,
           << "pair " << a << "," << b;
       EXPECT_EQ(csr.common_friends(a, b), ref.common_friends(a, b))
           << "pair " << a << "," << b;
-      EXPECT_EQ(csr.distance(a, b), ref.distance(a, b))
-          << "pair " << a << "," << b;
-      EXPECT_EQ(csr.shortest_path(a, b), ref.shortest_path(a, b))
-          << "pair " << a << "," << b;
+      for (std::size_t cap : kHopCaps) {
+        EXPECT_EQ(csr.distance(a, b, cap), ref.distance(a, b, cap))
+            << "pair " << a << "," << b << " cap " << cap;
+        EXPECT_EQ(csr.shortest_path(a, b, cap), ref.shortest_path(a, b, cap))
+            << "pair " << a << "," << b << " cap " << cap;
+      }
     }
   }
 }
@@ -263,20 +271,236 @@ TEST(CsrEquivalence, ClearNodeTombstonesAreInvisibleAndReclaimed) {
   EXPECT_TRUE(bits_equal(g.interaction(0, 1), 4.0));
 }
 
-TEST(CsrEquivalence, CsrFootprintBeatsReferenceOnGeneratedGraph) {
-  stats::Rng rng(5);
-  SocialGraph csr = graph::watts_strogatz(2000, 8, 0.1, rng);
-  ReferenceSocialGraph ref(csr.size());
-  for (NodeId a = 0; a < csr.size(); ++a) {
-    for (NodeId b : csr.neighbors(a)) {
+/// A reference graph with `g`'s adjacency, every edge a friendship (the
+/// generators only make friendships, and paths ignore types anyway).
+ReferenceSocialGraph copy_to_reference(const SocialGraph& g) {
+  ReferenceSocialGraph ref(g.size());
+  for (NodeId a = 0; a < g.size(); ++a) {
+    for (NodeId b : g.neighbors(a)) {
       if (b > a) ref.add_relationship(a, b, Relationship::kFriendship);
     }
   }
+  return ref;
+}
+
+TEST(CsrEquivalence, CsrFootprintBeatsReferenceOnGeneratedGraph) {
+  stats::Rng rng(5);
+  SocialGraph csr = graph::watts_strogatz(2000, 8, 0.1, rng);
+  const ReferenceSocialGraph ref = copy_to_reference(csr);
   const auto after = csr.memory_footprint();
   const auto before = ref.memory_footprint();
   EXPECT_EQ(csr.edge_count(), ref.edge_count());
   EXPECT_LT(after.adjacency_bytes, before.adjacency_bytes);
   EXPECT_LT(after.total(), before.total());
+}
+
+// ---------------------------------------------------------------------------
+// Meet-in-the-middle shortest path vs the reference's forward FIFO BFS
+// (DESIGN.md §14/§15): the same lexicographically smallest shortest path,
+// at every hop cap, on graphs large enough for the search to matter.
+
+/// What a batch of sampled path queries exercised.
+struct PathCoverage {
+  std::size_t found = 0;        ///< a path within the cap
+  std::size_t at_cap = 0;       ///< found, exactly `cap` hops long
+  std::size_t past_cap = 0;     ///< none within the cap, one at cap + 1
+  std::size_t unreachable = 0;  ///< none at any cap
+};
+
+/// Compares distance() and shortest_path() on every pair, each at a hop
+/// cap drawn from 0..8.
+PathCoverage expect_paths_match(
+    const SocialGraph& csr, const ReferenceSocialGraph& ref,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs, stats::Rng& rng) {
+  PathCoverage cov;
+  for (const auto& [a, b] : pairs) {
+    const std::size_t cap = rng.index(9);
+    const auto path = csr.shortest_path(a, b, cap);
+    EXPECT_EQ(path, ref.shortest_path(a, b, cap))
+        << "pair " << a << "," << b << " cap " << cap;
+    EXPECT_EQ(csr.distance(a, b, cap), ref.distance(a, b, cap))
+        << "pair " << a << "," << b << " cap " << cap;
+    if (path) {
+      ++cov.found;
+      if (path->size() == cap + 1) ++cov.at_cap;
+    } else if (ref.distance(a, b, cap + 1)) {
+      ++cov.past_cap;
+    } else if (!ref.distance(a, b, ref.size())) {
+      ++cov.unreachable;
+    }
+  }
+  return cov;
+}
+
+/// Runs the sampled comparison twice: on the compacted graph, then after
+/// a handful of mirrored edge additions and removals that leave overlay
+/// rows live (the search's non-CSR row path). Returns both coverages
+/// summed.
+template <typename PairFn>
+PathCoverage check_generated_graph(SocialGraph g, std::uint64_t seed,
+                                   PairFn draw_pair) {
+  ReferenceSocialGraph ref = copy_to_reference(g);
+  const auto n = static_cast<NodeId>(g.size());
+  stats::Rng rng(seed);
+  auto sample = [&] {
+    std::vector<std::pair<NodeId, NodeId>> pairs(400);
+    for (auto& pair : pairs) pair = draw_pair(rng);
+    return pairs;
+  };
+  EXPECT_EQ(g.delta_mass(), 0u) << "generators hand out compacted graphs";
+  PathCoverage cov;
+  {
+    SCOPED_TRACE("compacted");
+    cov = expect_paths_match(g, ref, sample(), rng);
+  }
+  const std::uint64_t rebuilds = g.rebuild_count();
+  for (int k = 0; k < 30; ++k) {
+    const auto a = static_cast<NodeId>(rng.index(n));
+    const auto b = static_cast<NodeId>(rng.index(n));
+    EXPECT_EQ(g.add_relationship(a, b, Relationship::kFriendship),
+              ref.add_relationship(a, b, Relationship::kFriendship));
+    const auto c = static_cast<NodeId>(rng.index(n));
+    const auto friends = g.neighbors(c);
+    if (friends.empty()) continue;
+    const NodeId d = friends[rng.index(friends.size())];
+    EXPECT_TRUE(g.remove_relationship(c, d, Relationship::kFriendship));
+    EXPECT_TRUE(ref.remove_relationship(c, d, Relationship::kFriendship));
+  }
+  EXPECT_GT(g.delta_mass(), 0u);
+  EXPECT_EQ(g.rebuild_count(), rebuilds) << "overlay rows were compacted";
+  {
+    SCOPED_TRACE("overlay live");
+    const PathCoverage live = expect_paths_match(g, ref, sample(), rng);
+    cov.found += live.found;
+    cov.at_cap += live.at_cap;
+    cov.past_cap += live.past_cap;
+    cov.unreachable += live.unreachable;
+  }
+  return cov;
+}
+
+TEST(CsrEquivalence, ShortestPathMatchesReferenceOnHubGraph) {
+  // Preferential attachment: hub rows make the two frontiers lopsided,
+  // so the search keeps switching the side it expands.
+  constexpr std::size_t kNodes = 3000;
+  stats::Rng gen(61);
+  const PathCoverage cov = check_generated_graph(
+      graph::barabasi_albert(kNodes, 2, gen), 62, [](stats::Rng& rng) {
+        return std::pair{static_cast<NodeId>(rng.index(kNodes)),
+                         static_cast<NodeId>(rng.index(kNodes))};
+      });
+  EXPECT_GT(cov.found, 0u);
+  EXPECT_GT(cov.past_cap, 0u);
+}
+
+TEST(CsrEquivalence, ShortestPathMatchesReferenceOnSmallWorldNearCap) {
+  // A barely rewired ring lattice has long paths; pairs a short way round
+  // the ring put their distance at, or just past, the hop cap.
+  constexpr std::size_t kNodes = 1000;
+  stats::Rng gen(71);
+  const PathCoverage cov = check_generated_graph(
+      graph::watts_strogatz(kNodes, 4, 0.02, gen), 72, [](stats::Rng& rng) {
+        const std::size_t a = rng.index(kNodes);
+        return std::pair{static_cast<NodeId>(a),
+                         static_cast<NodeId>((a + 1 + rng.index(24)) % kNodes)};
+      });
+  EXPECT_GT(cov.at_cap, 0u);
+  EXPECT_GT(cov.past_cap, 0u);
+}
+
+TEST(CsrEquivalence, ShortestPathMatchesReferenceOnSparseRandomGraph) {
+  // Mean degree ~1.2: many small components, so frontiers run dry and
+  // pairs are unreachable at every cap.
+  constexpr std::size_t kNodes = 2000;
+  stats::Rng gen(81);
+  const PathCoverage cov = check_generated_graph(
+      graph::erdos_renyi(kNodes, 1.2 / kNodes, gen), 82, [](stats::Rng& rng) {
+        return std::pair{static_cast<NodeId>(rng.index(kNodes)),
+                         static_cast<NodeId>(rng.index(kNodes))};
+      });
+  EXPECT_GT(cov.found, 0u);
+  EXPECT_GT(cov.unreachable, 0u);
+}
+
+/// The lexicographically smallest of all shortest a-b paths, by
+/// exhaustive enumeration: every walk of exactly dist(a, b) hops that
+/// ends at b is a shortest path.
+std::vector<NodeId> brute_force_lex_min_path(const ReferenceSocialGraph& g,
+                                             NodeId a, NodeId b) {
+  const std::size_t hops = *g.distance(a, b, g.size());
+  std::vector<NodeId> walk{a};
+  std::vector<NodeId> best;
+  auto extend = [&](auto&& self) -> void {
+    if (walk.size() == hops + 1) {
+      if (walk.back() == b && (best.empty() || walk < best)) best = walk;
+      return;
+    }
+    for (NodeId next : g.neighbors(walk.back())) {
+      walk.push_back(next);
+      self(self);
+      walk.pop_back();
+    }
+  };
+  extend(extend);
+  return best;
+}
+
+TEST(CsrEquivalence, ShortestPathIsLexMinAmongEqualLengthPaths) {
+  // 0 -> 1 has three 3-hop paths: 0-5-8-1, 0-5-9-1 and 0-6-7-1. The
+  // lex-min is 0-5-8-1, but the lex-min read from 1's end is 1-7-6-0, a
+  // different path, so the path is not symmetric. 2, 0's smallest
+  // neighbour, is a dead end (2-3), and 0-4-10-11-1 is a 4-hop detour.
+  SocialGraph g(12);
+  const std::pair<NodeId, NodeId> edges[] = {
+      {0, 2}, {2, 3},  {0, 4},  {4, 10}, {10, 11}, {11, 1}, {0, 5},
+      {0, 6}, {5, 8},  {5, 9},  {6, 7},  {8, 1},   {9, 1},  {7, 1}};
+  for (const auto& [a, b] : edges) {
+    g.add_relationship(a, b, Relationship::kFriendship);
+  }
+  EXPECT_EQ(g.shortest_path(0, 1), (std::vector<NodeId>{0, 5, 8, 1}));
+  EXPECT_EQ(g.shortest_path(1, 0), (std::vector<NodeId>{1, 7, 6, 0}));
+  EXPECT_EQ(g.shortest_path(0, 1, 3), (std::vector<NodeId>{0, 5, 8, 1}));
+  EXPECT_EQ(g.shortest_path(0, 1, 2), std::nullopt);
+  EXPECT_EQ(g.distance(0, 1), std::optional<std::size_t>{3});
+  EXPECT_EQ(g.shortest_path(3, 1), (std::vector<NodeId>{3, 2, 0, 5, 8, 1}));
+
+  // 4x4 grid, 20 shortest corner-to-corner paths, with ids scrambled by
+  // id = (5 * (4 * row + col) + 3) mod 16 so the lex-min path is no plain
+  // row-major walk. Every ordered pair of both graphs is checked against
+  // exhaustive enumeration, with overlay rows live and after compaction.
+  SocialGraph grid(16);
+  auto id = [](int row, int col) {
+    return static_cast<NodeId>((5 * (4 * row + col) + 3) % 16);
+  };
+  for (int row = 0; row < 4; ++row) {
+    for (int col = 0; col < 4; ++col) {
+      if (col + 1 < 4) {
+        grid.add_relationship(id(row, col), id(row, col + 1),
+                              Relationship::kFriendship);
+      }
+      if (row + 1 < 4) {
+        grid.add_relationship(id(row, col), id(row + 1, col),
+                              Relationship::kFriendship);
+      }
+    }
+  }
+  for (SocialGraph* graph : {&g, &grid}) {
+    const ReferenceSocialGraph ref = copy_to_reference(*graph);
+    for (bool compacted : {false, true}) {
+      SCOPED_TRACE(compacted ? "compacted" : "overlay live");
+      if (compacted) graph->begin_interval();
+      EXPECT_EQ(graph->delta_mass() == 0, compacted);
+      const auto n = static_cast<NodeId>(graph->size());
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = 0; b < n; ++b) {
+          if (!ref.distance(a, b, n)) continue;
+          EXPECT_EQ(graph->shortest_path(a, b, n),
+                    brute_force_lex_min_path(ref, a, b))
+              << "pair " << a << "," << b;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

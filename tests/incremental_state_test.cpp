@@ -858,7 +858,11 @@ TEST(FullVsDirtyDirect, SparseChurnCarriesPairsBitIdentically) {
   // Seed interactions and requests once so closeness/similarity are
   // non-trivial before the rating stream starts.
   for (graph::NodeId n = 0; n < kNodes; ++n) {
-    for (graph::NodeId nb : g.neighbors(n)) {
+    // Copy the row: record_interaction may compact the graph, which
+    // invalidates every neighbors() span.
+    const auto row = g.neighbors(n);
+    const std::vector<graph::NodeId> friends(row.begin(), row.end());
+    for (graph::NodeId nb : friends) {
       g.record_interaction(n, nb, 1.0 + static_cast<double>((n + nb) % 3));
     }
     profiles.record_request(n, static_cast<reputation::InterestId>(n % 16),

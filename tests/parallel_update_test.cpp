@@ -229,11 +229,31 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
   // The instrumented runs must actually have recorded something, or this
   // test would vacuously compare two disabled runs.
   EXPECT_GT(obs::Obs::instance().snapshot_count(), 0U);
-  EXPECT_GT(obs::Obs::instance()
-                .registry()
-                .counter("socialtrust.intervals")
-                .value(),
-            0U);
+  auto& registry = obs::Obs::instance().registry();
+  const std::uint64_t intervals =
+      registry.counter("socialtrust.intervals").value();
+  EXPECT_GT(intervals, 0U);
+  // collect_us encloses its sub-stage timers: each records one sample per
+  // interval, and per interval they add up to no more than collect_us.
+  for (const char* stage :
+       {"socialtrust.update.tally_us", "socialtrust.update.coeff_us",
+        "socialtrust.update.baseline_us"}) {
+    EXPECT_EQ(registry.histogram(stage).count(), intervals) << stage;
+  }
+  for (const obs::Snapshot& snap : obs::Obs::instance().snapshots()) {
+    if (snap.scope != "socialtrust.update") continue;
+    auto extra = [&snap](const std::string& name) {
+      for (const auto& [key, value] : snap.extras) {
+        if (key == name) return value;
+      }
+      ADD_FAILURE() << "socialtrust.update lacks " << name;
+      return 0.0;
+    };
+    EXPECT_LE(extra("tally_us") + extra("dirty_scan_us") + extra("coeff_us") +
+                  extra("baseline_us"),
+              extra("collect_us") + 1e-6)
+        << "interval " << snap.sequence;
+  }
   obs::Obs::instance().configure({});  // leave the process clean
 
   expect_identical(off_serial, on_serial, "obs on vs off, serial");

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/ascii_chart.hpp"
 #include "util/cli.hpp"
@@ -199,6 +202,67 @@ TEST(Cli, FlagFollowedByFlagHasEmptyValue) {
   CliArgs args(4, const_cast<char**>(argv));
   EXPECT_TRUE(args.has("quiet"));
   EXPECT_EQ(args.get_u64("seed", 0), 3u);
+}
+
+TEST(Cli, WellFormedNumbersParseExactly) {
+  const char* argv[] = {"prog",   "--a", "-5",   "--b", "+7",
+                        "--c",    "18446744073709551615",
+                        "--d",    "1e-3", "--e", "0.002",
+                        "--f",    "-9223372036854775808"};
+  CliArgs args(13, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("a", 0), -5);
+  EXPECT_EQ(args.get_int("b", 0), 7);
+  EXPECT_EQ(args.get_u64("b", 0), 7u);
+  EXPECT_EQ(args.get_u64("c", 0), 18446744073709551615ULL);
+  EXPECT_EQ(args.get_double("d", 0.0), 1e-3);
+  EXPECT_EQ(args.get_double("e", 0.0), 0.002);
+  EXPECT_EQ(args.get_int("f", 0), INT64_MIN);
+}
+
+TEST(Cli, RejectsValuesNotConsumedWhole) {
+  const char* argv[] = {"prog", "--runs",  "abc", "--nodes", "10k",
+                        "--b",  "0.5x",   "--hex", "0x10"};
+  CliArgs args(9, const_cast<char**>(argv));
+  EXPECT_THROW(args.get_int("runs", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("runs", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_double("runs", 1.0), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("nodes", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_int("nodes", 1), std::invalid_argument);
+  EXPECT_THROW(args.get_double("b", 0.6), std::invalid_argument);
+  EXPECT_THROW(args.get_int("hex", 0), std::invalid_argument);
+}
+
+TEST(Cli, RejectsOutOfRangeValues) {
+  const char* argv[] = {"prog",  "--i", "9223372036854775808",
+                        "--u",   "18446744073709551616",
+                        "--big", "1e999", "--inf", "inf", "--nan", "nan"};
+  CliArgs args(11, const_cast<char**>(argv));
+  EXPECT_THROW(args.get_int("i", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("u", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("big", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("inf", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("nan", 0.0), std::invalid_argument);
+}
+
+TEST(Cli, RejectsNegativeUnsignedValues) {
+  const char* argv[] = {"prog", "--seed", "-1", "--zero", "-0"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_THROW(args.get_u64("seed", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("zero", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("seed", 0), -1);  // fine where a sign is allowed
+}
+
+TEST(Cli, RejectionNamesTheFlagAndItsValue) {
+  const char* argv[] = {"prog", "--nodes", "10k"};
+  CliArgs args(3, const_cast<char**>(argv));
+  try {
+    args.get_u64("nodes", 0);
+    FAIL() << "--nodes 10k parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--nodes"), std::string::npos) << what;
+    EXPECT_NE(what.find("10k"), std::string::npos) << what;
+  }
 }
 
 // --- logging ----------------------------------------------------------------------
