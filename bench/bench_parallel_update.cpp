@@ -31,17 +31,6 @@
 //   --dirty-json <path>  write the --dirty section as JSON (the
 //                     BENCH_dirty_pairs.json artifact; implies --dirty)
 //   --dirty-intervals <n>  warm intervals per schedule (default 4)
-//   --shards <list>   additionally benchmark the gossip-sharded
-//                     aggregation pipeline (DESIGN.md §16): for each node
-//                     and shard count one synchronous-exchange sharded
-//                     interval runs against the centralized pipeline,
-//                     adjusted ratings / flagged sets / reputations
-//                     cross-checked bit-for-bit; wall-clock, partition
-//                     cut and modelled boundary traffic are reported
-//                     (the standalone bench_sharded_aggregation covers
-//                     the full shard x thread x interval matrix)
-//   --shard-seed <u64>  partitioner / exchange-schedule seed
-//                     (default: the SocialTrustConfig default)
 //
 // Speedup rows are timing SIGNAL only when the machine can actually run
 // the requested workers in parallel: when `threads` exceeds the hardware
@@ -67,7 +56,6 @@
 #include "graph/generators.hpp"
 #include "obs/obs.hpp"
 #include "reputation/ebay.hpp"
-#include "shard/sharded_aggregator.hpp"
 #include "stats/rng.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -351,52 +339,6 @@ struct ObsRow {
   bool identical = true;
 };
 
-// --- --shards sharded-aggregation section -----------------------------------
-
-/// One centralized-or-sharded interval, min of `reps`; the returned
-/// snapshot carries everything the bit-identity cross-check compares.
-/// When the config runs sharded, `stats_out` receives the last interval's
-/// ShardStats (partition cut, exchange traffic, rounds).
-ObsRun run_aggregation(const Workload& w, std::size_t n,
-                       const SocialTrustConfig& cfg, std::size_t reps,
-                       st::shard::ShardStats* stats_out) {
-  ObsRun result;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    SocialTrustPlugin plugin(
-        std::make_unique<st::reputation::EbayReputation>(n), w.graph,
-        w.profiles, cfg);
-    const auto start = std::chrono::steady_clock::now();
-    plugin.update(w.ratings);
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (rep == 0 || ms < result.best_ms) result.best_ms = ms;
-    result.report = plugin.last_report();
-    result.adjusted.assign(plugin.last_adjusted().begin(),
-                           plugin.last_adjusted().end());
-    result.reputations.assign(plugin.reputations().begin(),
-                              plugin.reputations().end());
-    if (stats_out != nullptr) {
-      if (const st::shard::ShardStats* ss = plugin.last_shard_stats()) {
-        *stats_out = *ss;
-      }
-    }
-  }
-  return result;
-}
-
-struct ShardRow {
-  std::size_t nodes = 0;
-  std::size_t shards = 0;
-  std::size_t pairs = 0;
-  double central_ms = 0.0;
-  double sharded_ms = 0.0;
-  std::size_t cut_edges = 0;
-  std::uint64_t boundary_bytes = 0;
-  std::size_t rounds = 0;
-  bool identical = true;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -621,66 +563,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --shards: the gossip-sharded aggregation pipeline (DESIGN.md §16)
-  // under the synchronous exchange, bit-compared against centralized.
-  std::vector<ShardRow> shard_rows;
-  bool sharded_identical = true;
-  if (const std::string shard_list = args.get_or("shards", "");
-      !shard_list.empty()) {
-    const auto shard_counts = st::bench::parse_size_list(shard_list);
-    const std::uint64_t shard_seed =
-        args.get_u64("shard-seed", SocialTrustConfig{}.shard_seed);
-    const std::size_t threads = thread_counts.back();
-    std::cout << "--- sharded aggregation (synchronous exchange; threads="
-              << threads << "; shard seed " << shard_seed << "; min of "
-              << reps << " reps) ---\n";
-    for (std::size_t n : node_counts) {
-      st::stats::Rng rng(seed);
-      Workload w = make_workload(n, rng);
-      SocialTrustConfig central_cfg;
-      central_cfg.threads = threads;
-      const ObsRun central =
-          run_aggregation(w, n, central_cfg, reps, nullptr);
-      for (std::size_t shards : shard_counts) {
-        SocialTrustConfig cfg = central_cfg;
-        cfg.aggregation = st::core::AggregationMode::kSharded;
-        cfg.exchange = st::core::ExchangeSchedule::kSynchronous;
-        cfg.shards = shards;
-        cfg.shard_seed = shard_seed;
-        st::shard::ShardStats stats;
-        const ObsRun sharded = run_aggregation(w, n, cfg, reps, &stats);
-        ShardRow row;
-        row.nodes = n;
-        row.shards = shards;
-        row.pairs = sharded.report.pairs_total;
-        row.central_ms = central.best_ms;
-        row.sharded_ms = sharded.best_ms;
-        row.cut_edges = stats.boundary_edges;
-        row.boundary_bytes = stats.exchange.boundary_bytes;
-        row.rounds = stats.exchange.rounds;
-        row.identical = obs_runs_identical(central, sharded);
-        sharded_identical = sharded_identical && row.identical;
-        shard_rows.push_back(row);
-      }
-    }
-    st::util::Table shard_table({"nodes", "shards", "pairs", "central ms",
-                                 "sharded ms", "cut edges", "boundary KiB",
-                                 "rounds", "bit-identical"});
-    for (const ShardRow& r : shard_rows) {
-      shard_table.add_row(
-          {std::to_string(r.nodes), std::to_string(r.shards),
-           std::to_string(r.pairs), st::util::fmt(r.central_ms, 2),
-           st::util::fmt(r.sharded_ms, 2), std::to_string(r.cut_edges),
-           st::util::fmt(static_cast<double>(r.boundary_bytes) / 1024.0, 1),
-           std::to_string(r.rounds), r.identical ? "yes" : "NO (BUG)"});
-    }
-    std::cout << shard_table.to_string() << "\n";
-    if (!sharded_identical) {
-      std::cout << "DETERMINISM VIOLATION: sharded aggregation diverged "
-                   "from the centralized pipeline\n";
-    }
-  }
-
   if (auto json_path = args.get("json"); json_path && !json_path->empty()) {
     std::ofstream out(*json_path);
     if (!out) {
@@ -719,8 +601,5 @@ int main(int argc, char** argv) {
     out << "\n}\n";
     std::cout << "(json: " << *json_path << ")\n";
   }
-  return all_identical && obs_identical && dirty_identical &&
-                 sharded_identical
-             ? 0
-             : 1;
+  return all_identical && obs_identical && dirty_identical ? 0 : 1;
 }

@@ -19,33 +19,12 @@
 //   --rate <n>               fake ratings per query cycle (20)
 //   --distance <1-3>         conspirator social distance (1)
 //   --cycles <n>, --runs <n>, --seed <u64>
-//
-// Sharded placement study (`--sharded`, DESIGN.md §16): does it matter
-// whether the colluders land in one shard or are split across shards?
-//   $ ./attack_lab --sharded --shards 4 --seed-scan 64
-// Scans shard seeds for the partitions that concentrate / scatter the
-// colluder clique the most, then runs the identical attack stream through
-// the centralized pipeline and through both placements under the
-// synchronous and gossip exchanges, reporting detection precision/recall
-// per placement.
-//   --sharded                run the placement study instead of the matrix
-//   --shards <n>             shard count (default 4)
-//   --seed-scan <n>          shard seeds scanned for extremes (default 64)
 
-#include <algorithm>
 #include <iostream>
-#include <set>
-#include <utility>
 
 #include "collusion/models.hpp"
-#include "core/socialtrust.hpp"
-#include "graph/generators.hpp"
-#include "reputation/paper_eigentrust.hpp"
-#include "shard/partitioner.hpp"
-#include "shard/sharded_aggregator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/factories.hpp"
-#include "stats/rng.hpp"
 #include "stats/summary.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -64,216 +43,10 @@ st::sim::SystemFactory system_by_name(const std::string& name) {
                               "' (try --list)");
 }
 
-// --- sharded placement study (DESIGN.md §16) -------------------------------
-
-using PairSet = std::set<std::pair<st::reputation::NodeId,
-                                   st::reputation::NodeId>>;
-
-struct ShardedLab {
-  std::size_t nodes = 200;
-  std::size_t colluders = 30;     // partner pairs (10,11), (12,13), ...
-  std::size_t first_colluder = 10;
-  std::size_t intervals = 20;
-  std::size_t rate = 20;          // fake ratings per partner per interval
-  std::uint64_t seed = 42;
-
-  st::graph::SocialGraph graph{0};
-  st::core::InterestProfiles profiles{0, 16};
-  PairSet truth;  // ordered colluding (rater, ratee) pairs
-
-  bool is_colluder(std::size_t v) const {
-    return v >= first_colluder && v < first_colluder + colluders;
-  }
-  std::size_t partner_of(std::size_t v) const {
-    return first_colluder + ((v - first_colluder) ^ 1u);
-  }
-
-  /// Builds the substrate once; every pipeline run replays the same
-  /// seeded stream against a fresh plugin over this graph.
-  void build() {
-    st::stats::Rng rng(seed);
-    graph = st::graph::watts_strogatz(nodes, 10, 0.1, rng);
-    profiles = st::core::InterestProfiles(nodes, 16);
-    for (st::graph::NodeId v = 0; v < nodes; ++v) {
-      const st::reputation::InterestId ints[] = {
-          static_cast<st::reputation::InterestId>(v % 16),
-          static_cast<st::reputation::InterestId>((v + 5) % 16)};
-      profiles.set_interests(v, ints);
-    }
-    for (std::size_t c = first_colluder; c < first_colluder + colluders;
-         c += 2) {
-      // PCM partners know each other — the tie the detectors key on.
-      graph.add_relationship(static_cast<st::graph::NodeId>(c),
-                             static_cast<st::graph::NodeId>(c + 1),
-                             st::graph::Relationship::kFriendship);
-      truth.insert({static_cast<st::reputation::NodeId>(c),
-                    static_cast<st::reputation::NodeId>(c + 1)});
-      truth.insert({static_cast<st::reputation::NodeId>(c + 1),
-                    static_cast<st::reputation::NodeId>(c)});
-    }
-  }
-
-  /// One interval of the attack stream: background honest traffic plus
-  /// the pairwise boost flood. Pure function of the rng stream.
-  std::vector<st::reputation::Rating> interval(st::stats::Rng& rng) {
-    std::vector<st::reputation::Rating> ratings;
-    const std::size_t honest = 150 + rng.index(100);
-    for (std::size_t q = 0; q < honest; ++q) {
-      const auto rater =
-          static_cast<st::reputation::NodeId>(rng.index(nodes));
-      auto ratee = static_cast<st::reputation::NodeId>(rng.index(nodes));
-      if (ratee == rater) ratee = (ratee + 1) % nodes;
-      const auto interest =
-          static_cast<st::reputation::InterestId>(rng.index(16));
-      ratings.push_back({rater, ratee, rng.bernoulli(0.8) ? 1.0 : -1.0, 0,
-                         0, interest});
-      if (rng.bernoulli(0.3)) graph.record_interaction(rater, ratee);
-    }
-    for (std::size_t c = first_colluder; c < first_colluder + colluders;
-         ++c) {
-      const auto rater = static_cast<st::reputation::NodeId>(c);
-      const auto ratee =
-          static_cast<st::reputation::NodeId>(partner_of(c));
-      for (std::size_t k = 0; k < rate; ++k) {
-        ratings.push_back({rater, ratee, 1.0, 0, 0,
-                           static_cast<st::reputation::InterestId>(c % 16)});
-      }
-    }
-    return ratings;
-  }
-};
-
-struct LabOutcome {
-  PairSet flagged;       // unique flagged (rater, ratee) pairs, final interval
-  double precision = 0.0;
-  double recall = 0.0;
-  double residual_ppm = 0.0;  // gossip baseline drift vs exact (ppm)
-  bool converged = true;
-};
-
-LabOutcome run_lab(const ShardedLab& lab,
-                   const st::core::SocialTrustConfig& cfg) {
-  // The stream mutates interaction history; replay against a copy so every
-  // pipeline variant sees the identical substrate evolution.
-  ShardedLab replay = lab;
-  st::core::SocialTrustPlugin plugin(
-      std::make_unique<st::reputation::PaperEigenTrust>(
-          replay.nodes, std::vector<st::reputation::NodeId>{1, 2, 3}),
-      replay.graph, replay.profiles, cfg);
-  st::stats::Rng rng(lab.seed + 1);
-  LabOutcome out;
-  for (std::size_t t = 0; t < lab.intervals; ++t) {
-    plugin.update(replay.interval(rng));
-  }
-  for (const auto& f : plugin.last_report().flagged) {
-    out.flagged.insert({f.rater, f.ratee});
-  }
-  std::size_t hits = 0;
-  for (const auto& p : out.flagged) hits += lab.truth.count(p);
-  out.precision = out.flagged.empty()
-                      ? 1.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(out.flagged.size());
-  out.recall = static_cast<double>(hits) /
-               static_cast<double>(lab.truth.size());
-  if (const st::shard::ShardStats* ss = plugin.last_shard_stats()) {
-    out.residual_ppm = ss->baseline_residual * 1e6;
-    out.converged = ss->exchange.converged;
-  }
-  return out;
-}
-
-/// Max share of the colluder clique landing in any single shard.
-double colluder_concentration(const ShardedLab& lab,
-                              const st::shard::Partition& part) {
-  std::vector<std::size_t> per_shard(part.shards, 0);
-  for (std::size_t c = lab.first_colluder;
-       c < lab.first_colluder + lab.colluders; ++c) {
-    ++per_shard[part.owner[c]];
-  }
-  return static_cast<double>(
-             *std::max_element(per_shard.begin(), per_shard.end())) /
-         static_cast<double>(lab.colluders);
-}
-
-int run_sharded_lab(const st::util::CliArgs& args) {
-  ShardedLab lab;
-  lab.colluders = static_cast<std::size_t>(args.get_int("colluders", 30));
-  lab.rate = static_cast<std::size_t>(args.get_int("rate", 20));
-  lab.intervals = static_cast<std::size_t>(args.get_int("cycles", 20));
-  lab.seed = args.get_u64("seed", 42);
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 4));
-  const auto scan = static_cast<std::size_t>(args.get_int("seed-scan", 64));
-  lab.build();
-
-  // Scan shard seeds for the placement extremes: the partition that packs
-  // the most colluders into one shard, and the one that scatters them.
-  std::uint64_t packed_seed = 0, split_seed = 0;
-  double packed = -1.0, split = 2.0;
-  std::size_t packed_cut = 0, split_cut = 0;
-  for (std::uint64_t s = 0; s < scan; ++s) {
-    const auto part = st::shard::partition_graph(lab.graph, shards, s);
-    const double conc = colluder_concentration(lab, part);
-    if (conc > packed) { packed = conc; packed_seed = s;
-                         packed_cut = part.cut_edges; }
-    if (conc < split) { split = conc; split_seed = s;
-                        split_cut = part.cut_edges; }
-  }
-  std::cout << "sharded placement study: " << lab.colluders
-            << " colluders, " << shards << " shards, " << scan
-            << " shard seeds scanned\n"
-            << "  packed placement: seed " << packed_seed << " ("
-            << st::util::fmt(packed * 100.0, 1)
-            << "% of colluders in one shard, cut " << packed_cut << ")\n"
-            << "  split placement:  seed " << split_seed << " ("
-            << st::util::fmt(split * 100.0, 1)
-            << "% max per shard, cut " << split_cut << ")\n\n";
-
-  st::core::SocialTrustConfig base;
-  const LabOutcome oracle = run_lab(lab, base);
-
-  st::util::Table table({"pipeline", "placement", "precision", "recall",
-                         "flagged", "identical to centralized",
-                         "baseline residual (ppm)"});
-  table.add_row({"centralized", "-", st::util::fmt(oracle.precision, 3),
-                 st::util::fmt(oracle.recall, 3),
-                 std::to_string(oracle.flagged.size()), "-", "-"});
-  bool sync_identical = true;
-  for (const bool gossip : {false, true}) {
-    for (const auto& [label, shard_seed] :
-         {std::pair<const char*, std::uint64_t>{"packed", packed_seed},
-          std::pair<const char*, std::uint64_t>{"split", split_seed}}) {
-      st::core::SocialTrustConfig cfg;
-      cfg.aggregation = st::core::AggregationMode::kSharded;
-      cfg.shards = shards;
-      cfg.shard_seed = shard_seed;
-      cfg.exchange = gossip ? st::core::ExchangeSchedule::kGossip
-                            : st::core::ExchangeSchedule::kSynchronous;
-      const LabOutcome got = run_lab(lab, cfg);
-      const bool identical = got.flagged == oracle.flagged;
-      if (!gossip) sync_identical &= identical;
-      table.add_row({gossip ? "sharded/gossip" : "sharded/sync", label,
-                     st::util::fmt(got.precision, 3),
-                     st::util::fmt(got.recall, 3),
-                     std::to_string(got.flagged.size()),
-                     identical ? "yes" : "no",
-                     gossip ? st::util::fmt(got.residual_ppm, 2) : "0.00"});
-    }
-  }
-  table.print(std::cout);
-  std::cout << "\nSynchronous exchange is placement-invariant: the flagged"
-            << " set is bit-identical to the\ncentralized oracle whether"
-            << " the clique shares a shard or is split (hard-gated by\n"
-            << "tests/sharded_aggregation_test.cpp); gossip trades that"
-            << " exactness for sketch-sized\nboundary traffic.\n";
-  return sync_identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   st::util::CliArgs args(argc, argv);
-  if (args.has("sharded")) return run_sharded_lab(args);
   if (args.has("list")) {
     std::cout << "models:  PCM MCM MMM\n"
               << "systems: eBay EigenTrust eBay+SocialTrust "

@@ -62,36 +62,6 @@ enum class UpdateSchedule : std::uint8_t {
   kDirtyPairs,
 };
 
-/// How the update interval's aggregation work is organised (DESIGN.md §16).
-enum class AggregationMode : std::uint8_t {
-  /// One monolithic pipeline over the global pair list — the paper's
-  /// single-process recompute, and the bit-exact oracle the sharded mode
-  /// is differentially gated against.
-  kCentralized,
-  /// N cooperating partitions: each shard owns its raters' pair slots and
-  /// runs the shard-local passes independently; cross-shard quantities
-  /// (system baselines, average frequency, remote reputations) move over
-  /// a deterministic boundary-exchange schedule (src/shard/).
-  kSharded,
-};
-
-/// How sharded aggregation moves boundary summaries between shards.
-enum class ExchangeSchedule : std::uint8_t {
-  /// All-gather every shard summary each interval, then replay the
-  /// centralized reductions over the merged canonical pair order.
-  /// Bit-identical to AggregationMode::kCentralized at every shard and
-  /// thread count (the differential gate in
-  /// tests/sharded_aggregation_test.cpp pins this).
-  kSynchronous,
-  /// Seeded pairwise gossip rounds with known-set flooding: each round
-  /// pairs shards by a seed-derived permutation and the pair union their
-  /// known summary sets. System baselines are then rebuilt per shard
-  /// from fixed-size quantile sketches, so results converge to the
-  /// centralized ones within a small residual instead of matching
-  /// bit-for-bit. Still fully deterministic for a fixed seed.
-  kGossip,
-};
-
 struct SocialTrustConfig {
   // --- Gaussian filter (Eqs. 5-9) ---
   /// Peak height alpha; paper Section 5.1 sets alpha = 1.
@@ -155,40 +125,6 @@ struct SocialTrustConfig {
   /// serves as the differential-test oracle. Outputs are bit-identical
   /// either way (tests/incremental_state_test.cpp pins this).
   UpdateSchedule schedule = UpdateSchedule::kDirtyPairs;
-
-  /// Aggregation topology of the update interval. kCentralized (default)
-  /// is the monolithic oracle pipeline; kSharded partitions raters over
-  /// `shards` cooperating partitions with a deterministic boundary
-  /// exchange (src/shard/, DESIGN.md §16).
-  AggregationMode aggregation = AggregationMode::kCentralized;
-
-  /// Shard count for AggregationMode::kSharded (capped at 64 — the
-  /// exchange tracks known-summary sets as 64-bit masks). Shards map onto
-  /// the plugin's worker pool; results are bit-identical (synchronous
-  /// exchange) or epsilon-close (gossip) at every shard count.
-  std::size_t shards = 4;
-
-  /// Seed of the partitioner's interned-ID hash and of the gossip round
-  /// pairings. Partition assignment depends only on (node id, seed), so
-  /// it is stable under node churn.
-  std::uint64_t shard_seed = 0x5EED5A17ULL;
-
-  /// Boundary-exchange schedule for kSharded (see ExchangeSchedule).
-  ExchangeSchedule exchange = ExchangeSchedule::kSynchronous;
-
-  /// Gossip round budget: 0 (default) runs the seeded schedule until
-  /// every shard knows every summary (flooding converges in O(log S)
-  /// expected rounds; hard-capped at 4*shards + 8); n > 0 stops after n
-  /// rounds even if dissemination is incomplete — shards then fall back
-  /// to their last known values for the missing summaries.
-  std::size_t gossip_rounds = 0;
-
-  /// Size of the per-shard quantile sketch a gossip summary carries (per
-  /// coefficient). Shards with at most this many active pairs publish
-  /// their raw coefficient values, making the merged baselines exact;
-  /// larger shards publish evenly spaced order statistics, bounding the
-  /// summary at a fixed byte size and the baseline residual at O(1/points).
-  std::size_t gossip_summary_points = 64;
 
   /// Generation-based eviction for the social-state cache's value layer
   /// (closeness/similarity memos). 0 (default) = never evict; n > 0 =

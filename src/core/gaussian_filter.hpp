@@ -61,10 +61,9 @@ double population_stddev(double sum, double sum_sq, std::size_t n) noexcept;
 /// nth_element selections). The width is the normal-consistent
 /// 1.4826 * MAD; when the MAD degenerates to zero (over half the values
 /// identical) it falls back to the population stddev so genuinely spread
-/// data still gets a width. Shared by the centralized pipeline and the
-/// sharded aggregator's exact merge path: both must call this exact
-/// function on an identically ordered input vector to stay bit-identical
-/// (the stddev fallback sums in input order).
+/// data still gets a width. The stddev fallback sums in input order, so
+/// the result is reproducible only for an identically ordered input (the
+/// plugin passes its coefficients in canonical pair order).
 CoefficientStats robust_stats(std::vector<double>& values);
 
 }  // namespace st::core

@@ -446,10 +446,9 @@ const SocialStateCache::RevisionDelta& SocialStateCache::RevisionTracker::
   last_graph_epoch_ = g.epoch();
   last_profile_epoch_ = profiles.epoch();
   // Changed-node bitmaps: diff every per-node revision against the
-  // snapshot of the previous collect. An O(n) integer scan — paid once
-  // per tracker per interval, however many shard caches consume the
-  // delta — that makes each cache's sweep proportional to the refs of
-  // *changed* nodes rather than to its total entry count.
+  // snapshot of the previous collect. An O(n) integer scan that makes the
+  // cache's sweep proportional to the refs of *changed* nodes rather than
+  // to its total entry count.
   if (delta_.sweep_closeness) {
     const std::size_t n = g.size();
     if (last_node_revs_.size() < n) last_node_revs_.resize(n, kNoGate);
@@ -477,15 +476,9 @@ const SocialStateCache::RevisionDelta& SocialStateCache::RevisionTracker::
 
 SocialStateCache::DirtyKeys SocialStateCache::collect_dirty(
     const graph::SocialGraph& g, const InterestProfiles& profiles) {
-  if (!tracking_) return DirtyKeys{};
-  return collect_dirty(g, profiles, tracker_.collect(g, profiles));
-}
-
-SocialStateCache::DirtyKeys SocialStateCache::collect_dirty(
-    const graph::SocialGraph& g, const InterestProfiles& profiles,
-    const RevisionDelta& delta) {
   DirtyKeys out;
   if (!tracking_) return out;
+  const RevisionDelta& delta = tracker_.collect(g, profiles);
   // The erase logs are drained unconditionally — eviction,
   // invalidate_node and clear remove entries without any epoch movement;
   // the revalidation sweeps run only when the delta says the matching

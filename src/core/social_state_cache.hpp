@@ -192,9 +192,7 @@ class SocialStateCache {
   /// The changed-node view one revision scan produces: which sweep gates
   /// opened and, per node, whether its (full / profile) revision moved
   /// since the scan before. The bitmaps are meaningful only while the
-  /// matching sweep flag is set. Computed once per interval by a
-  /// RevisionTracker and shared by every shard-partitioned cache, so S
-  /// caches pay one O(nodes) scan between them instead of S.
+  /// matching sweep flag is set.
   struct RevisionDelta {
     bool sweep_closeness = false;
     bool sweep_similarity = false;
@@ -203,13 +201,9 @@ class SocialStateCache {
   };
 
   /// Owns the epoch watermarks and per-node revision snapshots that turn
-  /// "current graph/profile state" into a RevisionDelta. A cache embeds
-  /// one for the single-instance collect_dirty() below; a coordinator
-  /// that partitions its pair space over several caches (the sharded
-  /// aggregator, DESIGN.md §16) owns one tracker and hands the same
-  /// delta to every per-shard collect_dirty(g, profiles, delta) call —
-  /// keeping each shard's sweep O(refs of changed nodes) within that
-  /// shard. Coordinator-only, between parallel regions.
+  /// "current graph/profile state" into a RevisionDelta. The cache embeds
+  /// one and collects it once per collect_dirty() call, so the sweep stays
+  /// O(refs of changed nodes). Coordinator-only, between parallel regions.
   class RevisionTracker {
    public:
     const RevisionDelta& collect(const graph::SocialGraph& g,
@@ -222,15 +216,6 @@ class SocialStateCache {
     std::vector<Revision> last_profile_revs_;
     RevisionDelta delta_;
   };
-
-  /// As collect_dirty(g, profiles) but driven by an externally computed
-  /// RevisionDelta instead of this instance's own tracker — the
-  /// shard-partitioned form. The caller's tracker must be collected
-  /// exactly once per interval, against the same graph/profiles every
-  /// cache in the group reads.
-  DirtyKeys collect_dirty(const graph::SocialGraph& g,
-                          const InterestProfiles& profiles,
-                          const RevisionDelta& delta);
 
   /// Packed directional pair key — public so the plugin's dirty-pair
   /// worklist speaks the same key language as collect_dirty().
@@ -401,10 +386,10 @@ class SocialStateCache {
   /// plugin enables it at construction), so a plain bool suffices.
   bool tracking_ = false;
 
-  /// Watermarks + snapshots backing the single-instance collect_dirty()
-  /// (the kNoGate-equivalent sentinels inside the tracker force a
-  /// trivially cheap sweep on the first collect). Coordinator-only,
-  /// between parallel regions; unused by the delta-driven overload.
+  /// Watermarks + snapshots backing collect_dirty() (the
+  /// kNoGate-equivalent sentinels inside the tracker force a trivially
+  /// cheap sweep on the first collect). Coordinator-only, between
+  /// parallel regions.
   RevisionTracker tracker_;
 
   /// Update-interval counter driving the eviction sweep; bumped by

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "shard/sharded_aggregator.hpp"
-
 namespace st::core {
 
 using reputation::NodeId;
@@ -58,12 +56,6 @@ SocialTrustPlugin::SocialTrustPlugin(
   obs_.pairs_carried = &registry.counter("socialtrust.pairs_carried");
   obs_.dirty_scan_us = &registry.histogram("socialtrust.dirty_scan_us");
   obs_.cache_hit_rate = &registry.gauge("social_cache.hit_rate_pct");
-}
-
-SocialTrustPlugin::~SocialTrustPlugin() = default;
-
-const shard::ShardStats* SocialTrustPlugin::last_shard_stats() const noexcept {
-  return sharded_ ? &sharded_->last_stats() : nullptr;
 }
 
 std::size_t SocialTrustPlugin::effective_threads() const noexcept {
@@ -149,10 +141,6 @@ SocialTrustPlugin::LooAggregate SocialTrustPlugin::aggregate_over(
 // --- update -----------------------------------------------------------------
 
 void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
-  if (config_.aggregation == AggregationMode::kSharded) {
-    update_sharded(cycle_ratings);
-    return;
-  }
   // Stage timers (no-ops when st::obs is disabled). The three stage
   // spans cover: collect = pair tally + sort + coefficient collection +
   // system baseline; loo = per-rater leave-one-out aggregates; adjust =
@@ -197,10 +185,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
     PairMap pairs;
     for (std::size_t idx = 0; idx < adjusted_.size(); ++idx) {
       const Rating& r = adjusted_[idx];
-      if (r.rater >= inner_->size() || r.ratee >= inner_->size() ||
-          r.rater == r.ratee) {
-        continue;
-      }
+      if (!reputation::valid_rating(r, inner_->size())) continue;
       PairTally& tally = pairs[PairKey{r.rater, r.ratee}];
       if (r.value > 0.0) {
         tally.positive += 1.0;
@@ -259,10 +244,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
     std::size_t valid_ratings = 0;
     for (std::size_t idx = 0; idx < adjusted_.size(); ++idx) {
       const Rating& r = adjusted_[idx];
-      if (r.rater >= inner_->size() || r.ratee >= inner_->size() ||
-          r.rater == r.ratee) {
-        continue;
-      }
+      if (!reputation::valid_rating(r, inner_->size())) continue;
       auto& hist = rated_history_[r.rater];
       auto& slots = hist_slots_[r.rater];
       auto it = std::lower_bound(hist.begin(), hist.end(), r.ratee);
@@ -631,74 +613,8 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   }
 }
 
-void SocialTrustPlugin::update_sharded(std::span<const Rating> cycle_ratings) {
-  obs::ScopedTimer total_timer(*obs_.total_us);
-  if (!sharded_) {
-    sharded_ = std::make_unique<shard::ShardedAggregator>(
-        graph_, profiles_, config_, *inner_, pool_.get(), name_);
-  }
-  adjusted_.assign(cycle_ratings.begin(), cycle_ratings.end());
-  report_ = AdjustmentReport{};
-  dirty_stats_ = DirtyStats{};
-  sharded_->update(adjusted_, report_, dirty_stats_);
-  inner_->update(adjusted_);
-
-  // Observation only, mirroring the centralized emission. The per-phase
-  // split (local / exchange / reduce) lives in the aggregator's own
-  // "shard.update" event; the stage fields specific to the centralized
-  // pipeline are reported as zero here.
-  if (obs::enabled()) {
-    const double total_us = total_timer.stop();
-    const SocialStateCache::StatsSnapshot cache_stats =
-        sharded_->cache_stats();
-    const std::uint64_t interval_hits = cache_stats.hits - cache_hits_reported_;
-    const std::uint64_t interval_misses =
-        cache_stats.misses - cache_misses_reported_;
-    cache_hits_reported_ = cache_stats.hits;
-    cache_misses_reported_ = cache_stats.misses;
-    const std::uint64_t interval_lookups = interval_hits + interval_misses;
-    const double hit_rate_pct =
-        interval_lookups > 0 ? 100.0 * static_cast<double>(interval_hits) /
-                                   static_cast<double>(interval_lookups)
-                             : 0.0;
-    obs_.cache_hit_rate->set(static_cast<std::int64_t>(hit_rate_pct));
-    obs_.intervals->add(1);
-    obs_.ratings_seen->add(cycle_ratings.size());
-    obs_.pairs_total->add(report_.pairs_total);
-    obs_.pairs_flagged->add(report_.pairs_flagged);
-    obs_.ratings_adjusted->add(report_.ratings_adjusted);
-    obs_.pairs_dirty->add(dirty_stats_.pairs_dirty);
-    obs_.pairs_carried->add(dirty_stats_.pairs_carried);
-    const obs::ExtraField extras[] = {
-        {"pairs_total", static_cast<double>(report_.pairs_total)},
-        {"pairs_flagged", static_cast<double>(report_.pairs_flagged)},
-        {"ratings_adjusted", static_cast<double>(report_.ratings_adjusted)},
-        {"b1", static_cast<double>(report_.b1)},
-        {"b2", static_cast<double>(report_.b2)},
-        {"b3", static_cast<double>(report_.b3)},
-        {"b4", static_cast<double>(report_.b4)},
-        {"mean_weight", report_.mean_weight},
-        {"collect_us", 0.0},
-        {"tally_us", 0.0},
-        {"coeff_us", 0.0},
-        {"baseline_us", 0.0},
-        {"loo_us", 0.0},
-        {"adjust_us", 0.0},
-        {"total_us", total_us},
-        {"social_cache_entries", 0.0},
-        {"social_cache_hit_rate_pct", hit_rate_pct},
-        {"pairs_dirty", static_cast<double>(dirty_stats_.pairs_dirty)},
-        {"pairs_carried", static_cast<double>(dirty_stats_.pairs_carried)},
-        {"dirty_scan_us", dirty_stats_.scan_us},
-        {"threads", static_cast<double>(effective_threads())},
-    };
-    obs::Obs::instance().emit_interval("socialtrust.update", name_, extras);
-  }
-}
-
 void SocialTrustPlugin::forget_node(NodeId node) {
   inner_->forget_node(node);
-  if (sharded_) sharded_->forget_node(node);
   const bool dirty_mode = config_.schedule == UpdateSchedule::kDirtyPairs;
   if (node < rated_history_.size()) {
     // Carried coefficients naming the node describe the dead identity:
@@ -739,7 +655,6 @@ void SocialTrustPlugin::forget_node(NodeId node) {
 
 void SocialTrustPlugin::reset() {
   inner_->reset();
-  if (sharded_) sharded_->reset();
   for (auto& hist : rated_history_) hist.clear();
   social_cache_.clear();
   for (auto& slots : hist_slots_) slots.clear();

@@ -75,11 +75,6 @@
 #include "reputation/reputation_system.hpp"
 #include "util/thread_pool.hpp"
 
-namespace st::shard {
-class ShardedAggregator;  // src/shard/sharded_aggregator.hpp
-struct ShardStats;
-}  // namespace st::shard
-
 namespace st::core {
 
 /// One detector hit: the pair, what it matched, and the applied weight.
@@ -109,9 +104,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
                     const graph::SocialGraph& graph,
                     const InterestProfiles& profiles,
                     SocialTrustConfig config = {});
-
-  /// Out-of-line: sharded_ points at an incomplete type here.
-  ~SocialTrustPlugin() override;
 
   std::string_view name() const noexcept override { return name_; }
   std::size_t size() const noexcept override { return inner_->size(); }
@@ -150,11 +142,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     double scan_us = 0.0;  ///< collect_dirty + worklist application time
   };
   const DirtyStats& last_dirty_stats() const noexcept { return dirty_stats_; }
-
-  /// Last interval's sharded-pipeline diagnostics (exchange rounds,
-  /// boundary bytes, per-shard pair counts, baseline residual) — null
-  /// while aggregation == kCentralized or before the first update().
-  const shard::ShardStats* last_shard_stats() const noexcept;
 
   /// The persistent social-state cache (tests, benches, diagnostics).
   /// Mutable access is deliberate: dropping it (`social_cache().clear()`)
@@ -241,13 +228,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   void run_blocks(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// The AggregationMode::kSharded path of update(): delegates passes 1-4
-  /// to the lazily constructed ShardedAggregator (src/shard/) and feeds
-  /// the adjusted stream to the wrapped system. Bit-identical to the
-  /// centralized path under the synchronous exchange; epsilon-close under
-  /// gossip (DESIGN.md §16).
-  void update_sharded(std::span<const reputation::Rating> cycle_ratings);
-
   std::unique_ptr<reputation::ReputationSystem> inner_;
   const graph::SocialGraph& graph_;
   const InterestProfiles& profiles_;
@@ -259,12 +239,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// Workers for the update-interval passes; null when threads == 1 (the
   /// serial path shares the exact same blocked code, minus the pool).
   std::unique_ptr<util::ThreadPool> pool_;
-
-  /// The sharded pipeline (AggregationMode::kSharded only), constructed
-  /// on the first update so the partitioner cuts against the populated
-  /// graph. When active, it owns the sharded equivalents of the slot /
-  /// history / cache state below, which then stays empty.
-  std::unique_ptr<shard::ShardedAggregator> sharded_;
 
   /// Cumulative per-rater rated sets (sorted); the population over which
   /// the per-rater Gaussian statistics are computed.

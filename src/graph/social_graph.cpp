@@ -343,21 +343,6 @@ std::size_t SocialGraph::degree(NodeId a) const noexcept {
   return a < node_count_ ? rel_row(a).size : 0;
 }
 
-std::vector<std::pair<NodeId, NodeId>> SocialGraph::boundary_edges(
-    std::span<const std::uint32_t> owner) const {
-  std::vector<std::pair<NodeId, NodeId>> out;
-  auto owner_of = [&owner](NodeId v) -> std::uint32_t {
-    return v < owner.size() ? owner[v] : 0;
-  };
-  for (NodeId a = 0; a < node_count_; ++a) {
-    const std::uint32_t oa = owner_of(a);
-    for (NodeId b : neighbors(a)) {
-      if (a < b && oa != owner_of(b)) out.emplace_back(a, b);
-    }
-  }
-  return out;
-}
-
 // --- interactions ------------------------------------------------------------
 
 void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {

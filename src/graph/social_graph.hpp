@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace st::obs {
@@ -177,44 +176,6 @@ class SocialGraph {
   /// identity (whitewashing). The node id itself remains valid (the node
   /// set is fixed) but is socially blank afterwards.
   void clear_node(NodeId node);
-
-  /// Read-only iteration over the CSR adjacency rows of one partition's
-  /// member set — the shard-local view the partitioner's refinement pass
-  /// and the sharded aggregator's per-shard walks use. Rows come back in
-  /// member order (callers pass members ascending, so iteration order is
-  /// the deterministic node order, never hash order). The view borrows
-  /// both the graph and the member span; the usual span-stability
-  /// contract applies (any graph mutation invalidates the rows).
-  class PartitionView {
-   public:
-    struct Row {
-      NodeId node = 0;
-      std::span<const NodeId> neighbors;
-    };
-    std::size_t size() const noexcept { return members_.size(); }
-    Row row(std::size_t k) const noexcept {
-      const NodeId node = members_[k];
-      return Row{node, g_->neighbors(node)};
-    }
-
-   private:
-    friend class SocialGraph;
-    PartitionView(const SocialGraph& g, std::span<const NodeId> members)
-        : g_(&g), members_(members) {}
-    const SocialGraph* g_;
-    std::span<const NodeId> members_;
-  };
-  PartitionView partition_view(std::span<const NodeId> members) const {
-    return PartitionView(*this, members);
-  }
-
-  /// Undirected edges whose endpoints belong to different owners under
-  /// the given node -> owner map, as ascending (a, b) pairs with a < b —
-  /// the boundary set a partition's exchange schedule must cover. Nodes
-  /// at or beyond owner.size() are treated as owner 0. Deterministic:
-  /// enumeration walks adjacency rows in node order.
-  std::vector<std::pair<NodeId, NodeId>> boundary_edges(
-      std::span<const std::uint32_t> owner) const;
 
   /// Interval hook: compacts any pending delta overlay (and interaction
   /// tombstones) into fresh flat CSR arrays. Representation-only — no

@@ -23,10 +23,7 @@ void BetaReputation::update(std::span<const Rating> cycle_ratings) {
     for (double& n : negative_) n *= config_.forgetting;
   }
   for (const Rating& r : cycle_ratings) {
-    if (r.rater >= positive_.size() || r.ratee >= positive_.size() ||
-        r.rater == r.ratee) {
-      continue;
-    }
+    if (!valid_rating(r, positive_.size())) continue;
     if (r.value > 0.0) {
       positive_[r.ratee] += r.value;
     } else if (r.value < 0.0) {

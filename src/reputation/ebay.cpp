@@ -21,10 +21,7 @@ void EbayReputation::update(std::span<const Rating> cycle_ratings) {
   std::unordered_map<PairKey, double, PairKeyHash> pair_sums;
   pair_sums.reserve(cycle_ratings.size());
   for (const Rating& r : cycle_ratings) {
-    if (r.rater >= raw_.size() || r.ratee >= raw_.size() ||
-        r.rater == r.ratee) {
-      continue;
-    }
+    if (!valid_rating(r, raw_.size())) continue;
     pair_sums[PairKey{r.rater, r.ratee}] += r.value;
   }
   // Reduce in canonical (rater, ratee) order, not hash order: the

@@ -33,7 +33,7 @@ EigenTrust::EigenTrust(std::size_t node_count, std::vector<NodeId> pretrusted,
 
 void EigenTrust::update(std::span<const Rating> cycle_ratings) {
   for (const Rating& r : cycle_ratings) {
-    if (r.rater >= n_ || r.ratee >= n_ || r.rater == r.ratee) continue;
+    if (!valid_rating(r, n_)) continue;
     s_[static_cast<std::size_t>(r.rater) * n_ + r.ratee] += r.value;
   }
   recompute_global();

@@ -1,6 +1,8 @@
 #pragma once
 // Rating event model shared by all reputation systems.
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "graph/social_graph.hpp"
@@ -29,5 +31,14 @@ struct Rating {
   std::uint32_t query_cycle = 0;  ///< query cycle within the simulation cycle
   InterestId interest = kNoInterest;
 };
+
+/// Whether a system over `n` nodes accepts `r`: both endpoints in range,
+/// no self-rating, and a finite value. Every reputation system and the
+/// SocialTrust plugin skip a rating that fails this check, so one NaN or
+/// infinite value cannot poison the reputations of other nodes.
+inline bool valid_rating(const Rating& r, std::size_t n) noexcept {
+  return r.rater < n && r.ratee < n && r.rater != r.ratee &&
+         std::isfinite(r.value);
+}
 
 }  // namespace st::reputation

@@ -27,6 +27,7 @@ class ReputationSystem {
   /// Consumes the ratings of one completed update interval (one simulation
   /// cycle in the paper's experiments) and recomputes global reputations.
   /// Rating values may already be fractional if a plugin adjusted them.
+  /// Ratings that fail valid_rating(r, size()) are skipped.
   virtual void update(std::span<const Rating> cycle_ratings) = 0;
 
   /// Global reputation of `node`, normalised so that the vector sums to 1

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <tuple>
 
 #include "collusion/models.hpp"
 #include "core/socialtrust.hpp"
+#include "reputation/beta.hpp"
 #include "reputation/ebay.hpp"
 #include "reputation/eigentrust.hpp"
 #include "reputation/paper_eigentrust.hpp"
@@ -186,6 +191,131 @@ TEST(EdgeReputation, EigenTrustSelfRatingsOnly) {
   // All ignored: global trust stays the teleport distribution.
   EXPECT_DOUBLE_EQ(et.reputation(0), 1.0);
 }
+
+// --- non-finite rating values ------------------------------------------------------
+
+// One NaN or infinite rating in a stream must leave every reputation
+// exactly as the stream without it would, for each inner system on its
+// own and behind the plugin under both schedules. The rating goes on a
+// pair (3 -> 5) that is rated again, finitely, in the second interval, so
+// a value that slipped into any carried state would still show there.
+enum class Wrap { kBare, kFullWalk, kDirtyPairs };
+
+using NonFiniteParam = std::tuple<int, Wrap, double>;
+
+class NonFiniteRating : public ::testing::TestWithParam<NonFiniteParam> {
+ protected:
+  static constexpr std::size_t kNodes = 16;
+
+  NonFiniteRating() {
+    for (NodeId v = 0; v < kNodes; ++v) {
+      graph_.add_relationship(v, (v + 1) % kNodes,
+                              graph::Relationship::kFriendship);
+      const reputation::InterestId interests[] = {
+          static_cast<reputation::InterestId>(v % 4),
+          static_cast<reputation::InterestId>((v + 1) % 4)};
+      profiles_.set_interests(v, interests);
+    }
+  }
+
+  std::unique_ptr<reputation::ReputationSystem> make_system() const {
+    const Wrap wrap = std::get<1>(GetParam());
+    std::unique_ptr<reputation::ReputationSystem> inner;
+    switch (std::get<0>(GetParam())) {
+      case 0:
+        inner = std::make_unique<reputation::EbayReputation>(kNodes);
+        break;
+      case 1:
+        inner = std::make_unique<reputation::EigenTrust>(
+            kNodes, std::vector<NodeId>{0, 1});
+        break;
+      case 2:
+        inner = std::make_unique<reputation::PaperEigenTrust>(
+            kNodes, std::vector<NodeId>{0, 1});
+        break;
+      default:
+        inner = std::make_unique<reputation::BetaReputation>(kNodes);
+        break;
+    }
+    if (wrap == Wrap::kBare) return inner;
+    core::SocialTrustConfig cfg;
+    cfg.schedule = wrap == Wrap::kFullWalk ? core::UpdateSchedule::kFullWalk
+                                           : core::UpdateSchedule::kDirtyPairs;
+    return std::make_unique<core::SocialTrustPlugin>(std::move(inner), graph_,
+                                                     profiles_, cfg);
+  }
+
+  // Interval t: a ring of +1 ratings, a high-frequency pair 7 <-> 8 for
+  // the detector, one negative rating and, in the second interval, a
+  // finite rating on the pair that carries the bad value in the first.
+  static std::vector<Rating> interval(int t) {
+    std::vector<Rating> ratings;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      ratings.push_back(make(v, (v + 1) % kNodes, 1.0));
+    }
+    for (int k = 0; k < 12; ++k) {
+      ratings.push_back(make(7, 8, 1.0));
+      ratings.push_back(make(8, 7, 1.0));
+    }
+    ratings.push_back(make(10, 2, -1.0));
+    if (t == 1) ratings.push_back(make(3, 5, 1.0));
+    return ratings;
+  }
+
+  graph::SocialGraph graph_{kNodes};
+  core::InterestProfiles profiles_{kNodes, 4};
+};
+
+TEST_P(NonFiniteRating, IsDroppedWithoutTouchingAnyReputation) {
+  const double bad = std::get<2>(GetParam());
+  auto clean = make_system();
+  auto dirty = make_system();
+  for (int t = 0; t < 2; ++t) {
+    const std::vector<Rating> ratings = interval(t);
+    std::vector<Rating> poisoned = ratings;
+    if (t == 0) {
+      poisoned.insert(poisoned.begin() + 5, make(3, 5, bad));
+    }
+    clean->update(ratings);
+    dirty->update(poisoned);
+    for (NodeId v = 0; v < kNodes; ++v) {
+      const double want = clean->reputation(v);
+      const double got = dirty->reputation(v);
+      EXPECT_TRUE(std::isfinite(got)) << "interval " << t << " node " << v;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "interval " << t << " node " << v << ": " << got << " vs "
+          << want;
+    }
+    if (auto* plugin = dynamic_cast<core::SocialTrustPlugin*>(dirty.get())) {
+      const auto& want =
+          dynamic_cast<core::SocialTrustPlugin&>(*clean).last_report();
+      EXPECT_EQ(plugin->last_report().pairs_total, want.pairs_total);
+      EXPECT_EQ(plugin->last_report().pairs_flagged, want.pairs_flagged);
+    }
+  }
+}
+
+std::string non_finite_name(
+    const ::testing::TestParamInfo<NonFiniteParam>& param_info) {
+  constexpr const char* kModels[] = {"Ebay", "EigenTrust", "PaperEigenTrust",
+                                     "Beta"};
+  constexpr const char* kWraps[] = {"Bare", "FullWalk", "DirtyPairs"};
+  const auto [model, wrap, bad] = param_info.param;
+  return std::string(kModels[model]) + "_" +
+         kWraps[static_cast<int>(wrap)] + "_" +
+         (std::isnan(bad) ? "NaN" : bad > 0.0 ? "PosInf" : "NegInf");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SystemsAndValues, NonFiniteRating,
+    ::testing::Combine(
+        ::testing::Values(0, 1, 2, 3),
+        ::testing::Values(Wrap::kBare, Wrap::kFullWalk, Wrap::kDirtyPairs),
+        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity())),
+    non_finite_name);
 
 // --- plugin under pathological social state ------------------------------------------
 

@@ -426,6 +426,33 @@ TEST(SocialStateCacheTest, EvictionDisabledByDefaultConfigValue) {
   EXPECT_EQ(d.hits, 1U);
 }
 
+TEST(RevisionTracker, DeltaFlagsExactlyTheChangedNodes) {
+  SocialGraph g(8);
+  InterestProfiles profiles(8, 4);
+  core::SocialStateCache::RevisionTracker tracker;
+
+  // First collect: epochs move from their sentinels, everything sweeps.
+  const auto& first = tracker.collect(g, profiles);
+  EXPECT_TRUE(first.sweep_closeness);
+  EXPECT_TRUE(first.sweep_similarity);
+
+  // Quiescent interval: both gates stay shut.
+  const auto& idle = tracker.collect(g, profiles);
+  EXPECT_FALSE(idle.sweep_closeness);
+  EXPECT_FALSE(idle.sweep_similarity);
+
+  // One edge, one profile edit: only the touched nodes flag.
+  g.add_relationship(2, 5, Relationship::kFriendship);
+  profiles.record_request(3, 1);
+  const auto& delta = tracker.collect(g, profiles);
+  EXPECT_TRUE(delta.sweep_closeness);
+  EXPECT_TRUE(delta.sweep_similarity);
+  for (std::size_t v = 0; v < 8; ++v) {
+    EXPECT_EQ(delta.graph_changed[v] != 0, v == 2 || v == 5) << v;
+    EXPECT_EQ(delta.profile_changed[v] != 0, v == 3) << v;
+  }
+}
+
 // --- 2. cold-vs-warm property test ------------------------------------------
 
 struct PluginCapture {

@@ -224,37 +224,36 @@ void rebuild(std::vector<std::vector<std::uint32_t>>& rows,
 """)
         self.assert_clean(self.lint(f))
 
-    def test_det2_hash_order_shard_iteration_fires(self) -> None:
-        # Building a shard exchange schedule by walking an unordered_map
-        # of per-shard summaries emits boundary messages in hash order —
-        # the gossip transcript then differs run to run. src/shard/ is in
-        # DET2_SCOPE_PREFIXES for exactly this shape.
-        f = self.write("src/shard/bad_exchange.cpp", """
+    def test_det2_hash_order_schedule_iteration_fires(self) -> None:
+        # Building a message schedule by walking an unordered_map of
+        # per-partition summaries emits it in hash order — the schedule
+        # then differs run to run.
+        f = self.write("src/core/bad_exchange.cpp", """
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 std::vector<std::uint32_t> schedule(
     const std::unordered_map<std::uint32_t, std::uint64_t>& summaries) {
   std::vector<std::uint32_t> order;
-  for (const auto& [shard, bytes] : summaries) {
-    order.push_back(shard);
+  for (const auto& [part, bytes] : summaries) {
+    order.push_back(part);
   }
   return order;
 }
 """)
         self.assert_fires(self.lint(f), "DET-2")
 
-    def test_det1_rand_seeded_shard_pairing_fires(self) -> None:
-        # Pairing shards off rand() makes the exchange schedule a
-        # function of the process, not of (seed, round).
-        f = self.write("src/shard/bad_pairing.cpp", """
+    def test_det1_rand_seeded_pairing_fires(self) -> None:
+        # Pairing partitions off rand() makes the schedule a function of
+        # the process, not of (seed, round).
+        f = self.write("src/core/bad_pairing.cpp", """
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
-std::vector<std::uint32_t> pairing(std::size_t shards) {
-  std::vector<std::uint32_t> order(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    order[i] = static_cast<std::uint32_t>(rand() % shards);
+std::vector<std::uint32_t> pairing(std::size_t parts) {
+  std::vector<std::uint32_t> order(parts);
+  for (std::size_t i = 0; i < parts; ++i) {
+    order[i] = static_cast<std::uint32_t>(rand() % parts);
   }
   return order;
 }
@@ -262,10 +261,9 @@ std::vector<std::uint32_t> pairing(std::size_t shards) {
         self.assert_fires(self.lint(f), "DET-1")
 
     def test_det_sorted_round_robin_pairing_passes(self) -> None:
-        # The shipped shape (gossip_exchange.cpp): a seeded splitmix
-        # Fisher-Yates over dense shard ids — pure function of
-        # (seed, round), no hash order, no process entropy.
-        f = self.write("src/shard/ok_pairing.cpp", """
+        # A seeded splitmix Fisher-Yates over dense partition ids — pure
+        # function of (seed, round), no hash order, no process entropy.
+        f = self.write("src/core/ok_pairing.cpp", """
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -277,14 +275,14 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 }  // namespace
-std::vector<std::uint32_t> pairing(std::size_t shards, std::uint64_t seed,
+std::vector<std::uint32_t> pairing(std::size_t parts, std::uint64_t seed,
                                    std::size_t round) {
-  std::vector<std::uint32_t> order(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  std::vector<std::uint32_t> order(parts);
+  for (std::size_t s = 0; s < parts; ++s) {
     order[s] = static_cast<std::uint32_t>(s);
   }
   std::uint64_t state = mix64(seed ^ (round + 1));
-  for (std::size_t i = shards; i > 1; --i) {
+  for (std::size_t i = parts; i > 1; --i) {
     state = mix64(state);
     std::swap(order[i - 1], order[state % i]);
   }
@@ -2262,80 +2260,6 @@ class SocialGraph {
         self.assert_fires(proc, "EXC-1")
 
 
-class Shd1PhaseDisciplineTests(LintFixtureCase):
-    """SHD-1: ShardState ownership and boundary-state discipline."""
-
-    def test_boundary_write_outside_exchange_fires(self) -> None:
-        f = self.write("src/shard/agg.cpp", """
-#include <vector>
-struct ShardSummary { unsigned long pair_count = 0; };
-class ShardedAggregator {
- public:
-  void tally(unsigned long s) {
-    shards_[s]->summary = ShardSummary{};
-  }
- private:
-  struct ShardState {
-    unsigned long seq = 0;
-    ShardSummary summary;
-  };
-  std::vector<ShardState*> shards_;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "SHD-1")
-        self.assertIn("summary", proc.stderr)
-
-    def test_boundary_write_in_build_summary_is_clean(self) -> None:
-        f = self.write("src/shard/agg_ok.cpp", """
-#include <vector>
-struct ShardSummary { unsigned long pair_count = 0; };
-class ShardedAggregator {
- public:
-  void build_summary(unsigned long s) {
-    shards_[s]->summary = ShardSummary{};
-  }
- private:
-  struct ShardState {
-    unsigned long seq = 0;
-    ShardSummary summary;
-  };
-  std::vector<ShardState*> shards_;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    WORKER = """
-#include <vector>
-class Pool;
-class ShardedAggregator {
- public:
-  void update(Pool& pool);
- private:
-  struct ShardState { unsigned long seq = 0; };
-  void %s(unsigned long s) { shards_[s]->seq = 1; }
-  std::vector<ShardState*> shards_;
-};
-void ShardedAggregator::update(Pool& pool) {
-  pool.parallel_for(4, [this](unsigned long s) { %s(s); });
-}
-"""
-
-    def test_worker_write_outside_phase_closure_fires(self) -> None:
-        f = self.write("src/shard/agg_w.cpp",
-                       self.WORKER % ("poke", "poke"))
-        proc = self.lint(f)
-        self.assert_fires(proc, "SHD-1")
-        self.assertIn("seq", proc.stderr)
-        self.assertIn("parallel_for", proc.stderr)  # worker witness chain
-
-    def test_worker_write_inside_phase_closure_is_clean(self) -> None:
-        f = self.write("src/shard/agg_p.cpp",
-                       self.WORKER % ("shard_phase_a", "shard_phase_a"))
-        proc = self.lint(f)
-        self.assertNotIn("SHD-1", proc.stderr + proc.stdout)
-
-
 class ChangedOnlyRenameTests(LintFixtureCase):
     """--changed-only follows git renames: the new path is re-linted."""
 
@@ -2384,7 +2308,7 @@ class SarifHelpUriTests(LintFixtureCase):
         doc = json.loads(proc.stdout)
         rules = {r["id"]: r for r in
                  doc["runs"][0]["tool"]["driver"]["rules"]}
-        for rule in ("REV-1", "REV-2", "EXC-1", "SHD-1"):
+        for rule in ("REV-1", "REV-2", "EXC-1"):
             self.assertIn(rule, rules)
             self.assertEqual(rules[rule]["helpUri"],
                              f"docs/STATIC_ANALYSIS.md#{rule.lower()}")

@@ -12,7 +12,7 @@ events ``index.build_facts`` already collected) into a basic-block graph:
     region gets an edge to each handler), and ternaries whose arms carry
     events all split blocks;
   * each block keeps the *ordered* member-write / call events that the
-    flow-sensitive rules (REV/EXC/SHD, rules/protocol.py) replay through
+    flow-sensitive rules (REV/EXC, rules/protocol.py) replay through
     the dataflow framework, plus the identifier names of the condition
     guarding the block (the guarded-commit idiom needs them).
 

@@ -54,9 +54,6 @@ RULES = {
     "EXC-1": "committed member write in a mutator precedes a potentially-"
              "throwing call without rollback or noexcept; an exception "
              "strands un-bumped state",
-    "SHD-1": "ShardState written outside the owning shard_phase_* compute "
-             "closure, or boundary summary/rep_view state written outside "
-             "the exchange/merge functions",
     "OBS-1": "metric name not snake_case, not unique, or missing from "
              "docs/OBSERVABILITY.md",
     "OBS-2": "metric documented in docs/OBSERVABILITY.md but registered "
@@ -73,7 +70,7 @@ RULES = {
 # /tmp/xyz/src/core/f.cpp scope the same way.
 DET1_ALLOWED_PREFIXES = ("src/stats/rng.",)
 DET2_SCOPE_PREFIXES = ("src/core/", "src/graph/", "src/reputation/",
-                       "src/shard/", "src/sim/")
+                       "src/sim/")
 CON1_ALLOWED_PREFIXES = ("src/util/thread_pool.",)
 CON2_ALLOWED_PREFIXES: tuple[str, ...] = ()
 # The annotated Mutex wrapper implements RAII guards, so its internals

@@ -1,4 +1,4 @@
-"""Flow-sensitive protocol rules (v4): REV-1/REV-2, EXC-1, SHD-1.
+"""Flow-sensitive protocol rules (v4): REV-1/REV-2, EXC-1.
 
 These run on the per-function CFGs serialised into the fact records
 (index.py / cfg.py) through the worklist framework in dataflow.py, so
@@ -21,11 +21,6 @@ they stay whole-program *and* cache-warm like the v3 families.
          call, throwing same-tree callee, explicit uncaught throw)
          unless the write is rolled back in a catch that re-writes the
          field, or the function is noexcept.
-  SHD-1  shard-phase discipline: ShardState members may only be written
-         from the owning compute phase (the shard_phase_* closure, as
-         established by the v3 worker-context machinery) or by the
-         serial coordinator; boundary state (summary, rep_view) only
-         from the exchange/merge functions.
 
 Soundness notes (see docs/STATIC_ANALYSIS.md §v4 for the catalogue):
 guarded-commit gens (`bool changed = helper(...); if (changed) bump();`)
@@ -42,7 +37,7 @@ from .. import dataflow
 from ..callgraph import CallGraph
 from ..cfg import ENTRY, EXIT, RAISE
 from ..core import (BUMP_FIELD_MARKERS, REPR_FIELD_MARKERS,
-                    REPRESENTATION_ONLY, Finding, in_scope)
+                    REPRESENTATION_ONLY, Finding)
 from ..index import ProjectIndex
 
 REV_CLASSES = ("SocialGraph", "InterestProfiles", "ReferenceSocialGraph")
@@ -52,15 +47,6 @@ ALLOC_CALLS = {"push_back", "emplace_back", "emplace", "insert", "resize",
                "reserve", "assign", "push_front", "emplace_front", "push",
                "append", "emplace_hint", "make_unique", "make_shared", "at"}
 
-SHD_OWNER = "ShardedAggregator"
-SHD_STATE_CLASSES = ("ShardState",)
-SHD_BOUNDARY_FIELDS = {"summary", "rep_view"}
-SHD_PHASE_PREFIX = "shard_phase"
-SHD_EXCHANGE_NAMES = {"build_summary", "merge_known", "update", "reset",
-                      "forget_node", "run_gossip", "run_synchronous",
-                      "gossip_exchange", "exchange"}
-SHD_SCOPE_PREFIXES = ("src/shard/",)
-
 
 def check(index: ProjectIndex, graph: CallGraph,
           findings: list[Finding]) -> None:
@@ -69,7 +55,6 @@ def check(index: ProjectIndex, graph: CallGraph,
         a.check_rev1(findings)
         a.check_rev2(findings)
         a.check_exc1(findings)
-    check_shd1(index, graph, findings)
 
 
 def _emit(index: ProjectIndex, findings: list[Finding], rel: str,
@@ -525,107 +510,3 @@ def _same_class_closure(index: ProjectIndex, graph: CallGraph,
                 queue.append(target)
     return seen
 
-
-# --- SHD-1 ------------------------------------------------------------------
-
-def _context_name(index: ProjectIndex, fn: dict) -> str:
-    """The nearest *named* function a lambda nests under (or fn itself)."""
-    cur = fn
-    while cur["kind"] == "lambda" and cur["parent"] >= 0:
-        cur = index.functions[cur["_base"] + cur["parent"]]
-    return cur["name"]
-
-
-def _shard_state_field(index: ProjectIndex, fn: dict, w: dict,
-                       state_fields: set[str]) -> str:
-    """The ShardState field a write lands in, '' otherwise."""
-    root, member = w["root"], w["member"]
-    cur = fn
-    hops = 0
-    while hops < 4:
-        ra = cur.get("ref_aliases") or {}
-        if root in ra:
-            aroot, amember = ra[root]
-            member = amember or member
-            root = aroot
-            hops += 1
-            continue
-        if cur["parent"] < 0:
-            break
-        cur = index.functions[cur["_base"] + cur["parent"]]
-    if not member or member not in state_fields:
-        return ""
-    # the root must plausibly BE a ShardState (declared local/param of
-    # that type, a deduced `auto&` loop ref, or the owner's shards_ array)
-    t = None
-    cur = fn
-    while t is None:
-        t = cur["local_types"].get(root)
-        if cur["parent"] < 0:
-            break
-        cur = index.functions[cur["_base"] + cur["parent"]]
-    if t is None and fn["cls"]:
-        f = index.field_of(fn["cls"], root)
-        t = f["type"] if f is not None else None
-    words = t.split() if t else []
-    if not words:
-        return ""
-    if "auto" in words or any("ShardState" in w_ for w_ in words):
-        return member
-    return ""
-
-
-def check_shd1(index: ProjectIndex, graph: CallGraph,
-               findings: list[Finding]) -> None:
-    state_fields: set[str] = set()
-    for scls in SHD_STATE_CLASSES:
-        info = index.classes.get(scls)
-        if info is not None:
-            state_fields |= set(info["fields"])
-    if not state_fields or SHD_OWNER not in index.classes:
-        return
-    workers = graph.worker_context()
-    # compute-phase closure: shard_phase_* roots plus everything they call
-    closure: set[int] = set()
-    queue = [fn["_gid"] for fn in index.functions
-             if fn["name"].startswith(SHD_PHASE_PREFIX) or
-             _context_name(index, fn).startswith(SHD_PHASE_PREFIX)]
-    while queue:
-        gid = queue.pop()
-        if gid in closure:
-            continue
-        closure.add(gid)
-        queue.extend(t for t, _ in graph.callees(gid))
-    owner_family = set(graph._class_family(SHD_OWNER))
-    for fn in index.functions:
-        rel = fn["_file"]
-        if fn["cls"] not in owner_family and \
-                not in_scope(rel, SHD_SCOPE_PREFIXES):
-            continue
-        ctx = _context_name(index, fn)
-        in_exchange = ctx in SHD_EXCHANGE_NAMES
-        in_phase = fn["_gid"] in closure
-        for w in fn["writes"]:
-            field = _shard_state_field(index, fn, w, state_fields)
-            if not field:
-                continue
-            if field in SHD_BOUNDARY_FIELDS:
-                if not in_exchange:
-                    _emit(index, findings, rel, w["line"], "SHD-1",
-                          f"boundary state 'ShardState::{field}' written "
-                          f"in {fn['qname']} (context: {ctx}); summaries "
-                          f"and replicated views may only change inside "
-                          f"the exchange/merge functions "
-                          f"({', '.join(sorted(SHD_EXCHANGE_NAMES))})")
-            elif fn["_gid"] in workers and not in_phase and \
-                    not workers[fn["_gid"]].instance_local:
-                # instance-local worker chains (a whole aggregator private
-                # to one task) cannot race the shard's own phase workers
-                info = workers[fn["_gid"]]
-                _emit(index, findings, rel, w["line"], "SHD-1",
-                      f"per-shard state 'ShardState::{field}' written "
-                      f"from worker context [{info.witness}] outside the "
-                      f"owning compute phase (shard_phase_* closure); "
-                      f"cross-phase writes race with the shard's own "
-                      f"workers — move the write into the phase or the "
-                      f"serial coordinator")
