@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
                        "%"});
     for (const auto& variant : variants) {
       auto factory = st::sim::make_socialtrust_factory(
-          st::sim::make_paper_eigentrust_factory(), variant.config);
+          st::sim::make_paper_eigentrust_factory(), variant.config,
+          ctx.threads());
       auto agg = run_experiment(ctx.paper_config(0.6), factory,
                                 st::bench::strategy_by_name(model, {}));
       table.add_row({variant.label,

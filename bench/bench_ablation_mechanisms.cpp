@@ -18,9 +18,10 @@ int main(int argc, char** argv) {
                            "% requests to colluders"});
     for (const std::string& system :
          {std::string("EigenTrust"), std::string("EigenTrust(Kamvar)")}) {
-      auto agg = run_experiment(ctx.paper_config(0.6),
-                                st::bench::system_by_name(system),
-                                st::bench::strategy_by_name("PCM", {}));
+      auto agg = run_experiment(
+          ctx.paper_config(0.6),
+          st::bench::system_by_name(system, ctx.threads()),
+          st::bench::strategy_by_name("PCM", {}));
       table.add_row({system, st::util::fmt(agg.colluder_mean.mean(), 6),
                      st::util::fmt(agg.pretrusted_mean.mean(), 6),
                      st::util::fmt(agg.colluder_share.mean() * 100.0, 2) +
@@ -55,9 +56,10 @@ int main(int argc, char** argv) {
     st::util::Table table({"managers", "ratings routed/interval",
                            "info requests/interval", "local hits/interval"});
     for (std::size_t managers : {1u, 2u, 4u, 8u, 16u}) {
+      st::core::SocialTrustConfig manager_config;
+      manager_config.threads = ctx.threads();
       auto factory = st::sim::make_distributed_socialtrust_factory(
-          st::sim::make_paper_eigentrust_factory(),
-          st::core::SocialTrustConfig{}, managers);
+          st::sim::make_paper_eigentrust_factory(), manager_config, managers);
       // One run is enough: traffic accounting is per-interval and stable.
       auto config = ctx.paper_config(0.6);
       config.runs = 1;

@@ -28,8 +28,9 @@ int main(int argc, char** argv) {
     for (const std::string& system :
          {std::string("eBay"), std::string("eBay+SocialTrust"),
           std::string("EigenTrust"), std::string("EigenTrust+SocialTrust")}) {
-      auto agg = run_experiment(ctx.paper_config(0.6),
-                                st::bench::system_by_name(system), strategy);
+      auto agg = run_experiment(
+          ctx.paper_config(0.6),
+          st::bench::system_by_name(system, ctx.threads()), strategy);
       table.add_row({system, st::util::fmt(agg.pretrusted_mean.mean(), 6),
                      st::util::fmt(agg.normal_mean.mean(), 6),
                      st::util::fmt(agg.colluder_mean.mean(), 6)});

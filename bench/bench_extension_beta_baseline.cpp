@@ -36,7 +36,9 @@ int main(int argc, char** argv) {
                        "%"});
     auto guarded = run_experiment(
         ctx.paper_config(0.6),
-        st::sim::make_socialtrust_factory(make_beta_factory()),
+        st::sim::make_socialtrust_factory(make_beta_factory(),
+                                          st::core::SocialTrustConfig{},
+                                          ctx.threads()),
         st::bench::strategy_by_name(model, {}));
     table.add_row({"Beta+SocialTrust",
                    st::util::fmt(guarded.colluder_mean.mean(), 6),

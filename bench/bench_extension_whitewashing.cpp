@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
       } else {
         strategy = st::bench::strategy_by_name("PCM", {});
       }
-      auto agg = run_experiment(ctx.paper_config(0.6),
-                                st::bench::system_by_name(system), strategy);
+      auto agg = run_experiment(
+          ctx.paper_config(0.6),
+          st::bench::system_by_name(system, ctx.threads()), strategy);
       table.add_row({system, whitewash ? "PCM + whitewashing" : "PCM",
                      st::util::fmt(agg.colluder_mean.mean(), 6),
                      st::util::fmt(agg.normal_mean.mean(), 6),

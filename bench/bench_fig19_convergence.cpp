@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
       std::string factory_name =
           system == "SocialTrust" ? "EigenTrust+SocialTrust" : system;
       auto agg = run_experiment(ctx.paper_config(b),
-                                st::bench::system_by_name(factory_name),
+                                st::bench::system_by_name(factory_name,
+                                                          ctx.threads()),
                                 st::bench::strategy_by_name("MMM", {}));
       const auto& pooled = agg.pooled_convergence_cycles;
       std::size_t suppressed = 0;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
       options.conspirator_distance = distance;
       auto agg = run_experiment(
           ctx.paper_config(0.6),
-          st::bench::system_by_name("EigenTrust+SocialTrust"),
+          st::bench::system_by_name("EigenTrust+SocialTrust", ctx.threads()),
           st::bench::strategy_by_name(model, options));
       row.push_back(st::util::fmt(agg.colluder_mean.mean(), 6));
       normal_cells.push_back(st::util::fmt(agg.normal_mean.mean(), 6));

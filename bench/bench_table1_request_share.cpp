@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
         st::collusion::CollusionOptions options;
         if (spec.compromised) options.compromised_pretrusted = 7;
         auto agg = run_experiment(
-            ctx.paper_config(b), st::bench::system_by_name(spec.factory),
+            ctx.paper_config(b),
+            st::bench::system_by_name(spec.factory, ctx.threads()),
             st::bench::strategy_by_name(model, options));
         row.push_back(
             st::util::fmt(agg.colluder_share.mean() * 100.0, 1) + "%");

@@ -321,16 +321,35 @@ double SocialStateCache::similarity(const InterestProfiles& profiles, NodeId a,
 }
 
 void SocialStateCache::invalidate_node(NodeId node) {
-  const auto key_mentions = [node](std::uint64_t key) {
-    return static_cast<NodeId>(key >> 32U) == node ||
-           static_cast<NodeId>(key & 0xFFFFFFFFU) == node;
+  invalidate_nodes(std::span<const NodeId>(&node, 1));
+}
+
+void SocialStateCache::invalidate_nodes(std::span<const NodeId> nodes) {
+  if (nodes.empty()) return;
+  // Membership is a binary search over the sorted, de-duplicated batch:
+  // its cost and memory follow the batch, never the id values, so an id
+  // no entry can mention (e.g. 0xFFFFFFFF) simply matches nothing.
+  std::vector<NodeId> batch(nodes.begin(), nodes.end());
+  std::sort(batch.begin(), batch.end());
+  batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+  const auto named = [&batch](NodeId node) {
+    return std::binary_search(batch.begin(), batch.end(), node);
+  };
+  const auto key_mentions = [&named](std::uint64_t key) {
+    return named(key_first(key)) || named(key_second(key));
+  };
+  const auto any_named = [&named](const std::vector<NodeId>& ids) {
+    return std::any_of(ids.begin(), ids.end(), named);
   };
   std::uint64_t erased = 0;
   for (std::size_t s = 0; s < kShards; ++s) {
     Shard& shard = shards_[s];
     util::MutexLock lock(shard.mutex);
     erased += std::erase_if(shard.closeness, [&](const auto& kv) {
-      if (!key_mentions(kv.first) && !kv.second.validity.mentions(node))
+      const auto& witnesses = kv.second.validity.witnesses;
+      if (!key_mentions(kv.first) &&
+          std::none_of(witnesses.begin(), witnesses.end(),
+                       [&named](const Witness& w) { return named(w.node); }))
         return false;
       if (tracking_) shard.dirty_closeness.push_back(kv.first);
       return true;
@@ -341,14 +360,10 @@ void SocialStateCache::invalidate_node(NodeId node) {
       return true;
     });
     erased += std::erase_if(shard.common_sets, [&](const auto& kv) {
-      return key_mentions(kv.first) ||
-             std::find(kv.second.common.begin(), kv.second.common.end(),
-                       node) != kv.second.common.end();
+      return key_mentions(kv.first) || any_named(kv.second.common);
     });
     erased += std::erase_if(shard.paths, [&](const auto& kv) {
-      return key_mentions(kv.first) ||
-             std::find(kv.second.path.begin(), kv.second.path.end(), node) !=
-                 kv.second.path.end();
+      return key_mentions(kv.first) || any_named(kv.second.path);
     });
   }
   if (erased > 0) {
@@ -480,7 +495,7 @@ SocialStateCache::DirtyKeys SocialStateCache::collect_dirty(
   if (!tracking_) return out;
   const RevisionDelta& delta = tracker_.collect(g, profiles);
   // The erase logs are drained unconditionally — eviction,
-  // invalidate_node and clear remove entries without any epoch movement;
+  // invalidate_nodes and clear remove entries without any epoch movement;
   // the revalidation sweeps run only when the delta says the matching
   // epoch moved.
   const bool sweep_closeness = delta.sweep_closeness;

@@ -84,27 +84,31 @@
 // last asked?" question so the dirty-pair scheduler never re-derives
 // witness logic. Two mechanisms compose into that answer:
 //   * erase logs — every removal of a closeness/similarity entry
-//     (eviction sweep, invalidate_node, clear, stale replacement at
+//     (eviction sweep, invalidate_nodes, clear, stale replacement at
 //     lookup) appends the key to a per-shard log, so a carried value can
 //     never go silently stale just because its cache entry vanished
 //     before the state changed;
 //   * witness-indexed revalidation sweep — collect_dirty() first diffs
 //     the per-node revision counters against its previous snapshot (an
 //     O(n) scan of plain integers, skipped entirely while the global
-//     epoch holds still), then revalidates only the entries that
-//     actually witness a changed node, via per-shard (witness node, key)
-//     ref lists appended at store time. Epoch-gated entries (bottleneck /
-//     unreachable / witness-overflow) live on a separate small per-shard
-//     key list walked each sweep. Ref lists carry stale refs (erased or
-//     re-branched entries) harmlessly — a ref is dropped when its key no
-//     longer resolves or no longer witnesses the node — and are rebuilt
-//     from the live entries when staleness outgrows them. The sweep is
-//     therefore O(nodes + refs-of-changed-nodes), not O(entries), and a
-//     no-churn interval costs O(1).
+//     epoch holds still), then walks the per-shard (witness node, key)
+//     ref lists appended at store time, looking up and revalidating only
+//     the refs whose node changed. Epoch-gated entries (bottleneck /
+//     unreachable / witness-overflow) live on a separate per-shard key
+//     list, and every sweep looks up and revalidates each of them —
+//     where rated pairs are far apart, that is most closeness entries.
+//     Ref lists carry stale refs (erased or re-branched entries)
+//     harmlessly — a ref is dropped when its key no longer resolves or
+//     no longer witnesses the node — and are rebuilt from the live
+//     entries when staleness outgrows them. A sweep therefore reads
+//     O(nodes + gated keys + refs) but does map lookups only for gated
+//     keys and refs of changed nodes; an interval in which neither epoch
+//     moved costs O(1).
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -153,10 +157,19 @@ class SocialStateCache {
   /// recompute time for bounded memory on long runs, never results.
   void begin_interval(std::size_t evict_after);
 
-  /// Erases every entry whose key or witness set mentions `node` — the
-  /// whitewashing hook. Epoch-gated entries are untouched: they only stay
-  /// valid while the corresponding graph epoch holds, and any actual state
-  /// change (e.g. SocialGraph::clear_node) bumps it.
+  /// Erases, in one pass over every shard, each entry whose key or
+  /// witness set (common set, path) mentions any node of `nodes` — the
+  /// whitewashing hook. The result is exactly the union of per-node
+  /// passes: the same entries, erase-log keys and `invalidations` count,
+  /// since the predicates read only the entries, never the graph. The
+  /// plugin queues its forgotten identities and calls this once, before
+  /// the next lookup (SocialTrustPlugin::forget_node). Duplicates and
+  /// ids no entry mentions are harmless. Epoch-gated entries are
+  /// untouched: they only stay valid while the corresponding graph epoch
+  /// holds, and any actual state change (e.g. SocialGraph::clear_node)
+  /// bumps it.
+  void invalidate_nodes(std::span<const NodeId> nodes);
+  /// invalidate_nodes() for a single node.
   void invalidate_node(NodeId node);
 
   /// Drops everything (plugin reset). With dirty tracking enabled every
@@ -202,8 +215,9 @@ class SocialStateCache {
 
   /// Owns the epoch watermarks and per-node revision snapshots that turn
   /// "current graph/profile state" into a RevisionDelta. The cache embeds
-  /// one and collects it once per collect_dirty() call, so the sweep stays
-  /// O(refs of changed nodes). Coordinator-only, between parallel regions.
+  /// one and collects it once per collect_dirty() call, so the sweep looks
+  /// up only refs of changed nodes. Coordinator-only, between parallel
+  /// regions.
   class RevisionTracker {
    public:
     const RevisionDelta& collect(const graph::SocialGraph& g,
@@ -239,8 +253,9 @@ class SocialStateCache {
   /// Monotone per-instance totals. Hits/misses count value-level lookups
   /// (closeness + similarity); structure_* count the nested common-set and
   /// path lookups; invalidations counts entries dropped because a lookup
-  /// found them stale plus entries erased by invalidate_node; evictions
-  /// counts value entries dropped by the begin_interval() sweep.
+  /// found them stale, entries the collect_dirty() sweep erased and
+  /// entries erased by invalidate_nodes; evictions counts value entries
+  /// dropped by the begin_interval() sweep.
   struct StatsSnapshot {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -41,6 +41,7 @@ SocialTrustPlugin::SocialTrustPlugin(
   }
   auto& registry = obs::Obs::instance().registry();
   obs_.total_us = &registry.histogram("socialtrust.update.total_us");
+  obs_.invalidate_us = &registry.histogram("socialtrust.update.invalidate_us");
   obs_.collect_us = &registry.histogram("socialtrust.update.collect_us");
   obs_.tally_us = &registry.histogram("socialtrust.update.tally_us");
   obs_.coeff_us = &registry.histogram("socialtrust.update.coeff_us");
@@ -141,13 +142,22 @@ SocialTrustPlugin::LooAggregate SocialTrustPlugin::aggregate_over(
 // --- update -----------------------------------------------------------------
 
 void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
-  // Stage timers (no-ops when st::obs is disabled). The three stage
-  // spans cover: collect = pair tally + sort + coefficient collection +
-  // system baseline; loo = per-rater leave-one-out aggregates; adjust =
+  // Stage timers (no-ops when st::obs is disabled). The four stage
+  // spans cover: invalidate = the queued whitewash invalidations;
+  // collect = pair tally + sort + coefficient collection + system
+  // baseline; loo = per-rater leave-one-out aggregates; adjust =
   // detect-and-adjust + ordered reduction. Inside collect, tally (pass 1),
   // coeff (pass 3a) and baseline (pass 3b) time its sub-stages; the dirty
   // scan (pass 2b) has its own timer.
   obs::ScopedTimer total_timer(*obs_.total_us);
+
+  // 0. Erase the cache entries of every identity forget_node discarded
+  // since the last interval, in one pass and before begin_interval(), so
+  // the eviction sweep never sees an entry the invalidation would erase.
+  obs::ScopedTimer invalidate_timer(*obs_.invalidate_us);
+  drain_invalidations();
+  const double invalidate_us = invalidate_timer.stop();
+
   obs::ScopedTimer collect_timer(*obs_.collect_us);
   double collect_us = 0.0, loo_us = 0.0, adjust_us = 0.0;
   double tally_us = 0.0, coeff_us = 0.0, baseline_us = 0.0;
@@ -595,6 +605,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         {"b3", static_cast<double>(report_.b3)},
         {"b4", static_cast<double>(report_.b4)},
         {"mean_weight", report_.mean_weight},
+        {"invalidate_us", invalidate_us},
         {"collect_us", collect_us},
         {"tally_us", tally_us},
         {"coeff_us", coeff_us},
@@ -623,8 +634,9 @@ void SocialTrustPlugin::forget_node(NodeId node) {
     // identity earns fresh slots); retired ids are simply never reused —
     // a bounded leak proportional to whitewash volume, not interval
     // count. (The cache's erase log would also surface these pairs next
-    // interval via invalidate_node below; dropping them here keeps the
-    // plugin's own state self-consistent without waiting a cycle.)
+    // interval via the queued cache invalidation below; dropping them
+    // here keeps the plugin's own state self-consistent without waiting
+    // a cycle.)
     if (dirty_mode) {
       for (std::uint32_t slot : hist_slots_[node]) slot_valid_[slot] = 0;
       hist_slots_[node].clear();
@@ -650,12 +662,28 @@ void SocialTrustPlugin::forget_node(NodeId node) {
   if (node < rater_agg_.size()) rater_agg_[node] = RaterAggregates{};
   // Whitewashing hook: cached closeness/similarity mentioning the node is
   // stale the moment its new identity starts from a blank social record.
-  social_cache_.invalidate_node(node);
+  // Only queued here: one invalidate_nodes() pass erases them before
+  // anything next reads the cache (update(), social_cache(), reset()).
+  // Nothing looks entries up or stores them in between, so the batch
+  // erases exactly what one pass per forget would. Draining early once
+  // the queue holds more entries than there are ids is just as exact, and
+  // bounds the queue for callers that never call update().
+  forgotten_.push_back(node);
+  if (forgotten_.size() > inner_->size()) drain_invalidations();
+}
+
+void SocialTrustPlugin::drain_invalidations() const {
+  if (forgotten_.empty()) return;
+  social_cache_.invalidate_nodes(forgotten_);
+  forgotten_.clear();
 }
 
 void SocialTrustPlugin::reset() {
   inner_->reset();
   for (auto& hist : rated_history_) hist.clear();
+  // Queued forgets count and log their erasures before the wholesale drop,
+  // exactly as the per-forget passes they stand for would have.
+  drain_invalidations();
   social_cache_.clear();
   for (auto& slots : hist_slots_) slots.clear();
   slot_coeff_.clear();

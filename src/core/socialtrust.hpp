@@ -53,11 +53,11 @@
 // pins down. See DESIGN.md §14.
 //
 // Observability: when the st::obs layer is enabled, update() times its
-// three stages (collect / leave-one-out / adjust), tallies pair and
-// rating counters, and emits one "socialtrust.update" interval event per
-// call. Instrumentation is observation-only — it never feeds back into
-// the adjustment, so enabling it preserves the bit-identity contract
-// above (DESIGN.md §12, docs/OBSERVABILITY.md).
+// four stages (invalidate / collect / leave-one-out / adjust), tallies
+// pair and rating counters, and emits one "socialtrust.update" interval
+// event per call. Instrumentation is observation-only — it never feeds
+// back into the adjustment, so enabling it preserves the bit-identity
+// contract above (DESIGN.md §12, docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <memory>
@@ -144,10 +144,16 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   const DirtyStats& last_dirty_stats() const noexcept { return dirty_stats_; }
 
   /// The persistent social-state cache (tests, benches, diagnostics).
-  /// Mutable access is deliberate: dropping it (`social_cache().clear()`)
-  /// must never change update() output, only its cost — that is the
-  /// cold-vs-warm property the incremental tests pin down.
-  SocialStateCache& social_cache() const noexcept { return social_cache_; }
+  /// First drains the whitewash invalidations forget_node queued, so the
+  /// caller sees the cache update() would see (the drain allocates, hence
+  /// not noexcept). Mutable access is deliberate: dropping it
+  /// (`social_cache().clear()`) must never change update() output, only
+  /// its cost — that is the cold-vs-warm property the incremental tests
+  /// pin down.
+  SocialStateCache& social_cache() const {
+    drain_invalidations();
+    return social_cache_;
+  }
 
   /// Pair-block grain of the parallel passes. A fixed constant — not a
   /// function of the worker count — so the block reduction tree, and with
@@ -251,6 +257,14 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// passes; the sharded cache makes them physically thread-safe.
   mutable SocialStateCache social_cache_;
 
+  /// Identities forget_node discarded whose cache entries are not erased
+  /// yet, in forget order (duplicates allowed). Mutable because the const
+  /// social_cache() accessor drains it; coordinator-only, like forget_node.
+  mutable std::vector<reputation::NodeId> forgotten_;
+  /// One SocialStateCache::invalidate_nodes() pass over forgotten_, then
+  /// clears it. No-op while nothing is queued.
+  void drain_invalidations() const;
+
   /// Carried per-pair coefficients of the dirty scheduler. slot_valid_
   /// is set iff the slot's pair was computed in some earlier interval
   /// and no dirty key (or history edit) has hit it since, so its values
@@ -319,6 +333,8 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// record microseconds; counters accumulate across intervals.
   struct ObsHandles {
     obs::Histogram* total_us = nullptr;    ///< socialtrust.update.total_us
+    /// socialtrust.update.invalidate_us
+    obs::Histogram* invalidate_us = nullptr;
     obs::Histogram* collect_us = nullptr;  ///< socialtrust.update.collect_us
     obs::Histogram* tally_us = nullptr;    ///< socialtrust.update.tally_us
     obs::Histogram* coeff_us = nullptr;    ///< socialtrust.update.coeff_us

@@ -2,7 +2,8 @@
 //
 // Randomized differential harness: seeded interleavings of ratings,
 // friendship add/remove, interaction churn, profile edits, clear_node /
-// forget_node, and whitewashing re-entry are applied to a shared social
+// forget_node, and whitewashing re-entry (single resets, and bursts that
+// fill the plugin's forget queue) are applied to a shared social
 // substrate; after every interval a kDirtyPairs plugin with a warm
 // persistent worklist is bit-compared against a kFullWalk plugin whose
 // cache is wiped before each update (a cold full recompute — the
@@ -148,49 +149,60 @@ void expect_plugins_identical(const SocialTrustPlugin& oracle,
   }
 }
 
-void run_property(std::uint64_t seed, std::size_t threads) {
-  SCOPED_TRACE("seed=" + std::to_string(seed) +
-               " threads=" + std::to_string(threads));
-  stats::Rng rng(seed);
-  SocialGraph g = graph::watts_strogatz(kNodes, 6, 0.2, rng);
-  InterestProfiles profiles(kNodes, kInterests);
-  for (graph::NodeId n = 0; n < kNodes; ++n) {
-    const reputation::InterestId ints[] = {
-        static_cast<reputation::InterestId>(n % kInterests),
-        static_cast<reputation::InterestId>((n + 5) % kInterests)};
-    profiles.set_interests(n, ints);
+/// The shared social substrate and the two plugins compared over it: a
+/// kDirtyPairs plugin with a warm persistent worklist, and a kFullWalk
+/// oracle whose cache is wiped before every update.
+struct Harness {
+  stats::Rng rng;
+  SocialGraph g;
+  InterestProfiles profiles{kNodes, kInterests};
+  std::unique_ptr<SocialTrustPlugin> oracle;
+  std::unique_ptr<SocialTrustPlugin> dirty;
+  std::size_t carried_total = 0;
+
+  Harness(std::uint64_t seed, std::size_t threads)
+      : rng(seed), g(graph::watts_strogatz(kNodes, 6, 0.2, rng)) {
+    for (graph::NodeId n = 0; n < kNodes; ++n) {
+      const reputation::InterestId ints[] = {
+          static_cast<reputation::InterestId>(n % kInterests),
+          static_cast<reputation::InterestId>((n + 5) % kInterests)};
+      profiles.set_interests(n, ints);
+    }
+    core::SocialTrustConfig oracle_cfg;
+    oracle_cfg.threads = threads;
+    oracle_cfg.schedule = core::UpdateSchedule::kFullWalk;
+    core::SocialTrustConfig dirty_cfg = oracle_cfg;
+    dirty_cfg.schedule = core::UpdateSchedule::kDirtyPairs;
+    oracle = make_plugin(oracle_cfg);
+    dirty = make_plugin(dirty_cfg);
   }
 
-  core::SocialTrustConfig oracle_cfg;
-  oracle_cfg.threads = threads;
-  oracle_cfg.schedule = core::UpdateSchedule::kFullWalk;
-  core::SocialTrustConfig dirty_cfg = oracle_cfg;
-  dirty_cfg.schedule = core::UpdateSchedule::kDirtyPairs;
-  auto make_plugin = [&](const core::SocialTrustConfig& cfg) {
+  std::unique_ptr<SocialTrustPlugin> make_plugin(
+      const core::SocialTrustConfig& cfg) {
     return std::make_unique<SocialTrustPlugin>(
         std::make_unique<reputation::PaperEigenTrust>(
             kNodes, std::vector<reputation::NodeId>{0, 1},
             reputation::PaperEigenTrustConfig{}),
         g, profiles, cfg);
-  };
-  auto oracle = make_plugin(oracle_cfg);
-  auto dirty = make_plugin(dirty_cfg);
+  }
 
-  std::size_t carried_total = 0;
-  for (std::size_t t = 0; t < kIntervals; ++t) {
-    // Occasional whitewash: a random non-pretrusted identity is forgotten
-    // and its social state cleared, exactly as Simulator::whitewash does
-    // it; the node re-enters through later random ratings.
-    if (t > 2 && rng.bernoulli(0.15)) {
-      const auto w = static_cast<reputation::NodeId>(2 + rng.index(kNodes - 2));
-      oracle->forget_node(w);
-      dirty->forget_node(w);
-      g.clear_node(w);
-      profiles.clear_requests(w);
-    }
+  /// A random non-pretrusted identity.
+  reputation::NodeId pick_identity() {
+    return static_cast<reputation::NodeId>(2 + rng.index(kNodes - 2));
+  }
 
-    const std::vector<Rating> ratings = random_interval(rng, g, profiles);
+  /// Forgets `w` on both plugins and clears its social state, exactly as
+  /// Simulator::whitewash does it; the node re-enters through later
+  /// ratings.
+  void whitewash(reputation::NodeId w) {
+    oracle->forget_node(w);
+    dirty->forget_node(w);
+    g.clear_node(w);
+    profiles.clear_requests(w);
+  }
 
+  /// Closes interval `t` on both plugins and bit-compares them.
+  void close_interval(const std::vector<Rating>& ratings, std::size_t t) {
     // The oracle is a COLD full walk: no cache, no carried state at all.
     oracle->social_cache().clear();
     oracle->update(ratings);
@@ -203,9 +215,71 @@ void run_property(std::uint64_t seed, std::size_t threads) {
               dirty->last_report().pairs_total);
     carried_total += stats.pairs_carried;
   }
+};
+
+void run_property(std::uint64_t seed, std::size_t threads) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " threads=" + std::to_string(threads));
+  Harness h(seed, threads);
+  for (std::size_t t = 0; t < kIntervals; ++t) {
+    // Occasional whitewash of one random identity.
+    if (t > 2 && h.rng.bernoulli(0.15)) h.whitewash(h.pick_identity());
+    const std::vector<Rating> ratings =
+        random_interval(h.rng, h.g, h.profiles);
+    h.close_interval(ratings, t);
+  }
   // Re-ratings of unchurned pairs must actually have exercised the carry
   // path, or the property degenerates to full-vs-full.
-  EXPECT_GT(carried_total, 0U);
+  EXPECT_GT(h.carried_total, 0U);
+}
+
+/// Whitewash bursts: the plugin queues forgotten identities and erases
+/// their cache entries in one pass at the next update, so every shape a
+/// queue can take before the interval closes is driven here — several
+/// identities at once, the same identity twice, and an identity that is
+/// forgotten, re-rated (with fresh interactions and a new tie) and
+/// forgotten again.
+void run_whitewash_bursts(std::uint64_t seed, std::size_t threads) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " threads=" + std::to_string(threads));
+  Harness h(seed, threads);
+  std::size_t bursts = 0;
+  std::size_t reforgets = 0;
+  for (std::size_t t = 0; t < kIntervals; ++t) {
+    if (t > 2 && h.rng.bernoulli(0.5)) {
+      const reputation::NodeId first = h.pick_identity();
+      h.whitewash(first);
+      const std::size_t more = 1 + h.rng.index(4);
+      for (std::size_t k = 0; k < more; ++k) h.whitewash(h.pick_identity());
+      h.whitewash(first);  // the same identity twice in one interval
+      ++bursts;
+    }
+    std::vector<Rating> ratings = random_interval(h.rng, h.g, h.profiles);
+    if (t > 2 && h.rng.bernoulli(0.5)) {
+      // Forget -> re-rate -> forget before the interval closes: the
+      // re-entered identity trades ratings, interactions and a tie, then
+      // resets again; its ratings stay in the interval's stream.
+      const reputation::NodeId w = h.pick_identity();
+      h.whitewash(w);
+      for (std::size_t q = 0; q < 6; ++q) {
+        auto other = static_cast<reputation::NodeId>(h.rng.index(kNodes));
+        if (other == w) other = (other + 1) % kNodes;
+        const auto interest =
+            static_cast<reputation::InterestId>(h.rng.index(kInterests));
+        ratings.push_back(Rating{w, other, 1.0, 0, 0, interest});
+        ratings.push_back(Rating{other, w, 1.0, 0, 0, interest});
+        h.g.record_interaction(w, other);
+        h.g.record_interaction(other, w);
+        h.profiles.record_request(w, interest);
+        if (q == 0) h.g.add_relationship(w, other, random_relationship(h.rng));
+      }
+      h.whitewash(w);
+      ++reforgets;
+    }
+    h.close_interval(ratings, t);
+  }
+  EXPECT_GT(bursts, 0U);
+  EXPECT_GT(reforgets, 0U);
 }
 
 class DirtyPairProperty
@@ -215,6 +289,11 @@ class DirtyPairProperty
 TEST_P(DirtyPairProperty, RandomInterleavingsMatchColdFullRecompute) {
   const auto [seed, threads] = GetParam();
   run_property(seed, threads);
+}
+
+TEST_P(DirtyPairProperty, WhitewashBurstsMatchColdFullRecompute) {
+  const auto [seed, threads] = GetParam();
+  run_whitewash_bursts(seed, threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(

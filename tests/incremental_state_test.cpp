@@ -15,7 +15,9 @@
 //      flagged pairs, and downstream reputations across collusion models,
 //      seeds, and thread counts;
 //   3. a whitewashing regression — forget_node must drop every cached
-//      entry mentioning the discarded identity, and a warm plugin driven
+//      entry mentioning the discarded identity (queued, then erased in
+//      one batched pass that must equal per-node passes and must run
+//      before update() touches the cache), and a warm plugin driven
 //      across a whitewash event must stay bit-identical to a cold one;
 //   4. a full-vs-dirty differential gate (DESIGN.md §14) — the dirty-pair
 //      scheduler (UpdateSchedule::kDirtyPairs) run side by side with the
@@ -351,6 +353,123 @@ TEST(SocialStateCacheTest, InvalidateNodeErasesEveryMention) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0U);
   EXPECT_EQ(cache.structure_size(), 0U);
+}
+
+/// A 12-node substrate whose all-pairs lookups store every entry kind:
+/// adjacent (0-1), friend-of-friend (2-4 via 3), bottleneck paths along
+/// the chain 5-6-7-8, unreachable pairs towards the isolated 9-10 edge
+/// and node 11, plus similarity entries from overlapping profiles.
+struct MixedSubstrate {
+  SocialGraph g{12};
+  InterestProfiles profiles{12, 8};
+
+  MixedSubstrate() {
+    g.add_relationship(0, 1, Relationship::kFriendship);
+    g.add_relationship(2, 3, Relationship::kFriendship);
+    g.add_relationship(3, 4, Relationship::kColleague);
+    g.add_relationship(5, 6, Relationship::kFriendship);
+    g.add_relationship(6, 7, Relationship::kFriendship);
+    g.add_relationship(7, 8, Relationship::kFriendship);
+    g.add_relationship(9, 10, Relationship::kFriendship);
+    g.record_interaction(0, 1, 2.0);
+    g.record_interaction(2, 3, 1.0);
+    g.record_interaction(3, 4, 3.0);
+    g.record_interaction(5, 6, 1.0);
+    g.record_interaction(6, 7, 2.0);
+    g.record_interaction(7, 8, 1.0);
+    for (graph::NodeId n = 0; n < 12; ++n) {
+      const reputation::InterestId ints[] = {
+          static_cast<reputation::InterestId>(n % 8),
+          static_cast<reputation::InterestId>((n + 3) % 8)};
+      profiles.set_interests(n, ints);
+    }
+  }
+
+  void populate(SocialStateCache& cache) const {
+    ClosenessModel model;
+    for (graph::NodeId i = 0; i < 12; ++i) {
+      for (graph::NodeId j = 0; j < 12; ++j) {
+        if (i == j) continue;
+        cache.closeness(model, g, i, j);
+        cache.similarity(profiles, i, j, false);
+      }
+    }
+  }
+};
+
+void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
+                        const SocialStateCache::StatsSnapshot& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.structure_hits, b.structure_hits);
+  EXPECT_EQ(a.structure_misses, b.structure_misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+}
+
+TEST(SocialStateCacheTest, InvalidateNodesEqualsPerNodePasses) {
+  // One batched pass must erase exactly the union of per-node passes:
+  // the same entries, the same invalidation count and the same erase-log
+  // keys. The batch carries a duplicate (6) and two nodes one path entry
+  // names (6 and 7 both lie on 5-6-7-8).
+  const MixedSubstrate s;
+  SocialStateCache per_node;
+  SocialStateCache batched;
+  per_node.enable_dirty_tracking();
+  batched.enable_dirty_tracking();
+  s.populate(per_node);
+  s.populate(batched);
+  ASSERT_EQ(per_node.size(), batched.size());
+
+  const std::vector<graph::NodeId> batch = {6, 3, 7, 6, 10};
+  for (graph::NodeId n : batch) per_node.invalidate_node(n);
+  batched.invalidate_nodes(batch);
+
+  EXPECT_GT(batched.stats().invalidations, 0U);
+  EXPECT_GT(batched.size(), 0U);  // entries naming no batch node survive
+  EXPECT_EQ(per_node.size(), batched.size());
+  EXPECT_EQ(per_node.structure_size(), batched.structure_size());
+  expect_stats_equal(per_node.stats(), batched.stats());
+  const auto want = per_node.collect_dirty(s.g, s.profiles);
+  const auto got = batched.collect_dirty(s.g, s.profiles);
+  EXPECT_FALSE(got.closeness.empty());
+  EXPECT_FALSE(got.similarity.empty());
+  EXPECT_EQ(want.closeness, got.closeness);
+  EXPECT_EQ(want.similarity, got.similarity);
+
+  // Mentions inside an entry count, not just its key: the common set of
+  // (2,4) names 3 and the path 5-6-7-8 names 6 and 7, so both re-derive,
+  // while the adjacent (0,1) entry names no batch node and is served.
+  ClosenessModel model;
+  auto d = stats_delta(batched, [&] { batched.closeness(model, s.g, 2, 4); });
+  EXPECT_EQ(d.structure_misses, 1U);
+  d = stats_delta(batched, [&] { batched.closeness(model, s.g, 5, 8); });
+  EXPECT_EQ(d.structure_misses, 1U);
+  d = stats_delta(batched, [&] { batched.closeness(model, s.g, 0, 1); });
+  EXPECT_EQ(d.hits, 1U);
+}
+
+TEST(SocialStateCacheTest, InvalidateNodesIgnoresIdsNoEntryMentions) {
+  // A hostile id costs nothing and erases nothing: membership is bounded
+  // by the batch, not by the id value.
+  const MixedSubstrate s;
+  SocialStateCache cache;
+  cache.enable_dirty_tracking();
+  s.populate(cache);
+  const std::size_t size = cache.size();
+  const std::size_t structure = cache.structure_size();
+  const auto stats = cache.stats();
+  ASSERT_GT(size, 0U);
+
+  const std::vector<graph::NodeId> hostile = {0xFFFFFFFFU};
+  EXPECT_NO_THROW(cache.invalidate_nodes(hostile));
+  EXPECT_NO_THROW(cache.invalidate_nodes({}));
+  EXPECT_EQ(cache.size(), size);
+  EXPECT_EQ(cache.structure_size(), structure);
+  expect_stats_equal(cache.stats(), stats);
+  const auto dirty = cache.collect_dirty(s.g, s.profiles);
+  EXPECT_TRUE(dirty.closeness.empty());
+  EXPECT_TRUE(dirty.similarity.empty());
 }
 
 TEST(SocialStateCacheTest, EvictionSweepDropsOnlyUntouchedValueEntries) {
@@ -699,6 +818,81 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   // must match a from-scratch recompute, not the pre-whitewash state.
   run_interval(make_interval(3));
   run_interval(make_interval(4));
+}
+
+/// forget_node only queues the cache invalidation. update() must drain
+/// the queue before its eviction sweep and before any lookup, or an entry
+/// naming the forgotten node would be evicted (or served) instead of
+/// invalidated. The reference is a twin whose queue is drained early
+/// through the social_cache() accessor: every cache total must match.
+TEST(IncrementalWhitewashing, UpdateDrainsQueuedForgetsBeforeTouchingCache) {
+  stats::Rng rng(77);
+  SocialGraph g = graph::watts_strogatz(16, 4, 0.2, rng);
+  InterestProfiles profiles(16, 8);
+  for (graph::NodeId n = 0; n < 16; ++n) {
+    const reputation::InterestId ints[] = {
+        static_cast<reputation::InterestId>(n % 8),
+        static_cast<reputation::InterestId>((n + 3) % 8)};
+    profiles.set_interests(n, ints);
+  }
+  core::SocialTrustConfig cfg;
+  cfg.threads = 1;
+  cfg.cache_evict_intervals = 1;  // idle for two intervals = evicted
+  auto make_plugin = [&] {
+    return std::make_unique<SocialTrustPlugin>(
+        std::make_unique<reputation::PaperEigenTrust>(
+            16, std::vector<reputation::NodeId>{0, 1},
+            reputation::PaperEigenTrustConfig{}),
+        g, profiles, cfg);
+  };
+  auto drained_in_update = make_plugin();
+  auto drained_early = make_plugin();
+
+  // Node 9 trades ratings with 10-12 in the first interval only; the
+  // second interval's raters (2-5) never rated it, so its entries sit
+  // idle and are due for eviction in the third — as is the entry of the
+  // unrelated pair 13 -> 14, which the sweep must evict on both sides.
+  const reputation::NodeId w = 9;
+  std::vector<Rating> with_w = {Rating{13, 14, 1.0, 0, 0, 1}};
+  std::vector<Rating> without_w;
+  for (reputation::NodeId x = 10; x <= 12; ++x) {
+    with_w.push_back(Rating{w, x, 1.0, 0, 0, 1});
+    with_w.push_back(Rating{x, w, 1.0, 0, 0, 1});
+  }
+  for (reputation::NodeId r = 2; r <= 5; ++r) {
+    without_w.push_back(Rating{r, static_cast<reputation::NodeId>(r + 1),
+                               1.0, 0, 0, 2});
+  }
+  for (auto* p : {drained_in_update.get(), drained_early.get()}) {
+    p->update(with_w);
+    p->update(without_w);
+  }
+  const auto before = drained_early->social_cache().stats();
+  drained_in_update->forget_node(w);
+  drained_early->forget_node(w);
+  // The accessor drains the twin's queue here, outside any update().
+  EXPECT_GT(drained_early->social_cache().stats().invalidations,
+            before.invalidations);
+  drained_in_update->update(with_w);
+  drained_early->update(with_w);
+
+  const auto got = drained_in_update->social_cache().stats();
+  const auto want = drained_early->social_cache().stats();
+  EXPECT_GT(want.evictions, 0U);  // the sweep had expired entries to take
+  expect_stats_equal(got, want);
+  EXPECT_EQ(drained_in_update->social_cache().size(),
+            drained_early->social_cache().size());
+
+  // reset() drains before its wholesale drop, so queued erasures still
+  // count as invalidations.
+  drained_in_update->forget_node(10);
+  drained_early->forget_node(10);
+  const auto before_reset = drained_early->social_cache().stats();
+  EXPECT_GT(before_reset.invalidations, want.invalidations);
+  drained_in_update->reset();
+  drained_early->reset();
+  EXPECT_EQ(drained_in_update->social_cache().stats().invalidations,
+            before_reset.invalidations);
 }
 
 // --- 4. full-vs-dirty differential gate (DESIGN.md §14) ----------------------

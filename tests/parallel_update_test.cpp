@@ -235,9 +235,12 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
   EXPECT_GT(intervals, 0U);
   // collect_us encloses its sub-stage timers: each records one sample per
   // interval, and per interval they add up to no more than collect_us.
+  // The whitewash drain (invalidate_us) records one sample per interval
+  // too, even when nothing was forgotten, and sits beside the top-level
+  // stages inside total_us.
   for (const char* stage :
-       {"socialtrust.update.tally_us", "socialtrust.update.coeff_us",
-        "socialtrust.update.baseline_us"}) {
+       {"socialtrust.update.invalidate_us", "socialtrust.update.tally_us",
+        "socialtrust.update.coeff_us", "socialtrust.update.baseline_us"}) {
     EXPECT_EQ(registry.histogram(stage).count(), intervals) << stage;
   }
   for (const obs::Snapshot& snap : obs::Obs::instance().snapshots()) {
@@ -252,6 +255,10 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
     EXPECT_LE(extra("tally_us") + extra("dirty_scan_us") + extra("coeff_us") +
                   extra("baseline_us"),
               extra("collect_us") + 1e-6)
+        << "interval " << snap.sequence;
+    EXPECT_LE(extra("invalidate_us") + extra("collect_us") + extra("loo_us") +
+                  extra("adjust_us"),
+              extra("total_us") + 1e-6)
         << "interval " << snap.sequence;
   }
   obs::Obs::instance().configure({});  // leave the process clean

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "collusion/whitewashing.hpp"
 #include "core/socialtrust.hpp"
 #include "reputation/beta.hpp"
@@ -79,6 +86,69 @@ TEST(ForgetNode, PluginForgetsRatingHistoryToo) {
 TEST(ForgetNode, OutOfRangeThrows) {
   reputation::EbayReputation ebay(2);
   EXPECT_THROW(ebay.forget_node(7), std::out_of_range);
+}
+
+TEST(ForgetNode, PluginRejectsUnknownIdsWithoutSideEffects) {
+  // Every inner system throws before the plugin touches its own state (or
+  // queues a cache invalidation), so an unknown id leaves no trace: the
+  // next interval is bit-identical to a twin that never saw the call.
+  constexpr std::size_t kN = 6;
+  graph::SocialGraph g(kN);
+  g.add_relationship(0, 1, graph::Relationship::kFriendship);
+  g.add_relationship(1, 2, graph::Relationship::kFriendship);
+  g.add_relationship(3, 4, graph::Relationship::kColleague);
+  core::InterestProfiles p(kN, 3);
+  const std::vector<NodeId> pretrusted = {0};
+  const std::vector<std::function<
+      std::unique_ptr<reputation::ReputationSystem>()>>
+      inners = {
+          [&] { return std::make_unique<reputation::EbayReputation>(kN); },
+          [&] {
+            return std::make_unique<reputation::EigenTrust>(kN, pretrusted);
+          },
+          [&] {
+            return std::make_unique<reputation::PaperEigenTrust>(kN,
+                                                                 pretrusted);
+          },
+          [&] { return std::make_unique<reputation::BetaReputation>(kN); }};
+  std::vector<Rating> first, second;
+  for (int k = 0; k < 12; ++k) {
+    first.push_back(make(1, 2, 1.0));
+    first.push_back(make(2, 1, 1.0));
+    second.push_back(make(3, 4, k % 3 == 0 ? -1.0 : 1.0));
+  }
+  first.push_back(make(0, 3, 1.0));
+  second.push_back(make(1, 2, 1.0));
+  for (const auto& make_inner : inners) {
+    for (NodeId bad : {static_cast<NodeId>(kN), NodeId{0xFFFFFFFFU}}) {
+      core::SocialTrustPlugin plugin(make_inner(), g, p);
+      core::SocialTrustPlugin twin(make_inner(), g, p);
+      SCOPED_TRACE(std::string(plugin.name()) + " id " + std::to_string(bad));
+      plugin.update(first);
+      twin.update(first);
+      EXPECT_THROW(plugin.forget_node(bad), std::out_of_range);
+      plugin.update(second);
+      twin.update(second);
+      const auto got = plugin.last_adjusted();
+      const auto want = twin.last_adjusted();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+                  std::bit_cast<std::uint64_t>(want[i].value))
+            << "rating " << i;
+      }
+      for (NodeId v = 0; v < kN; ++v) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(plugin.reputation(v)),
+                  std::bit_cast<std::uint64_t>(twin.reputation(v)))
+            << "node " << v;
+      }
+      EXPECT_EQ(plugin.last_report().pairs_flagged,
+                twin.last_report().pairs_flagged);
+      EXPECT_EQ(plugin.social_cache().size(), twin.social_cache().size());
+      EXPECT_EQ(plugin.social_cache().stats().invalidations,
+                twin.social_cache().stats().invalidations);
+    }
+  }
 }
 
 // --- SocialGraph::clear_node / profiles ------------------------------------------
