@@ -23,14 +23,6 @@
 //                     obs layer is observation-only; docs/OBSERVABILITY.md)
 //   --obs-out <path>  as --obs, streaming the enabled runs' interval
 //                     events to <path> as JSONL
-//   --dirty           additionally benchmark the dirty-pair scheduler
-//                     (DESIGN.md §14): one cold interval then warm
-//                     intervals under rating + relationship churn on
-//                     well under 10% of the pair population, kFullWalk
-//                     vs kDirtyPairs wall-clock, reports cross-checked
-//   --dirty-json <path>  write the --dirty section as JSON (the
-//                     BENCH_dirty_pairs.json artifact; implies --dirty)
-//   --dirty-intervals <n>  warm intervals per schedule (default 4)
 //
 // Speedup rows are timing SIGNAL only when the machine can actually run
 // the requested workers in parallel: when `threads` exceeds the hardware
@@ -161,97 +153,6 @@ struct Row {
   /// measures oversubscription, not parallel speedup, and only the
   /// determinism column is signal.
   bool informational = false;
-};
-
-// --- --dirty scheduler section ----------------------------------------------
-
-/// One schedule's run over the same deterministic interval sequence:
-/// interval 0 is cold (both schedules pay the full per-pair walk), warm
-/// intervals re-submit the same rating stream under small churn.
-struct DirtyRun {
-  std::vector<double> interval_ms;
-  std::vector<AdjustmentReport> reports;
-  std::size_t pairs = 0;
-  std::size_t last_pairs_dirty = 0;
-  std::size_t last_pairs_carried = 0;
-};
-
-/// Rebuilds the workload from the seed (so kFullWalk and kDirtyPairs see
-/// bit-identical state sequences) and drives `intervals` updates through
-/// one persistent plugin. Warm-interval churn touches well under 10% of
-/// the pair population: ~2% of nodes record a fresh interaction (dirtying
-/// their outgoing pairs and any entry they witness) and ~0.2% gain or
-/// lose a relationship (dirtying structure-witnessed and path-backed
-/// entries).
-DirtyRun run_dirty_schedule(std::size_t n, std::uint64_t seed,
-                            st::core::UpdateSchedule schedule,
-                            std::size_t intervals) {
-  st::stats::Rng rng(seed);
-  Workload w = make_workload(n, rng);
-  SocialTrustConfig cfg;
-  cfg.threads = 1;
-  cfg.schedule = schedule;
-  SocialTrustPlugin plugin(
-      std::make_unique<st::reputation::EbayReputation>(n), w.graph,
-      w.profiles, cfg);
-
-  DirtyRun out;
-  st::stats::Rng churn_rng(seed ^ 0x517cc1b727220a95ULL);
-  for (std::size_t t = 0; t < intervals; ++t) {
-    if (t > 0) {
-      const std::size_t interaction_churn = std::max<std::size_t>(1, n / 50);
-      for (std::size_t i = 0; i < interaction_churn; ++i) {
-        const auto a = static_cast<NodeId>(churn_rng.index(n));
-        const auto b =
-            static_cast<NodeId>((a + 3 + churn_rng.index(7)) % n);
-        w.graph.record_interaction(a, b);
-      }
-      // Relationship churn on *existing* edges: toggle a second type on
-      // a random node's first neighbour. Types strengthen and weaken
-      // across intervals (bumping structure revisions and invalidating
-      // the touched closeness entries) while the adjacency itself stays
-      // put — matching the paper's model, where the relationship network
-      // is long-lived and edge additions are rare setup/rewire events,
-      // not steady-state churn. (A single brand-new adjacency would
-      // exactly invalidate every cached shortest path, as it must.)
-      const std::size_t edge_churn = std::max<std::size_t>(1, n / 500);
-      for (std::size_t i = 0; i < edge_churn; ++i) {
-        const auto a = static_cast<NodeId>(churn_rng.index(n));
-        const auto neighbors = w.graph.neighbors(a);
-        if (neighbors.empty()) continue;
-        const NodeId b = neighbors[0];
-        if (churn_rng.bernoulli(0.5)) {
-          w.graph.add_relationship(a, b,
-                                   st::graph::Relationship::kColleague);
-        } else {
-          w.graph.remove_relationship(a, b,
-                                      st::graph::Relationship::kColleague);
-        }
-      }
-    }
-    const auto start = std::chrono::steady_clock::now();
-    plugin.update(w.ratings);
-    const auto stop = std::chrono::steady_clock::now();
-    out.interval_ms.push_back(
-        std::chrono::duration<double, std::milli>(stop - start).count());
-    out.reports.push_back(plugin.last_report());
-    out.pairs = plugin.last_report().pairs_total;
-    out.last_pairs_dirty = plugin.last_dirty_stats().pairs_dirty;
-    out.last_pairs_carried = plugin.last_dirty_stats().pairs_carried;
-  }
-  return out;
-}
-
-struct DirtyRow {
-  std::size_t nodes = 0;
-  std::size_t pairs = 0;
-  double cold_ms = 0.0;
-  double full_warm_ms = 0.0;
-  double dirty_warm_ms = 0.0;
-  double speedup = 0.0;
-  std::size_t pairs_dirty = 0;
-  std::size_t pairs_carried = 0;
-  bool identical = true;
 };
 
 // --- --obs overhead section -------------------------------------------------
@@ -476,93 +377,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --dirty: full-walk vs dirty-pair scheduler across warm intervals.
-  std::vector<DirtyRow> dirty_rows;
-  bool dirty_identical = true;
-  const std::string dirty_json = args.get_or("dirty-json", "");
-  const std::size_t dirty_intervals = 1 +  // cold interval
-      static_cast<std::size_t>(args.get_int("dirty-intervals", 4));
-  if (args.has("dirty") || !dirty_json.empty()) {
-    std::cout << "--- dirty-pair scheduler (cold + "
-              << dirty_intervals - 1
-              << " warm intervals; <10% pair churn; threads=1) ---\n";
-    for (std::size_t n : node_counts) {
-      DirtyRun full = run_dirty_schedule(
-          n, seed, st::core::UpdateSchedule::kFullWalk, dirty_intervals);
-      DirtyRun dirty = run_dirty_schedule(
-          n, seed, st::core::UpdateSchedule::kDirtyPairs, dirty_intervals);
-
-      DirtyRow row;
-      row.nodes = n;
-      row.pairs = full.pairs;
-      row.cold_ms = full.interval_ms.front();
-      row.full_warm_ms = full.interval_ms.back();
-      row.dirty_warm_ms = dirty.interval_ms.back();
-      for (std::size_t t = 1; t < dirty_intervals; ++t) {
-        row.full_warm_ms = std::min(row.full_warm_ms, full.interval_ms[t]);
-        row.dirty_warm_ms = std::min(row.dirty_warm_ms, dirty.interval_ms[t]);
-      }
-      row.speedup = row.dirty_warm_ms > 0.0
-                        ? row.full_warm_ms / row.dirty_warm_ms
-                        : 0.0;
-      row.pairs_dirty = dirty.last_pairs_dirty;
-      row.pairs_carried = dirty.last_pairs_carried;
-      for (std::size_t t = 0; t < dirty_intervals; ++t) {
-        row.identical =
-            row.identical && reports_match(full.reports[t], dirty.reports[t]);
-      }
-      dirty_identical = dirty_identical && row.identical;
-      dirty_rows.push_back(row);
-    }
-
-    st::util::Table dirty_table({"nodes", "pairs", "cold ms", "full warm ms",
-                                 "dirty warm ms", "speedup", "dirty",
-                                 "carried", "identical"});
-    for (const DirtyRow& r : dirty_rows) {
-      dirty_table.add_row(
-          {std::to_string(r.nodes), std::to_string(r.pairs),
-           st::util::fmt(r.cold_ms, 2), st::util::fmt(r.full_warm_ms, 2),
-           st::util::fmt(r.dirty_warm_ms, 2), st::util::fmt(r.speedup, 2),
-           std::to_string(r.pairs_dirty), std::to_string(r.pairs_carried),
-           r.identical ? "yes" : "NO (BUG)"});
-    }
-    std::cout << dirty_table.to_string() << "\n";
-    if (!dirty_identical) {
-      std::cout << "DETERMINISM VIOLATION: dirty-pair scheduler diverged "
-                   "from the full walk\n";
-    }
-
-    if (!dirty_json.empty()) {
-      std::ofstream out(dirty_json);
-      if (!out) {
-        std::cerr << "cannot open " << dirty_json << " for writing\n";
-        return 2;
-      }
-      out << "{\n  \"bench\": \"bench_parallel_update --dirty\",\n"
-          << "  \"seed\": " << seed << ",\n"
-          << "  \"warm_intervals\": " << dirty_intervals - 1 << ",\n"
-          << "  \"hardware_threads\": " << hardware_threads << ",\n"
-          << "  \"churn\": \"per warm interval: n/50 nodes record a fresh "
-             "interaction, n/500 nodes toggle a relationship type on an "
-             "existing edge (adjacency unchanged)\",\n"
-          << "  \"reports_identical_full_vs_dirty\": "
-          << (dirty_identical ? "true" : "false") << ",\n  \"results\": [\n";
-      for (std::size_t i = 0; i < dirty_rows.size(); ++i) {
-        const DirtyRow& r = dirty_rows[i];
-        out << "    {\"nodes\": " << r.nodes << ", \"pairs\": " << r.pairs
-            << ", \"cold_ms\": " << st::util::fmt(r.cold_ms, 3)
-            << ", \"full_warm_ms\": " << st::util::fmt(r.full_warm_ms, 3)
-            << ", \"dirty_warm_ms\": " << st::util::fmt(r.dirty_warm_ms, 3)
-            << ", \"speedup\": " << st::util::fmt(r.speedup, 3)
-            << ", \"pairs_dirty\": " << r.pairs_dirty
-            << ", \"pairs_carried\": " << r.pairs_carried << "}"
-            << (i + 1 < dirty_rows.size() ? "," : "") << "\n";
-      }
-      out << "  ]\n}\n";
-      std::cout << "(dirty json: " << dirty_json << ")\n";
-    }
-  }
-
   if (auto json_path = args.get("json"); json_path && !json_path->empty()) {
     std::ofstream out(*json_path);
     if (!out) {
@@ -601,5 +415,5 @@ int main(int argc, char** argv) {
     out << "\n}\n";
     std::cout << "(json: " << *json_path << ")\n";
   }
-  return all_identical && obs_identical && dirty_identical ? 0 : 1;
+  return all_identical && obs_identical ? 0 : 1;
 }

@@ -1,7 +1,9 @@
 #pragma once
 // SocialTrust configuration: every threshold and variant knob from
 // Section 4 of the paper in one aggregate, so experiments and ablations can
-// be expressed as config deltas.
+// be expressed as config deltas. The only execution knob is `threads`:
+// update() has one pipeline, which walks every active pair of the
+// interval (DESIGN.md §14).
 
 #include <cstddef>
 #include <cstdint>
@@ -44,22 +46,6 @@ enum class BaselineSource : std::uint8_t {
   /// idiosyncrasy. Taking the minimum weight is robust to both; this is
   /// the default.
   kHybrid,
-};
-
-/// How update() schedules the per-pair coefficient work across intervals
-/// (DESIGN.md §14).
-enum class UpdateSchedule : std::uint8_t {
-  /// Recompute closeness/similarity for every active pair each interval.
-  /// This is the exact-by-construction oracle the differential test
-  /// harness compares the dirty scheduler against.
-  kFullWalk,
-  /// Carry clean pairs' coefficients and per-rater leave-one-out
-  /// aggregates forward across intervals and recompute only the pairs
-  /// whose cached social state was invalidated since the last interval.
-  /// Bit-identical to kFullWalk at every thread count (the carried values
-  /// are exactly what a recompute would return while their revision
-  /// witnesses hold); only the cost differs. Default.
-  kDirtyPairs,
 };
 
 struct SocialTrustConfig {
@@ -116,25 +102,6 @@ struct SocialTrustConfig {
   /// every value: work is split into fixed-size pair blocks and reduced in
   /// block-index order regardless of the worker count.
   std::size_t threads = 1;
-
-  /// Per-pair work scheduling across update intervals. kDirtyPairs (the
-  /// default) maintains a persistent dirty-pair worklist — pairs with new
-  /// ratings plus pairs whose cached closeness/similarity witnesses were
-  /// invalidated by graph/profile revision bumps — and carries every
-  /// clean pair forward; kFullWalk recomputes every active pair and
-  /// serves as the differential-test oracle. Outputs are bit-identical
-  /// either way (tests/incremental_state_test.cpp pins this).
-  UpdateSchedule schedule = UpdateSchedule::kDirtyPairs;
-
-  /// Generation-based eviction for the social-state cache's value layer
-  /// (closeness/similarity memos). 0 (default) = never evict; n > 0 =
-  /// at the top of each update interval, drop value entries no lookup
-  /// has touched for more than n consecutive intervals. Structure
-  /// entries (common-friend sets, BFS paths) are never swept. Purely a
-  /// memory/recompute trade on long runs: an evicted entry is recomputed
-  /// through the identical code path, so results are bit-for-bit
-  /// unchanged at any setting.
-  std::size_t cache_evict_intervals = 0;
 };
 
 }  // namespace st::core

@@ -9,6 +9,11 @@
 //   3. runs the B1-B4 detector on every high-frequency pair,
 //   4. rescales flagged ratings with the Gaussian filter (Eqs. 6/8/9),
 //   5. hands the adjusted rating stream to the wrapped system.
+// Every step walks every active pair of the interval; nothing is carried
+// from one interval to the next except the cumulative rated history and
+// the social-state cache below. In the paper's model every rating is also
+// an interaction, so every active rater's closeness row goes stale each
+// interval and there is nothing else to carry (DESIGN.md §14).
 //
 // The plugin is itself a ReputationSystem, so "EigenTrust + SocialTrust"
 // and "eBay + SocialTrust" are literally `SocialTrustPlugin(EigenTrust)` /
@@ -31,26 +36,10 @@
 // and profiles — an entry is reused iff re-deriving it would read the same
 // state, so warm results stay bit-identical to a cold recompute while the
 // expensive BFS / friend-of-friend work is only redone for pairs whose
-// social neighbourhood actually changed (DESIGN.md §13).
-//
-// Dirty-pair scheduling: with SocialTrustConfig::schedule == kDirtyPairs
-// (the default) the interval is O(changed), not O(all pairs). Every
-// cumulative (rater, ratee) pair owns a stable dense *slot* id (assigned
-// when the pair first appears in rated_history_, never reused), and the
-// per-pair closeness/similarity coefficients and per-rater leave-one-out
-// aggregates persist across intervals in slot-indexed arrays. Each
-// interval the plugin asks the cache which value keys went dirty since
-// the last interval (collect_dirty: erase logs + epoch-gated witness
-// sweep) and marks only those slots invalid; every clean pair carries
-// its coefficients forward with one array read — no hashing, no sort
-// (the canonical pair order falls out of walking raters ascending and
-// their sorted histories), and no sharded-cache traffic. Detection, the
-// robust system-wide baselines and the Gaussian adjustment still run
-// over *all* active pairs from the (identical) coefficient arrays, so
-// the output is bit-identical to schedule == kFullWalk at every thread
-// count — the property the differential harness in
-// tests/incremental_state_test.cpp and tests/dirty_pair_property_test.cpp
-// pins down. See DESIGN.md §14.
+// social neighbourhood actually changed (DESIGN.md §13). The cold-vs-warm
+// gates in tests/incremental_state_test.cpp and
+// tests/warm_cold_property_test.cpp pin that bit-identity at every
+// interval and thread count.
 //
 // Observability: when the st::obs layer is enabled, update() times its
 // four stages (invalidate / collect / leave-one-out / adjust), tallies
@@ -130,16 +119,17 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// with 0 resolved to hardware concurrency).
   std::size_t effective_threads() const noexcept;
 
-  /// What the dirty-pair scheduler did in the last update() — cost-side
-  /// diagnostics only; never part of the bit-identity contract (the
-  /// differential tests compare AdjustmentReport, which deliberately
-  /// excludes these). Under kFullWalk every active pair counts as dirty.
+  /// The last update()'s work counts in the shape the deleted dirty-pair
+  /// scheduler reported them: every active pair is recomputed through the
+  /// cache and every active rater's leave-one-out aggregates are rebuilt,
+  /// so both carried counts are always 0. Kept only because the cycle
+  /// benchmark (perfbench/simbench.cpp) still reads it; it goes when a
+  /// benchmark change retires the metrics built on it.
   struct DirtyStats {
-    std::size_t pairs_dirty = 0;    ///< pairs recomputed through the cache
-    std::size_t pairs_carried = 0;  ///< pairs served from carried state
-    std::size_t raters_rebuilt = 0;  ///< LOO aggregates rebuilt
-    std::size_t raters_carried = 0;  ///< LOO aggregates carried forward
-    double scan_us = 0.0;  ///< collect_dirty + worklist application time
+    std::size_t pairs_dirty = 0;     ///< active pairs (all recomputed)
+    std::size_t pairs_carried = 0;   ///< always 0
+    std::size_t raters_rebuilt = 0;  ///< active raters (all rebuilt)
+    std::size_t raters_carried = 0;  ///< always 0
   };
   const DirtyStats& last_dirty_stats() const noexcept { return dirty_stats_; }
 
@@ -187,9 +177,10 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// negative rating counts t+/t- (the detector's frequency inputs, kept
   /// as doubles because thresholds are fractional multiples of the system
   /// average F), plus the indices of this pair's ratings in the
-  /// interval's stream. The index list is what makes the parallel
-  /// detect-and-adjust pass race-free: a rating index appears in exactly
-  /// one pair's list, so rescaling writes to adjusted_ are disjoint.
+  /// interval's stream, in stream order. The index list is what makes the
+  /// parallel detect-and-adjust pass race-free: a rating index appears in
+  /// exactly one pair's list, so rescaling writes to adjusted_ are
+  /// disjoint.
   struct PairTally {
     double positive = 0.0;
     double negative = 0.0;
@@ -265,59 +256,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// clears it. No-op while nothing is queued.
   void drain_invalidations() const;
 
-  /// Carried per-pair coefficients of the dirty scheduler. slot_valid_
-  /// is set iff the slot's pair was computed in some earlier interval
-  /// and no dirty key (or history edit) has hit it since, so its values
-  /// are exactly what closeness_cached/similarity_of would return today
-  /// (the cache's revision-witness contract). Only the coordinator
-  /// mutates validity (clear on dirty, set after the recompute pass);
-  /// the parallel carry pass does read-only indexed loads.
-  struct PairCoeff {
-    double closeness = 0.0;
-    double similarity = 0.0;
-  };
-
-  /// Dirty-mode slot plumbing. hist_slots_[r][k] is the stable slot id
-  /// of pair (r, rated_history_[r][k]) — parallel to rated_history_, so
-  /// a history insertion inserts a fresh id at the same position and no
-  /// existing slot ever moves or remaps. Slots freed by forget_node leak
-  /// (marked invalid, never reused); bounded by total distinct pairs
-  /// ever rated, the same asymptote as rated_history_ itself.
-  std::vector<std::vector<std::uint32_t>> hist_slots_;
-  std::vector<PairCoeff> slot_coeff_;     ///< carried coefficients
-  std::vector<std::uint8_t> slot_valid_;  ///< 1 = slot_coeff_ is current
-
-  /// Per-slot interval scratch, stamp-gated by interval_seq_ so nothing
-  /// is cleared between intervals: a slot's tally fields are meaningful
-  /// iff slot_stamp_[slot] == interval_seq_ (i.e. the pair was rated in
-  /// the current interval).
-  std::vector<std::uint64_t> slot_stamp_;
-  std::vector<double> slot_pos_, slot_neg_;      ///< interval t+/t- tallies
-  std::vector<std::uint32_t> slot_ratings_;      ///< interval rating count
-  std::vector<std::uint32_t> slot_active_idx_;   ///< slot -> active index
-  std::uint64_t interval_seq_ = 0;
-
-  /// Appends a fresh slot (invalid, unstamped) and returns its id.
-  std::uint32_t new_slot();
-  /// The slot of pair (rater, ratee), or kNoSlot when the ratee is not in
-  /// the rater's history.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFU;
-  std::uint32_t slot_of(reputation::NodeId rater,
-                        reputation::NodeId ratee) const noexcept;
-
-  /// Carried per-rater leave-one-out aggregates (indexed by rater id).
-  /// valid means: rebuilt over the rater's current rated_history_ with
-  /// coefficients no dirty key has touched since — so a rebuild would
-  /// replay the identical add() sequence and produce the identical
-  /// struct. Invalidated by history growth (pass 1), history shrink
-  /// (forget_node) and dirty closeness/similarity keys naming the rater.
-  struct RaterAggregates {
-    LooAggregate closeness;
-    LooAggregate similarity;
-    bool valid = false;
-  };
-  std::vector<RaterAggregates> rater_agg_;
-
   // Per-update scratch (rebuilt each call).
   std::vector<reputation::Rating> adjusted_;
   AdjustmentReport report_;
@@ -346,9 +284,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     obs::Counter* pairs_total = nullptr;   ///< socialtrust.pairs_total
     obs::Counter* pairs_flagged = nullptr;  ///< socialtrust.pairs_flagged
     obs::Counter* ratings_adjusted = nullptr;  ///< socialtrust.ratings_adjusted
-    obs::Counter* pairs_dirty = nullptr;    ///< socialtrust.pairs_dirty
-    obs::Counter* pairs_carried = nullptr;  ///< socialtrust.pairs_carried
-    obs::Histogram* dirty_scan_us = nullptr;  ///< socialtrust.dirty_scan_us
     obs::Gauge* cache_hit_rate = nullptr;  ///< social_cache.hit_rate_pct
   };
   ObsHandles obs_;

@@ -618,7 +618,7 @@ std::optional<std::vector<NodeId>> SocialGraph::shortest_path(
   const std::optional<Meeting> m = meet_in_the_middle(s, rows, a, b, max_hops);
   if (!m) return std::nullopt;
   // The lexicographically smallest shortest path, which is exactly what
-  // the forward FIFO BFS returns (DESIGN.md §14/§15): the lex-min path
+  // the forward FIFO BFS returns (DESIGN.md §13/§15): the lex-min path
   // to `via` along the forward parent links, then from `via` the
   // smallest-id neighbour one backward level nearer `b` at every step
   // (rows ascend, so the first hit is the smallest).

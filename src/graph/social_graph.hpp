@@ -163,7 +163,7 @@ class SocialGraph {
   /// (today a meet-in-the-middle search, DESIGN.md §15). Cached path
   /// entries rely on that: the path can change only through an edit at
   /// one of its own nodes or a brand-new adjacency somewhere
-  /// (edge_addition_epoch(), DESIGN.md §14). It is direction-dependent:
+  /// (edge_addition_epoch(), DESIGN.md §13). It is direction-dependent:
   /// shortest_path(b, a) need not be the reverse.
   std::optional<std::vector<NodeId>> shortest_path(
       NodeId a, NodeId b, std::size_t max_hops = 6) const;

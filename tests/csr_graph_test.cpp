@@ -296,7 +296,7 @@ TEST(CsrEquivalence, CsrFootprintBeatsReferenceOnGeneratedGraph) {
 
 // ---------------------------------------------------------------------------
 // Meet-in-the-middle shortest path vs the reference's forward FIFO BFS
-// (DESIGN.md §14/§15): the same lexicographically smallest shortest path,
+// (DESIGN.md §13/§15): the same lexicographically smallest shortest path,
 // at every hop cap, on graphs large enough for the search to matter.
 
 /// What a batch of sampled path queries exercised.

@@ -196,10 +196,10 @@ TEST(EdgeReputation, EigenTrustSelfRatingsOnly) {
 
 // One NaN or infinite rating in a stream must leave every reputation
 // exactly as the stream without it would, for each inner system on its
-// own and behind the plugin under both schedules. The rating goes on a
-// pair (3 -> 5) that is rated again, finitely, in the second interval, so
-// a value that slipped into any carried state would still show there.
-enum class Wrap { kBare, kFullWalk, kDirtyPairs };
+// own and behind the plugin. The rating goes on a pair (3 -> 5) that is
+// rated again, finitely, in the second interval, so a value that slipped
+// into any state kept across intervals would still show there.
+enum class Wrap { kBare, kPlugin };
 
 using NonFiniteParam = std::tuple<int, Wrap, double>;
 
@@ -238,11 +238,8 @@ class NonFiniteRating : public ::testing::TestWithParam<NonFiniteParam> {
         break;
     }
     if (wrap == Wrap::kBare) return inner;
-    core::SocialTrustConfig cfg;
-    cfg.schedule = wrap == Wrap::kFullWalk ? core::UpdateSchedule::kFullWalk
-                                           : core::UpdateSchedule::kDirtyPairs;
     return std::make_unique<core::SocialTrustPlugin>(std::move(inner), graph_,
-                                                     profiles_, cfg);
+                                                     profiles_);
   }
 
   // Interval t: a ring of +1 ratings, a high-frequency pair 7 <-> 8 for
@@ -300,7 +297,7 @@ std::string non_finite_name(
     const ::testing::TestParamInfo<NonFiniteParam>& param_info) {
   constexpr const char* kModels[] = {"Ebay", "EigenTrust", "PaperEigenTrust",
                                      "Beta"};
-  constexpr const char* kWraps[] = {"Bare", "FullWalk", "DirtyPairs"};
+  constexpr const char* kWraps[] = {"Bare", "Plugin"};
   const auto [model, wrap, bad] = param_info.param;
   return std::string(kModels[model]) + "_" +
          kWraps[static_cast<int>(wrap)] + "_" +
@@ -311,7 +308,7 @@ INSTANTIATE_TEST_SUITE_P(
     SystemsAndValues, NonFiniteRating,
     ::testing::Combine(
         ::testing::Values(0, 1, 2, 3),
-        ::testing::Values(Wrap::kBare, Wrap::kFullWalk, Wrap::kDirtyPairs),
+        ::testing::Values(Wrap::kBare, Wrap::kPlugin),
         ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
                           std::numeric_limits<double>::infinity(),
                           -std::numeric_limits<double>::infinity())),

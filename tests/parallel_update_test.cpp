@@ -252,8 +252,7 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
       ADD_FAILURE() << "socialtrust.update lacks " << name;
       return 0.0;
     };
-    EXPECT_LE(extra("tally_us") + extra("dirty_scan_us") + extra("coeff_us") +
-                  extra("baseline_us"),
+    EXPECT_LE(extra("tally_us") + extra("coeff_us") + extra("baseline_us"),
               extra("collect_us") + 1e-6)
         << "interval " << snap.sequence;
     EXPECT_LE(extra("invalidate_us") + extra("collect_us") + extra("loo_us") +

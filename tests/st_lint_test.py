@@ -725,15 +725,16 @@ void f() {
 
 
 class WorklistShapeTests(LintFixtureCase):
-    """The dirty-pair worklist shapes (DESIGN.md §14): the cache sweep
-    walks index refs and erases stale entries under a shard lock, staging
-    swept keys into a pre-sized buffer; index rebuilds flatten-and-sort
-    the unordered map's keys before re-emitting refs. These fixtures pin
-    that the engine accepts exactly those shapes and still rejects their
-    naive variants."""
+    """The shapes of the deleted dirty-pair worklist (DESIGN.md §14
+    records its removal), kept as rule fixtures: the cache sweep walked
+    index refs and erased stale entries under a shard lock, staging
+    swept keys into a pre-sized buffer; index rebuilds flattened and
+    sorted the unordered map's keys before re-emitting refs. These
+    fixtures pin that the engine accepts exactly those shapes and still
+    rejects their naive variants."""
 
     def test_staged_sweep_walk_passes(self) -> None:
-        # The collect_dirty shape: find/erase under the lock are fine, the
+        # The sweep's shape: find/erase under the lock are fine, the
         # swept keys land in a pre-sized buffer (no allocation in-loop)
         # and are bulk-appended in a single statement.
         f = self.write("src/core/ok.cpp", """
