@@ -2,8 +2,8 @@
 // SocialTrust configuration: every threshold and variant knob from
 // Section 4 of the paper in one aggregate, so experiments and ablations can
 // be expressed as config deltas. The only execution knob is `threads`:
-// update() has one pipeline, which walks every active pair of the
-// interval (DESIGN.md §14).
+// update() has one pipeline, which walks every active rater's cumulative
+// row once per interval (DESIGN.md §11, §14).
 
 #include <cstddef>
 #include <cstdint>
@@ -95,12 +95,13 @@ struct SocialTrustConfig {
   double lambda = 0.8;
 
   // --- Execution ---
-  /// Worker threads for the per-interval adjustment passes (closeness/
-  /// similarity baseline collection, per-rater leave-one-out aggregates,
-  /// detect-and-adjust). 1 = serial (default), 0 = hardware concurrency,
-  /// n > 1 = a pool of n workers. The result is bit-for-bit identical for
-  /// every value: work is split into fixed-size pair blocks and reduced in
-  /// block-index order regardless of the worker count.
+  /// Worker threads for the two per-interval passes (the rater walk —
+  /// each active rater's closeness/similarity row and leave-one-out
+  /// aggregates — then detect-and-adjust). 1 = serial (default), 0 =
+  /// hardware concurrency, n > 1 = a pool of n workers. The result is
+  /// bit-for-bit identical for every value: work is split into fixed-size
+  /// rater or pair blocks and reduced in block-index order regardless of
+  /// the worker count.
   std::size_t threads = 1;
 };
 

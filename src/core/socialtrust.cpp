@@ -41,7 +41,6 @@ SocialTrustPlugin::SocialTrustPlugin(
   obs_.tally_us = &registry.histogram("socialtrust.update.tally_us");
   obs_.coeff_us = &registry.histogram("socialtrust.update.coeff_us");
   obs_.baseline_us = &registry.histogram("socialtrust.update.baseline_us");
-  obs_.loo_us = &registry.histogram("socialtrust.update.loo_us");
   obs_.adjust_us = &registry.histogram("socialtrust.update.adjust_us");
   obs_.intervals = &registry.counter("socialtrust.intervals");
   obs_.ratings_seen = &registry.counter("socialtrust.ratings_seen");
@@ -114,32 +113,29 @@ CoefficientStats SocialTrustPlugin::LooAggregate::full() const noexcept {
 
 // --- helpers ----------------------------------------------------------------
 
-double SocialTrustPlugin::closeness_cached(NodeId i, NodeId j) const {
+double SocialTrustPlugin::closeness_of(NodeId i, NodeId j) const {
   return social_cache_.closeness(closeness_model_, graph_, i, j);
 }
 
 double SocialTrustPlugin::similarity_of(NodeId i, NodeId j) const {
-  return social_cache_.similarity(profiles_, i, j, config_.weighted_interests);
-}
-
-SocialTrustPlugin::LooAggregate SocialTrustPlugin::aggregate_over(
-    NodeId rater, const std::vector<NodeId>& ratees, bool closeness) const {
-  LooAggregate agg;
-  for (NodeId j : ratees) {
-    agg.add(closeness ? closeness_cached(rater, j) : similarity_of(rater, j));
-  }
-  return agg;
+  // Every similarity variant is symmetric term by term (ascending merge of
+  // the two interest sets, min()/count per term), so the canonical
+  // (min, max) orientation is bit-identical to either asked-for one.
+  const NodeId lo = std::min(i, j);
+  const NodeId hi = std::max(i, j);
+  return config_.weighted_interests ? profiles_.weighted_similarity(lo, hi)
+                                    : profiles_.similarity(lo, hi);
 }
 
 // --- update -----------------------------------------------------------------
 
 void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
-  // Stage timers (no-ops when st::obs is disabled). The four stage
+  // Stage timers (no-ops when st::obs is disabled). The three stage
   // spans cover: invalidate = the queued whitewash invalidations;
-  // collect = pair tally + sort + coefficient collection + system
-  // baseline; loo = per-rater leave-one-out aggregates; adjust =
+  // collect = pair tally + sort + rater walk + system baseline; adjust =
   // detect-and-adjust + ordered reduction. Inside collect, tally (pass 1),
-  // coeff (pass 3a) and baseline (pass 3b) time its sub-stages.
+  // coeff (the rater walk, pass 3) and baseline (pass 4) time its
+  // sub-stages.
   obs::ScopedTimer total_timer(*obs_.total_us);
 
   // 0. Erase the cache entries of every identity forget_node discarded
@@ -149,12 +145,12 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   const double invalidate_us = invalidate_timer.stop();
 
   obs::ScopedTimer collect_timer(*obs_.collect_us);
-  double collect_us = 0.0, loo_us = 0.0, adjust_us = 0.0;
+  double collect_us = 0.0, adjust_us = 0.0;
   double tally_us = 0.0, coeff_us = 0.0, baseline_us = 0.0;
 
   // No cache wipe here: social_cache_ persists across intervals and
-  // revalidates each entry against graph/profile revisions, so values
-  // whose social neighbourhood is unchanged since the last interval are
+  // revalidates each entry against graph structure revisions, so common
+  // sets and paths whose topology is unchanged since the last interval are
   // served without redoing the BFS / friend-of-friend work.
   adjusted_.assign(cycle_ratings.begin(), cycle_ratings.end());
   report_ = AdjustmentReport{};
@@ -210,19 +206,56 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   double avg_freq =
       n_pairs == 0 ? 0.0 : total_count / static_cast<double>(n_pairs);
 
-  // 3a. Pair coefficients through the cache (parallel; each index writes
-  // only its own slot).
+  // 3. The rater walk: one pass per active rater over its sorted
+  // cumulative rated set (parallel over raters; each rater is walked by
+  // one thread and owns its aggregates and its run of pair slots, so
+  // every write is scheduling-free). Each (rater, ratee) coefficient is
+  // evaluated once. It enters the rater's leave-one-out aggregates in
+  // rated_history_ order, and a merge against the rater's sorted run of
+  // `work` stores it in the pair's slot when the ratee is active this
+  // interval (pass 1 put every active ratee in the history).
+  // kSystemWide reads no per-rater aggregate, so its walk visits only the
+  // active ratees.
   obs::ScopedTimer coeff_timer(*obs_.coeff_us);
+  const bool use_per_rater = config_.baseline != BaselineSource::kSystemWide;
+  // runs[r] .. runs[r + 1] is the r-th active rater's run of `work`.
+  std::vector<std::size_t> runs;
+  for (std::size_t i = 0; i < n_pairs; ++i) {
+    if (i == 0 || work[i].key.rater != work[i - 1].key.rater) runs.push_back(i);
+  }
+  const std::size_t n_raters = runs.size();
+  runs.push_back(n_pairs);
   std::vector<double> pair_c(n_pairs), pair_s(n_pairs);
-  run_blocks(n_pairs, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      pair_c[i] = closeness_cached(work[i].key.rater, work[i].key.ratee);
-      pair_s[i] = similarity_of(work[i].key.rater, work[i].key.ratee);
+  std::vector<LooAggregate> rater_c_agg(use_per_rater ? n_raters : 0);
+  std::vector<LooAggregate> rater_s_agg(use_per_rater ? n_raters : 0);
+  run_blocks(n_raters, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      const NodeId rater = work[runs[r]].key.rater;
+      if (!use_per_rater) {
+        for (std::size_t i = runs[r]; i < runs[r + 1]; ++i) {
+          pair_c[i] = closeness_of(rater, work[i].key.ratee);
+          pair_s[i] = similarity_of(rater, work[i].key.ratee);
+        }
+        continue;
+      }
+      std::size_t next = runs[r];  // the rater's next active pair
+      for (NodeId ratee : rated_history_[rater]) {
+        const double c = closeness_of(rater, ratee);
+        const double s = similarity_of(rater, ratee);
+        rater_c_agg[r].add(c);
+        rater_s_agg[r].add(s);
+        if (next < runs[r + 1] && work[next].key.ratee == ratee) {
+          pair_c[next] = c;
+          pair_s[next] = s;
+          ++next;
+        }
+      }
     }
   });
+  dirty_stats_ = DirtyStats{n_pairs, 0, use_per_rater ? n_raters : 0, 0};
   coeff_us = coeff_timer.stop();
 
-  // 3b. Gaussian baseline statistics.
+  // 4. Gaussian baseline statistics.
   // System-wide aggregates over this interval's active pairs serve either
   // as the primary baseline (BaselineSource::kSystemWide — the paper's
   // "empirical" alternative), as the hybrid's second opinion, or as the
@@ -238,35 +271,8 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   baseline_us = baseline_timer.stop();
   collect_us = collect_timer.stop();
 
-  obs::ScopedTimer loo_timer(*obs_.loo_us);
-  // 3c. Per-rater aggregates over each rater's cumulative rated set
-  // (parallel over distinct raters; each rater's multiset is built by one
-  // thread, in rated_history_ order, so its contents are scheduling-free).
-  const bool use_per_rater = config_.baseline != BaselineSource::kSystemWide;
-  std::vector<NodeId> raters;  // sorted, unique (work is rater-sorted)
-  std::vector<LooAggregate> rater_c_agg, rater_s_agg;
-  if (use_per_rater) {
-    raters.reserve(n_pairs);
-    for (const PairWork& w : work) {
-      if (raters.empty() || raters.back() != w.key.rater)
-        raters.push_back(w.key.rater);
-    }
-    rater_c_agg.resize(raters.size());
-    rater_s_agg.resize(raters.size());
-    run_blocks(raters.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        rater_c_agg[i] = aggregate_over(raters[i], rated_history_[raters[i]],
-                                        /*closeness=*/true);
-        rater_s_agg[i] = aggregate_over(raters[i], rated_history_[raters[i]],
-                                        /*closeness=*/false);
-      }
-    });
-  }
-  dirty_stats_ = DirtyStats{n_pairs, 0, raters.size(), 0};
-  loo_us = loo_timer.stop();
-
   obs::ScopedTimer adjust_timer(*obs_.adjust_us);
-  // 4. Detect and adjust (parallel). A rating index belongs to exactly
+  // 5. Detect and adjust (parallel). A rating index belongs to exactly
   // one pair, so adjusted_ writes are disjoint; everything else lands in
   // the block's own partial.
   const std::size_t n_blocks = (n_pairs + kPairBlock - 1) / kPairBlock;
@@ -281,11 +287,10 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
       CoefficientStats c_stats = system_c;
       CoefficientStats s_stats = system_s;
       if (use_per_rater) {
-        const std::size_t ri = static_cast<std::size_t>(
-            std::lower_bound(raters.begin(), raters.end(), key.rater) -
-            raters.begin());
-        rater_c_agg[ri].without(pair_c[i], c_stats);
-        rater_s_agg[ri].without(pair_s[i], s_stats);
+        const std::size_t r = static_cast<std::size_t>(
+            std::upper_bound(runs.begin(), runs.end(), i) - runs.begin() - 1);
+        rater_c_agg[r].without(pair_c[i], c_stats);
+        rater_s_agg[r].without(pair_s[i], s_stats);
       }
 
       PairEvidence evidence;
@@ -352,21 +357,22 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
                             : 1.0;
   adjust_us = adjust_timer.stop();
 
-  // 5. Feed the adjusted stream to the wrapped system.
+  // 6. Feed the adjusted stream to the wrapped system.
   inner_->update(adjusted_);
 
   // Observation only — nothing below feeds back into the adjustment, so
   // the bit-identity contract (DESIGN.md §11) is untouched by obs state.
   if (obs::enabled()) {
     const double total_us = total_timer.stop();
-    // This interval's cache hit rate: delta of the cache's cumulative
-    // per-instance totals since the last report.
+    // This interval's structure-layer hit rate: delta of the cache's
+    // cumulative per-instance totals since the last report.
     const SocialStateCache::StatsSnapshot cache_stats = social_cache_.stats();
-    const std::uint64_t interval_hits = cache_stats.hits - cache_hits_reported_;
+    const std::uint64_t interval_hits =
+        cache_stats.structure_hits - structure_hits_reported_;
     const std::uint64_t interval_misses =
-        cache_stats.misses - cache_misses_reported_;
-    cache_hits_reported_ = cache_stats.hits;
-    cache_misses_reported_ = cache_stats.misses;
+        cache_stats.structure_misses - structure_misses_reported_;
+    structure_hits_reported_ = cache_stats.structure_hits;
+    structure_misses_reported_ = cache_stats.structure_misses;
     const std::uint64_t interval_lookups = interval_hits + interval_misses;
     const double hit_rate_pct =
         interval_lookups > 0 ? 100.0 * static_cast<double>(interval_hits) /
@@ -392,7 +398,6 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         {"tally_us", tally_us},
         {"coeff_us", coeff_us},
         {"baseline_us", baseline_us},
-        {"loo_us", loo_us},
         {"adjust_us", adjust_us},
         {"total_us", total_us},
         {"social_cache_entries", static_cast<double>(social_cache_.size())},
@@ -411,8 +416,9 @@ void SocialTrustPlugin::forget_node(NodeId node) {
     auto it = std::lower_bound(hist.begin(), hist.end(), node);
     if (it != hist.end() && *it == node) hist.erase(it);
   }
-  // Whitewashing hook: cached closeness/similarity mentioning the node is
-  // stale the moment its new identity starts from a blank social record.
+  // Whitewashing hook: cached common sets and paths mentioning the node
+  // are stale the moment its new identity starts from a blank social
+  // record.
   // Only queued here: one invalidate_nodes() pass erases them before
   // anything next reads the cache (update(), social_cache(), reset()).
   // Nothing looks entries up or stores them in between, so the batch

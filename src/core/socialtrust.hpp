@@ -20,31 +20,32 @@
 // `SocialTrustPlugin(EbayReputation)` — the construction the evaluation
 // section compares.
 //
-// Parallel execution: with SocialTrustConfig::threads != 1 the three
-// per-pair passes of update() (baseline coefficient collection, per-rater
-// leave-one-out aggregates, detect-and-adjust) fan across a ThreadPool in
-// fixed-size blocks of the pair list sorted by (rater, ratee). Per-block
-// partial results (report counters, weight sum, flagged pairs) are reduced
-// in block-index order, and block boundaries depend only on the pair count
-// — never on the worker count — so the outcome is bit-for-bit identical
-// for every `threads` value, serial included. See DESIGN.md, "Parallel
-// update interval".
+// Parallel execution: with SocialTrustConfig::threads != 1 the two
+// passes of update() fan across a ThreadPool in fixed-size blocks: the
+// rater walk (each active rater's Omega_c/Omega_s row and leave-one-out
+// aggregates) over the sorted list of active raters, and detect-and-adjust
+// over the pair list sorted by (rater, ratee). Per-block partial results
+// (report counters, weight sum, flagged pairs) are reduced in block-index
+// order, and block boundaries depend only on the rater and pair counts —
+// never on the worker count — so the outcome is bit-for-bit identical for
+// every `threads` value, serial included. See DESIGN.md, "Parallel update
+// interval".
 //
-// Incremental social state: closeness and similarity lookups go through a
-// persistent SocialStateCache that survives across update intervals and
-// revalidates entries against the per-node revision counters of the graph
-// and profiles — an entry is reused iff re-deriving it would read the same
-// state, so warm results stay bit-identical to a cold recompute while the
-// expensive BFS / friend-of-friend work is only redone for pairs whose
-// social neighbourhood actually changed (DESIGN.md §13). The cold-vs-warm
-// gates in tests/incremental_state_test.cpp and
-// tests/warm_cold_property_test.cpp pin that bit-identity at every
-// interval and thread count.
+// Social structure: closeness lookups go through a persistent
+// SocialStateCache that keeps only what survives an interval — the
+// common-friend sets and shortest paths Eqs. 3-4 read, revalidated against
+// the graph's structure revisions — so the expensive BFS /
+// friend-of-friend work is only redone where the topology actually
+// changed (DESIGN.md §13). Each coefficient itself is evaluated once per
+// interval by the rater walk. The cold-vs-warm gates in
+// tests/incremental_state_test.cpp and tests/warm_cold_property_test.cpp
+// pin bit-identity with a cleared cache at every interval and thread
+// count, and a from-scratch oracle there recomputes an interval without
+// the cache.
 //
 // Observability: when the st::obs layer is enabled, update() times its
-// four stages (invalidate / collect / leave-one-out / adjust), tallies
-// pair and rating counters, and emits one "socialtrust.update" interval
-// event per call. Instrumentation is observation-only — it never feeds
+// three stages (invalidate / collect / adjust), tallies pair and rating
+// counters, and emits one "socialtrust.update" interval event per call. Instrumentation is observation-only — it never feeds
 // back into the adjustment, so enabling it preserves the bit-identity
 // contract above (DESIGN.md §12, docs/OBSERVABILITY.md).
 
@@ -120,15 +121,17 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   std::size_t effective_threads() const noexcept;
 
   /// The last update()'s work counts in the shape the deleted dirty-pair
-  /// scheduler reported them: every active pair is recomputed through the
-  /// cache and every active rater's leave-one-out aggregates are rebuilt,
-  /// so both carried counts are always 0. Kept only because the cycle
-  /// benchmark (perfbench/simbench.cpp) still reads it; it goes when a
-  /// benchmark change retires the metrics built on it.
+  /// scheduler reported them: the rater walk recomputes every active pair
+  /// and rebuilds every active rater's leave-one-out aggregates, so both
+  /// carried counts are always 0. Kept only because the cycle benchmark
+  /// (perfbench/simbench.cpp) still reads it; it goes when a benchmark
+  /// change retires the metrics built on it.
   struct DirtyStats {
     std::size_t pairs_dirty = 0;     ///< active pairs (all recomputed)
     std::size_t pairs_carried = 0;   ///< always 0
-    std::size_t raters_rebuilt = 0;  ///< active raters (all rebuilt)
+    /// active raters (all rebuilt); 0 under kSystemWide, which builds
+    /// no per-rater aggregate
+    std::size_t raters_rebuilt = 0;
     std::size_t raters_carried = 0;  ///< always 0
   };
   const DirtyStats& last_dirty_stats() const noexcept { return dirty_stats_; }
@@ -145,9 +148,10 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     return social_cache_;
   }
 
-  /// Pair-block grain of the parallel passes. A fixed constant — not a
-  /// function of the worker count — so the block reduction tree, and with
-  /// it every floating-point sum, is identical for every `threads` value.
+  /// Block grain of the parallel passes (raters in the walk, pairs in
+  /// detect-and-adjust). A fixed constant — not a function of the worker
+  /// count — so the block reduction tree, and with it every
+  /// floating-point sum, is identical for every `threads` value.
   static constexpr std::size_t kPairBlock = 128;
 
   /// Multiset aggregate supporting O(1) leave-one-out statistics: tracking
@@ -190,8 +194,8 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// the tally above. update() flattens the PairMap into a
   /// std::vector<PairWork> sorted by (rater, ratee) — the canonical order
   /// every pass iterates in, the order blocks partition, and the order
-  /// report_.flagged keeps. All three parallel passes index this vector
-  /// by position, so "pair i" means the same pair on every thread count.
+  /// report_.flagged keeps. Both parallel passes index this vector by
+  /// position, so "pair i" means the same pair on every thread count.
   struct PairWork {
     reputation::PairKey key;
     PairTally tally;
@@ -213,11 +217,8 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     std::vector<FlaggedPair> flagged;  ///< detector hits, pair-key order
   };
 
-  double closeness_cached(reputation::NodeId i, reputation::NodeId j) const;
+  double closeness_of(reputation::NodeId i, reputation::NodeId j) const;
   double similarity_of(reputation::NodeId i, reputation::NodeId j) const;
-  LooAggregate aggregate_over(reputation::NodeId rater,
-                              const std::vector<reputation::NodeId>& ratees,
-                              bool closeness) const;
 
   /// Runs fn(begin, end) over kPairBlock-sized blocks of [0, n): serially
   /// in block order when the plugin is single-threaded, across the pool
@@ -241,11 +242,11 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// the per-rater Gaussian statistics are computed.
   std::vector<std::vector<reputation::NodeId>> rated_history_;
 
-  /// Persistent closeness/similarity memo, revalidated per entry against
-  /// graph/profile revisions — NOT per-update scratch; it survives across
-  /// intervals (DESIGN.md §13). Mutable because closeness_cached() /
-  /// similarity_of() are logically-const reads shared by the concurrent
-  /// passes; the sharded cache makes them physically thread-safe.
+  /// Persistent common-friend / shortest-path memo, revalidated per entry
+  /// against graph structure revisions — NOT per-update scratch; it
+  /// survives across intervals (DESIGN.md §13). Mutable because
+  /// closeness_of() is a logically-const read shared by the concurrent
+  /// rater walk; the sharded cache makes it physically thread-safe.
   mutable SocialStateCache social_cache_;
 
   /// Identities forget_node discarded whose cache entries are not erased
@@ -261,10 +262,11 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   AdjustmentReport report_;
   DirtyStats dirty_stats_;
 
-  /// Cache totals already reported in earlier intervals; the delta against
-  /// the cache's cumulative stats gives this interval's hit rate.
-  std::uint64_t cache_hits_reported_ = 0;
-  std::uint64_t cache_misses_reported_ = 0;
+  /// Structure-layer totals already reported in earlier intervals; the
+  /// delta against the cache's cumulative stats gives this interval's hit
+  /// rate.
+  std::uint64_t structure_hits_reported_ = 0;
+  std::uint64_t structure_misses_reported_ = 0;
 
   /// Observability handles, resolved once at construction (process-wide
   /// metrics; no-ops while the obs layer is disabled). Stage histograms
@@ -277,7 +279,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     obs::Histogram* tally_us = nullptr;    ///< socialtrust.update.tally_us
     obs::Histogram* coeff_us = nullptr;    ///< socialtrust.update.coeff_us
     obs::Histogram* baseline_us = nullptr;  ///< socialtrust.update.baseline_us
-    obs::Histogram* loo_us = nullptr;      ///< socialtrust.update.loo_us
     obs::Histogram* adjust_us = nullptr;   ///< socialtrust.update.adjust_us
     obs::Counter* intervals = nullptr;     ///< socialtrust.intervals
     obs::Counter* ratings_seen = nullptr;  ///< socialtrust.ratings_seen

@@ -16,8 +16,8 @@
 // payload slices (`targets` + `relationship mask` for adjacency,
 // `targets` + `double count` for interactions), each row sorted by
 // target id. Every closeness BFS, common-friend intersection and
-// dirty-pair scan therefore walks contiguous memory instead of chasing
-// one heap allocation per node. Mutations between rebuilds are absorbed
+// interaction-row read therefore walks contiguous memory instead of
+// chasing one heap allocation per node. Mutations between rebuilds are absorbed
 // by a small per-node *delta overlay*: the first row-resizing mutation
 // of a node copies its CSR row into a private sorted overlay row and
 // the node reads from there until the next rebuild (mask flips and

@@ -364,7 +364,7 @@ RunResult Simulator::run() {
     }
     ledger_.close_cycle();
     // Compact any pending CSR deltas before the parallel reputation
-    // update so every closeness BFS and dirty-pair scan this interval
+    // update so every closeness BFS and common-friend merge this interval
     // walks pure flat rows. Representation-only: no revision moves, so
     // the update pass sees bit-identical social state either way.
     graph_.begin_interval();

@@ -1,13 +1,15 @@
 // Incremental social-state correctness suite (DESIGN.md §13).
 //
-// The SocialStateCache persists across update intervals and revalidates
-// entries against per-node revision counters; the contract is that a warm
-// cache is a pure performance optimisation. Three layers of evidence:
-//   1. unit tests on the cache itself — entries hit while the witnessed
-//      state holds, miss the moment it changes, and the witness kinds are
-//      exactly as precise as DESIGN.md §13 claims (e.g. a friend-of-friend
-//      entry survives interaction churn on the *ratee* but not on the
-//      rater or a common friend);
+// The SocialStateCache persists common-friend sets and shortest paths
+// across update intervals and revalidates them against the graph's
+// structure revisions; the contract is that a warm cache is a pure
+// performance optimisation. Four layers of evidence:
+//   1. unit tests on the cache itself — every lookup bit-equals a direct
+//      ClosenessModel::closeness(), entries hit while their witnesses
+//      hold and miss the moment one changes, and each witness is exactly
+//      as precise as DESIGN.md §13 claims (a common set survives all
+//      interaction churn, a path spares its sink, an unreachable record
+//      gates on edge additions alone, path keys are directional);
 //   2. a cold-vs-warm differential gate — full simulations where one
 //      plugin keeps its cache across intervals and a second has it wiped
 //      before every update() must produce bit-identical adjusted ratings,
@@ -20,12 +22,20 @@
 //      entry mentioning the discarded identity (queued, then erased in
 //      one batched pass that must equal per-node passes and must run
 //      before update() touches the cache), and a warm plugin driven
-//      across a whitewash event must stay bit-identical to a cold one.
+//      across a whitewash event must stay bit-identical to a cold one;
+//   4. a from-scratch oracle — one interval recomputed without the cache
+//      or the rater walk, straight from the graph, the profiles and each
+//      rater's cumulative rated set, for every baseline source and
+//      thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -33,6 +43,8 @@
 #include <vector>
 
 #include "collusion/models.hpp"
+#include "core/detector.hpp"
+#include "core/gaussian_filter.hpp"
 #include "core/social_state_cache.hpp"
 #include "core/socialtrust.hpp"
 #include "graph/generators.hpp"
@@ -64,8 +76,6 @@ using reputation::Rating;
 
 /// Delta of the cache's cumulative stats around one operation.
 struct StatsDelta {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
   std::uint64_t invalidations = 0;
   std::uint64_t structure_hits = 0;
   std::uint64_t structure_misses = 0;
@@ -76,15 +86,36 @@ StatsDelta stats_delta(SocialStateCache& cache, Fn&& fn) {
   const auto before = cache.stats();
   fn();
   const auto after = cache.stats();
-  return StatsDelta{after.hits - before.hits, after.misses - before.misses,
-                    after.invalidations - before.invalidations,
+  return StatsDelta{after.invalidations - before.invalidations,
                     after.structure_hits - before.structure_hits,
                     after.structure_misses - before.structure_misses};
 }
 
+/// One cache lookup of Omega_c(i,j), checked bit for bit against the
+/// direct ClosenessModel::closeness(); returns the lookup's stats delta.
+StatsDelta checked_lookup(SocialStateCache& cache, const ClosenessModel& model,
+                          const SocialGraph& g, graph::NodeId i,
+                          graph::NodeId j) {
+  double got = 0.0;
+  const StatsDelta d =
+      stats_delta(cache, [&] { got = cache.closeness(model, g, i, j); });
+  EXPECT_TRUE(bits_equal(got, model.closeness(g, i, j)))
+      << "Omega_c(" << i << "," << j << ")";
+  return d;
+}
+
+/// Adds a friendship for every listed pair.
+void befriend(SocialGraph& g,
+              std::initializer_list<std::pair<graph::NodeId, graph::NodeId>>
+                  edges) {
+  for (const auto& [a, b] : edges) {
+    g.add_relationship(a, b, Relationship::kFriendship);
+  }
+}
+
 // --- 1. cache unit tests ----------------------------------------------------
 
-TEST(SocialStateCacheTest, AdjacentEntryWitnessesOnlyTheRater) {
+TEST(SocialStateCacheTest, AdjacentPairsReadTheGraphDirectly) {
   SocialGraph g(4);
   g.add_relationship(0, 1, Relationship::kFriendship);
   g.record_interaction(0, 1, 3.0);
@@ -93,271 +124,242 @@ TEST(SocialStateCacheTest, AdjacentEntryWitnessesOnlyTheRater) {
   ClosenessModel model;
   SocialStateCache cache;
 
-  double v0 = 0.0;
-  auto d = stats_delta(cache, [&] { v0 = cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_TRUE(bits_equal(v0, model.closeness(g, 0, 1)));
+  // Eq. 2 reads only the edge and the rater's interaction row: no
+  // structure lookup, nothing stored.
+  auto d = checked_lookup(cache, model, g, 0, 1);
+  EXPECT_EQ(d.structure_hits + d.structure_misses, 0U);
+  EXPECT_EQ(cache.size(), 0U);
 
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.hits, 1U);
-  EXPECT_EQ(d.misses, 0U);
-
-  // The ratee's outgoing interactions are not part of Omega_c(0,1): the
-  // entry must survive churn on node 1...
-  g.record_interaction(1, 3, 5.0);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.hits, 1U);
-
-  // ...but any change to the rater's interaction row (even towards a third
-  // node — it changes the Eq. 2 denominator) invalidates it.
+  // Churn on the rater's row moves the Eq. 2 denominator, and the very
+  // next lookup sees it.
+  const double before = cache.closeness(model, g, 0, 1);
   g.record_interaction(0, 3, 1.0);
-  double v1 = 0.0;
-  d = stats_delta(cache, [&] { v1 = cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
-  EXPECT_TRUE(bits_equal(v1, model.closeness(g, 0, 1)));
+  checked_lookup(cache, model, g, 0, 1);
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 1), before));
 }
 
 TEST(SocialStateCacheTest, FofEntrySurvivesRateeInteractionChurn) {
-  // 0 and 1 share the common friend 2 but are not adjacent.
-  SocialGraph g(5);
+  // 0 and 1 are not adjacent and share the common friend 2; 5 is a friend
+  // of 1 only and 6 a friend of 0 only.
+  SocialGraph g(7);
   g.add_relationship(0, 2, Relationship::kFriendship);
   g.add_relationship(1, 2, Relationship::kColleague);
+  g.add_relationship(1, 5, Relationship::kFriendship);
+  g.add_relationship(0, 6, Relationship::kFriendship);
   g.record_interaction(0, 2, 2.0);
   g.record_interaction(2, 1, 4.0);
   g.record_interaction(2, 0, 1.0);
+  g.record_interaction(0, 5, 1.0);
+  g.record_interaction(5, 1, 3.0);
+  g.record_interaction(0, 6, 2.0);
+  g.record_interaction(6, 1, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
 
-  auto d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
+  auto d = checked_lookup(cache, model, g, 0, 1);
   EXPECT_EQ(d.structure_misses, 1U);  // the common-friend set
+  EXPECT_EQ(cache.size(), 1U);
+  d = checked_lookup(cache, model, g, 0, 1);
+  EXPECT_EQ(d.structure_hits, 1U);
 
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.hits, 1U);
-
-  // j = 1 is witnessed structurally only: Eq. 3 reads adjacent_closeness
-  // (0,k) and (k,1), never 1's outgoing interactions.
-  g.record_interaction(1, 4, 7.0);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.hits, 1U);
-
-  // A common friend's interactions feed the Eq. 3 terms: invalidate.
+  // Interaction churn on the rater, the ratee and the common friend moves
+  // Omega_c but never the set: the set is served, the value recomputed.
+  g.record_interaction(0, 3, 7.0);
+  g.record_interaction(1, 4, 1.0);
   g.record_interaction(2, 4, 1.0);
-  double fresh = 0.0;
-  d = stats_delta(cache, [&] { fresh = cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
-  // The common-friend *set* is untouched by interaction churn, so the
-  // recompute reuses the structure layer — the cross-interval win the
-  // bench measures.
+  d = checked_lookup(cache, model, g, 0, 1);
   EXPECT_EQ(d.structure_hits, 1U);
   EXPECT_EQ(d.structure_misses, 0U);
-  EXPECT_TRUE(bits_equal(fresh, model.closeness(g, 0, 1)));
 
-  // An edge on j can change the common set itself: invalidate.
-  cache.closeness(model, g, 0, 1);
-  g.add_relationship(1, 3, Relationship::kFriendship);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_EQ(d.structure_misses, 1U);  // structure witness of 1 changed
+  // The set is symmetric: the reverse orientation reads the same
+  // canonical (min, max) entry.
+  d = checked_lookup(cache, model, g, 1, 0);
+  EXPECT_EQ(d.structure_hits, 1U);
+
+  // 0 befriends 5, 1's friend: only 0 (the lower endpoint) and 5 are
+  // bumped, and 5 joins the set. Serving {2} would drop its Eq. 3 term.
+  g.add_relationship(0, 5, Relationship::kFriendship);
+  d = checked_lookup(cache, model, g, 0, 1);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.invalidations, 1U);
+
+  // 1 befriends 6, 0's friend: only 1 (the upper endpoint) and 6 are
+  // bumped, and 6 joins the set.
+  g.add_relationship(1, 6, Relationship::kFriendship);
+  d = checked_lookup(cache, model, g, 0, 1);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.invalidations, 1U);
 }
 
 TEST(SocialStateCacheTest, PathEntriesGateOnStructureAndSpareTheSink) {
-  // Chain 0-1-2-3: no common friends between 0 and 3, so Omega_c(0,3) is
-  // the Eq. 4 bottleneck along the unique shortest path.
-  SocialGraph g(8);
-  g.add_relationship(0, 1, Relationship::kFriendship);
-  g.add_relationship(1, 2, Relationship::kFriendship);
-  g.add_relationship(2, 3, Relationship::kFriendship);
+  // 0 -> 3 has no common friend. Two shortest paths: 0-1-2-3 (lex-min,
+  // bottleneck 1/3 of the friendship mass) and 0-4-5-3 (2/3). 3-6 is an
+  // extra edge on the sink.
+  SocialGraph g(7);
+  befriend(g, {{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 3}, {3, 6}});
   g.record_interaction(0, 1, 1.0);
   g.record_interaction(1, 2, 2.0);
   g.record_interaction(2, 3, 3.0);
+  g.record_interaction(0, 4, 2.0);
+  g.record_interaction(4, 5, 1.0);
+  g.record_interaction(5, 3, 2.0);
   ClosenessModel model;
   SocialStateCache cache;
 
-  auto d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.misses, 1U);
-
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.hits, 1U);
-
-  // The sink's outgoing interactions are never read by Eq. 4.
-  g.record_interaction(3, 0, 9.0);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.hits, 1U);
-
-  // An interior path node's interactions are one of the min() terms.
-  g.record_interaction(1, 0, 1.0);
-  double fresh = 0.0;
-  d = stats_delta(cache, [&] { fresh = cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.misses, 1U);
-  // The structure is unchanged: both the (empty) common-friend set and the
-  // path itself are served from the structure layer.
+  auto d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_misses, 2U);  // the (empty) common set + the path
+  d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_hits, 2U);
-  EXPECT_TRUE(bits_equal(fresh, model.closeness(g, 0, 3)));
 
-  // Any edge change anywhere can shorten a shortest path, so path-backed
-  // entries gate on the structure epoch even when the edge is unrelated.
-  cache.closeness(model, g, 0, 3);
-  g.add_relationship(5, 6, Relationship::kBusiness);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_EQ(d.structure_misses, 1U);  // BFS redone
+  // Interaction churn on the source, an interior node and the sink
+  // changes the Eq. 4 terms, never the path: both entries are served and
+  // the value is recomputed.
+  const double before_churn = cache.closeness(model, g, 0, 3);
+  g.record_interaction(0, 6, 1.0);
+  g.record_interaction(1, 0, 1.0);
+  g.record_interaction(3, 0, 9.0);
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_hits, 2U);
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 3), before_churn));
+
+  // A structural change at the sink alone cannot alter the path (every
+  // path edge also bumps a non-sink node). The common set, witnessed by
+  // both endpoints, re-derives; the path is served.
+  ASSERT_TRUE(g.remove_relationship(3, 6, Relationship::kFriendship));
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.structure_hits, 1U);
+
+  // Removing an interior edge adds no adjacency, so the addition epoch
+  // holds; the interior nodes' structure revisions must catch it. The
+  // stale path would read the missing edge 1-2 as closeness 0.
+  ASSERT_TRUE(g.remove_relationship(1, 2, Relationship::kFriendship));
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_hits, 1U);  // the common set
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);  // now via 0-4-5-3
+
+  // A new edge far from the path can open a shorter one, so path entries
+  // gate on the edge-addition epoch (not the structure epoch, which
+  // removals bump too). Chain 0-1-2-3-4 plus pendants 0-5 and 4-6: adding
+  // 5-6 bumps only 5 and 6, off the old path, and opens 0-5-6-4.
+  SocialGraph h(7);
+  befriend(h, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {4, 6}});
+  h.record_interaction(0, 1, 1.0);
+  h.record_interaction(1, 2, 1.0);
+  h.record_interaction(2, 3, 1.0);
+  h.record_interaction(3, 4, 1.0);
+  h.record_interaction(0, 5, 3.0);
+  h.record_interaction(5, 6, 2.0);
+  h.record_interaction(6, 4, 1.0);
+  SocialStateCache chain_cache;
+  checked_lookup(chain_cache, model, h, 0, 4);
+  const double long_path = chain_cache.closeness(model, h, 0, 4);
+  h.add_relationship(5, 6, Relationship::kFriendship);
+  d = checked_lookup(chain_cache, model, h, 0, 4);
+  EXPECT_EQ(d.structure_hits, 1U);  // the common set: 0 and 4 untouched
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_FALSE(bits_equal(chain_cache.closeness(model, h, 0, 4), long_path));
 }
 
 TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
-  SocialGraph g(4);
+  // Node 3 (with its friend 4) is unreachable from 0 (with its friend 1).
+  SocialGraph g(5);
   g.add_relationship(0, 1, Relationship::kFriendship);
-  // Node 3 is isolated: Omega_c(0,3) = 0 via the unreachable branch.
+  g.add_relationship(3, 4, Relationship::kFriendship);
+  g.record_interaction(0, 1, 1.0);
+  g.record_interaction(1, 4, 2.0);
+  g.record_interaction(4, 3, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
 
-  auto d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.misses, 1U);
+  auto d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_misses, 2U);
   EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 3), 0.0));
 
-  // Interaction churn cannot create reachability.
+  // Interaction churn and a type change on an existing edge cannot
+  // create reachability. The type change bumps 0, so the common set
+  // re-derives; the unreachable record is served.
   g.record_interaction(0, 1, 5.0);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.hits, 1U);
+  g.record_interaction(3, 4, 1.0);
+  g.add_relationship(0, 1, Relationship::kColleague);
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.structure_hits, 1U);
 
-  // A new edge can: the entry must die with the structure epoch.
-  g.add_relationship(1, 3, Relationship::kFriendship);
-  double fresh = 0.0;
-  d = stats_delta(cache, [&] { fresh = cache.closeness(model, g, 0, 3); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_GT(fresh, 0.0);  // now reachable through 1 (common-friend branch)
-  EXPECT_TRUE(bits_equal(fresh, model.closeness(g, 0, 3)));
+  // A new edge can. 1-4 touches neither endpoint, so only the addition
+  // epoch tells the record apart from the new path 0-1-4-3.
+  g.add_relationship(1, 4, Relationship::kFriendship);
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_hits, 1U);  // the (still empty) common set
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);
 }
 
 TEST(SocialStateCacheTest, ClosenessKeysAreDirectional) {
-  SocialGraph g(3);
-  g.add_relationship(0, 1, Relationship::kFriendship);
+  // Chain 0-1-2-3. Omega_c is not symmetric (Eq. 2 normalises by the
+  // rater's totals): Omega_c(0,3) = 1/4 and Omega_c(3,0) = 1/2 of the
+  // friendship mass. Served the other direction's path, Eq. 4 would walk
+  // it the wrong way.
+  SocialGraph g(4);
+  befriend(g, {{0, 1}, {1, 2}, {2, 3}});
   g.record_interaction(0, 1, 1.0);
-  g.record_interaction(1, 0, 2.0);
-  g.record_interaction(1, 2, 2.0);
+  g.record_interaction(1, 2, 1.0);
+  g.record_interaction(1, 0, 1.0);
+  g.record_interaction(2, 3, 1.0);
+  g.record_interaction(2, 1, 3.0);
+  g.record_interaction(3, 2, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
 
-  cache.closeness(model, g, 0, 1);
-  // Omega_c is not symmetric (Eq. 2 normalises by the rater's totals), so
-  // the reverse orientation is its own entry and its own compute.
-  auto d = stats_delta(cache, [&] { cache.closeness(model, g, 1, 0); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_TRUE(bits_equal(cache.closeness(model, g, 1, 0),
-                         model.closeness(g, 1, 0)));
-}
-
-TEST(SocialStateCacheTest, SimilarityUsesCanonicalKeyAndProfileRevisions) {
-  InterestProfiles profiles(3, 8);
-  const reputation::InterestId a_ints[] = {1, 2, 5};
-  const reputation::InterestId b_ints[] = {2, 5, 7};
-  profiles.set_interests(0, a_ints);
-  profiles.set_interests(1, b_ints);
-  profiles.record_request(0, 2, 3.0);
-  profiles.record_request(1, 2, 1.0);
-  profiles.record_request(1, 5, 2.0);
-  SocialStateCache cache;
-
-  for (bool weighted : {false, true}) {
-    SocialStateCache fresh_cache;
-    double v01 = 0.0, v10 = 0.0;
-    auto d = stats_delta(fresh_cache, [&] {
-      v01 = fresh_cache.similarity(profiles, 0, 1, weighted);
-    });
-    EXPECT_EQ(d.misses, 1U);
-    // Symmetric function, canonical key: the reverse orientation hits.
-    d = stats_delta(fresh_cache, [&] {
-      v10 = fresh_cache.similarity(profiles, 1, 0, weighted);
-    });
-    EXPECT_EQ(d.hits, 1U);
-    EXPECT_TRUE(bits_equal(v01, v10));
-    const double expected = weighted ? profiles.weighted_similarity(0, 1)
-                                     : profiles.similarity(0, 1);
-    EXPECT_TRUE(bits_equal(v01, expected));
-
-    // Either endpoint's profile revision invalidates.
-    profiles.record_request(0, 5, 1.0);
-    double fresh = 0.0;
-    d = stats_delta(fresh_cache, [&] {
-      fresh = fresh_cache.similarity(profiles, 0, 1, weighted);
-    });
-    EXPECT_EQ(d.misses, 1U);
-    EXPECT_EQ(d.invalidations, 1U);
-    const double recomputed = weighted ? profiles.weighted_similarity(0, 1)
-                                       : profiles.similarity(0, 1);
-    EXPECT_TRUE(bits_equal(fresh, recomputed));
-  }
-}
-
-TEST(SocialStateCacheTest, WitnessOverflowDegradesToFullEpochStamp) {
-  // 0 and 1 share kMaxWitnesses common friends (witness set would need
-  // kMaxWitnesses + 2 entries), so the entry falls back to a conservative
-  // full-epoch stamp: ANY mutation anywhere invalidates it.
-  const std::size_t hub = SocialStateCache::kMaxWitnesses;
-  SocialGraph g(hub + 3);
-  for (std::size_t k = 2; k < hub + 2; ++k) {
-    g.add_relationship(0, static_cast<graph::NodeId>(k),
-                       Relationship::kFriendship);
-    g.add_relationship(1, static_cast<graph::NodeId>(k),
-                       Relationship::kFriendship);
-  }
-  g.record_interaction(0, 2, 1.0);
-  g.record_interaction(2, 1, 1.0);
-  ClosenessModel model;
-  SocialStateCache cache;
-
-  cache.closeness(model, g, 0, 1);
-  auto d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.hits, 1U);
-
-  // A node uninvolved in the pair's neighbourhood mutates: a precise
-  // witness set would survive this, the epoch stamp cannot.
-  g.record_interaction(static_cast<graph::NodeId>(hub + 2), 0, 1.0);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
-  EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 1),
-                         model.closeness(g, 0, 1)));
+  checked_lookup(cache, model, g, 0, 3);
+  auto d = checked_lookup(cache, model, g, 3, 0);
+  EXPECT_EQ(d.structure_hits, 1U);    // the canonical common set
+  EXPECT_EQ(d.structure_misses, 1U);  // its own path
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 3),
+                          cache.closeness(model, g, 3, 0)));
 }
 
 TEST(SocialStateCacheTest, InvalidateNodeErasesEveryMention) {
+  // Common sets: (0,1) = {2} and (3,4) = {5}.
   SocialGraph g(6);
   g.add_relationship(0, 2, Relationship::kFriendship);
   g.add_relationship(1, 2, Relationship::kFriendship);
-  g.add_relationship(3, 4, Relationship::kFriendship);
+  g.add_relationship(3, 5, Relationship::kFriendship);
+  g.add_relationship(4, 5, Relationship::kFriendship);
   g.record_interaction(0, 2, 1.0);
-  g.record_interaction(3, 4, 1.0);
+  g.record_interaction(3, 5, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
 
-  cache.closeness(model, g, 0, 1);  // FoF entry witnessing common friend 2
-  cache.closeness(model, g, 3, 4);  // adjacent entry, unrelated to 2
-  const std::size_t before = cache.size();
-  EXPECT_EQ(before, 2U);
+  checked_lookup(cache, model, g, 0, 1);
+  checked_lookup(cache, model, g, 3, 4);
+  ASSERT_EQ(cache.size(), 2U);
 
   auto d = stats_delta(cache, [&] { cache.invalidate_node(2); });
-  EXPECT_GT(d.invalidations, 0U);
-  EXPECT_LT(cache.size(), before);
+  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_EQ(cache.size(), 1U);
 
-  // The unrelated entry survives; the entry through node 2 is gone even
+  // The unrelated entry survives; the set naming node 2 is gone even
   // though no revision changed.
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 3, 4); });
-  EXPECT_EQ(d.hits, 1U);
-  d = stats_delta(cache, [&] { cache.closeness(model, g, 0, 1); });
-  EXPECT_EQ(d.misses, 1U);
+  d = checked_lookup(cache, model, g, 3, 4);
+  EXPECT_EQ(d.structure_hits, 1U);
+  d = checked_lookup(cache, model, g, 0, 1);
+  EXPECT_EQ(d.structure_misses, 1U);
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0U);
-  EXPECT_EQ(cache.structure_size(), 0U);
 }
 
 /// A 12-node substrate whose all-pairs lookups store every entry kind:
-/// adjacent (0-1), friend-of-friend (2-4 via 3), bottleneck paths along
-/// the chain 5-6-7-8, unreachable pairs towards the isolated 9-10 edge
-/// and node 11, plus similarity entries from overlapping profiles.
+/// a common set (2-4 via 3), bottleneck paths along the chain 5-6-7-8,
+/// unreachable records towards the isolated 9-10 edge and node 11, and
+/// empty common sets beside each path. Adjacent pairs (0-1) store
+/// nothing.
 struct MixedSubstrate {
   SocialGraph g{12};
-  InterestProfiles profiles{12, 8};
 
   MixedSubstrate() {
     g.add_relationship(0, 1, Relationship::kFriendship);
@@ -373,21 +375,13 @@ struct MixedSubstrate {
     g.record_interaction(5, 6, 1.0);
     g.record_interaction(6, 7, 2.0);
     g.record_interaction(7, 8, 1.0);
-    for (graph::NodeId n = 0; n < 12; ++n) {
-      const reputation::InterestId ints[] = {
-          static_cast<reputation::InterestId>(n % 8),
-          static_cast<reputation::InterestId>((n + 3) % 8)};
-      profiles.set_interests(n, ints);
-    }
   }
 
   void populate(SocialStateCache& cache) const {
     ClosenessModel model;
     for (graph::NodeId i = 0; i < 12; ++i) {
       for (graph::NodeId j = 0; j < 12; ++j) {
-        if (i == j) continue;
-        cache.closeness(model, g, i, j);
-        cache.similarity(profiles, i, j, false);
+        if (i != j) checked_lookup(cache, model, g, i, j);
       }
     }
   }
@@ -395,8 +389,6 @@ struct MixedSubstrate {
 
 void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
                         const SocialStateCache::StatsSnapshot& b) {
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.structure_hits, b.structure_hits);
   EXPECT_EQ(a.structure_misses, b.structure_misses);
@@ -421,19 +413,20 @@ TEST(SocialStateCacheTest, InvalidateNodesEqualsPerNodePasses) {
   EXPECT_GT(batched.stats().invalidations, 0U);
   EXPECT_GT(batched.size(), 0U);  // entries naming no batch node survive
   EXPECT_EQ(per_node.size(), batched.size());
-  EXPECT_EQ(per_node.structure_size(), batched.structure_size());
   expect_stats_equal(per_node.stats(), batched.stats());
 
   // Mentions inside an entry count, not just its key: the common set of
   // (2,4) names 3 and the path 5-6-7-8 names 6 and 7, so both re-derive,
-  // while the adjacent (0,1) entry names no batch node and is served.
+  // while (0,2)'s empty set and unreachable record name no batch node and
+  // are served.
   ClosenessModel model;
-  auto d = stats_delta(batched, [&] { batched.closeness(model, s.g, 2, 4); });
+  auto d = checked_lookup(batched, model, s.g, 2, 4);
   EXPECT_EQ(d.structure_misses, 1U);
-  d = stats_delta(batched, [&] { batched.closeness(model, s.g, 5, 8); });
+  d = checked_lookup(batched, model, s.g, 5, 8);
+  EXPECT_EQ(d.structure_hits, 1U);  // the empty common set of (5,8)
   EXPECT_EQ(d.structure_misses, 1U);
-  d = stats_delta(batched, [&] { batched.closeness(model, s.g, 0, 1); });
-  EXPECT_EQ(d.hits, 1U);
+  d = checked_lookup(batched, model, s.g, 0, 2);
+  EXPECT_EQ(d.structure_hits, 2U);
 }
 
 TEST(SocialStateCacheTest, InvalidateNodesIgnoresIdsNoEntryMentions) {
@@ -443,7 +436,6 @@ TEST(SocialStateCacheTest, InvalidateNodesIgnoresIdsNoEntryMentions) {
   SocialStateCache cache;
   s.populate(cache);
   const std::size_t size = cache.size();
-  const std::size_t structure = cache.structure_size();
   const auto stats = cache.stats();
   ASSERT_GT(size, 0U);
 
@@ -451,9 +443,9 @@ TEST(SocialStateCacheTest, InvalidateNodesIgnoresIdsNoEntryMentions) {
   EXPECT_NO_THROW(cache.invalidate_nodes(hostile));
   EXPECT_NO_THROW(cache.invalidate_nodes({}));
   EXPECT_EQ(cache.size(), size);
-  EXPECT_EQ(cache.structure_size(), structure);
   expect_stats_equal(cache.stats(), stats);
 }
+
 
 // --- 2. cold-vs-warm differential gate ---------------------------------------
 
@@ -611,12 +603,8 @@ TEST_P(ColdVsWarmEquivalence, BitIdenticalAcrossIntervalsAndThreads) {
                               " threads=" + std::to_string(threads);
       // The warm cache must have served entries stored in an earlier
       // interval, or this compares two cold runs and proves nothing. Both
-      // runs also hit within an interval, so compare the totals. The
-      // simulator records an interaction for every rating (paper Section
-      // 5.1) and a request for every transaction, so an active rater's
-      // value entries are stale by its next interval: on these runs both
-      // count the same value hits, and what the warm cache carries across
-      // intervals is the structure layer.
+      // runs also hit within an interval (a common set is shared by both
+      // orientations of a pair), so compare the totals.
       EXPECT_GT(warm.back().cache_stats.structure_hits,
                 cold.back().cache_stats.structure_hits)
           << run;
@@ -746,7 +734,7 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
 
   run_interval(make_interval(1));
   run_interval(make_interval(2));
-  ASSERT_GT(warm->social_cache().stats().hits, 0U);
+  ASSERT_GT(warm->social_cache().stats().structure_hits, 0U);
 
   // Whitewash node 7, exactly as Simulator::whitewash does it.
   const reputation::NodeId w = 7;
@@ -837,6 +825,229 @@ TEST(IncrementalWhitewashing, UpdateDrainsQueuedForgetsBeforeTouchingCache) {
   drained_early->reset();
   EXPECT_EQ(drained_in_update->social_cache().stats().invalidations,
             before_reset.invalidations);
+}
+
+// --- 4. from-scratch oracle -------------------------------------------------
+
+/// Leave-one-out statistics of `values` with one instance of `v` removed,
+/// in the plugin's arithmetic: sums run in rated-set order and then drop
+/// v (Section 4.1's "other nodes it has rated"). The extremes are found
+/// directly. Returns false when nothing remains.
+bool loo_stats(const std::vector<double>& values, double v,
+               core::CoefficientStats& out) {
+  if (values.size() <= 1) return false;
+  double sum = 0.0, sum_sq = 0.0;
+  for (double x : values) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  const std::size_t n = values.size() - 1;
+  out.mean = (sum - v) / static_cast<double>(n);
+  out.stddev = core::population_stddev(sum - v, sum_sq - v * v, n);
+  out.min = std::numeric_limits<double>::infinity();
+  out.max = -std::numeric_limits<double>::infinity();
+  bool dropped = false;
+  for (double x : values) {
+    if (!dropped && x == v) {
+      dropped = true;
+      continue;
+    }
+    out.min = std::min(out.min, x);
+    out.max = std::max(out.max, x);
+  }
+  return true;
+}
+
+struct OracleInterval {
+  std::vector<Rating> adjusted;
+  std::vector<core::FlaggedPair> flagged;
+};
+
+/// One interval's adjustment recomputed without the cache or the rater
+/// walk: Omega_c by ClosenessModel::closeness, Omega_s by InterestProfiles
+/// in the asked-for orientation, leave-one-out statistics over `rated`
+/// (each rater's cumulative rated set, this interval included), then
+/// robust_stats, BehaviorDetector::classify and adjustment_weight as
+/// Section 4 composes them. `reputations` is the wrapped system's vector
+/// before the interval.
+OracleInterval oracle_interval(
+    const core::SocialTrustConfig& cfg, const SocialGraph& g,
+    const InterestProfiles& profiles,
+    const std::vector<std::set<reputation::NodeId>>& rated,
+    const std::vector<double>& reputations,
+    const std::vector<Rating>& ratings) {
+  const ClosenessModel model(cfg.weighted_relationships, cfg.lambda);
+  const core::BehaviorDetector detector(cfg);
+  const auto omega_c = [&](reputation::NodeId i, reputation::NodeId j) {
+    return model.closeness(g, i, j);
+  };
+  const auto omega_s = [&](reputation::NodeId i, reputation::NodeId j) {
+    return cfg.weighted_interests ? profiles.weighted_similarity(i, j)
+                                  : profiles.similarity(i, j);
+  };
+
+  struct Pair {
+    double positive = 0.0, negative = 0.0, c = 0.0, s = 0.0;
+    std::vector<std::size_t> ratings;
+  };
+  std::map<std::pair<reputation::NodeId, reputation::NodeId>, Pair> pairs;
+  double total_count = 0.0;
+  for (std::size_t idx = 0; idx < ratings.size(); ++idx) {
+    const Rating& r = ratings[idx];
+    if (!reputation::valid_rating(r, reputations.size())) continue;
+    Pair& pair = pairs[{r.rater, r.ratee}];
+    if (r.value > 0.0) pair.positive += 1.0;
+    if (r.value < 0.0) pair.negative += 1.0;
+    pair.ratings.push_back(idx);
+  }
+  std::vector<double> system_c_values, system_s_values;
+  for (auto& [key, pair] : pairs) {
+    pair.c = omega_c(key.first, key.second);
+    pair.s = omega_s(key.first, key.second);
+    system_c_values.push_back(pair.c);
+    system_s_values.push_back(pair.s);
+    total_count += pair.positive + pair.negative;
+  }
+  const double avg_freq =
+      pairs.empty() ? 0.0 : total_count / static_cast<double>(pairs.size());
+  const core::CoefficientStats system_c = core::robust_stats(system_c_values);
+  const core::CoefficientStats system_s = core::robust_stats(system_s_values);
+
+  OracleInterval out;
+  out.adjusted = ratings;
+  for (const auto& [key, pair] : pairs) {
+    const auto [rater, ratee] = key;
+    core::CoefficientStats c_stats = system_c;
+    core::CoefficientStats s_stats = system_s;
+    if (cfg.baseline != core::BaselineSource::kSystemWide) {
+      std::vector<double> row_c, row_s;
+      for (reputation::NodeId k : rated[rater]) {
+        row_c.push_back(omega_c(rater, k));
+        row_s.push_back(omega_s(rater, k));
+      }
+      loo_stats(row_c, pair.c, c_stats);
+      loo_stats(row_s, pair.s, s_stats);
+    }
+    core::PairEvidence evidence;
+    evidence.positive_count = pair.positive;
+    evidence.negative_count = pair.negative;
+    evidence.closeness = pair.c;
+    evidence.similarity = pair.s;
+    evidence.ratee_reputation = reputations[ratee];
+    evidence.rater_closeness = c_stats;
+    const core::Behavior behavior = detector.classify(evidence, avg_freq);
+    if (cfg.gate_on_detector && !core::any(behavior)) continue;
+    double weight = core::adjustment_weight(cfg.components, pair.c, c_stats,
+                                            pair.s, s_stats, cfg.alpha,
+                                            cfg.width);
+    if (cfg.baseline == core::BaselineSource::kHybrid) {
+      weight = std::min(weight, core::adjustment_weight(
+                                    cfg.components, pair.c, system_c, pair.s,
+                                    system_s, cfg.alpha, cfg.width));
+    }
+    if (core::any(behavior)) {
+      out.flagged.push_back(core::FlaggedPair{rater, ratee, behavior, weight});
+    }
+    for (std::size_t idx : pair.ratings) out.adjusted[idx].value *= weight;
+  }
+  return out;
+}
+
+/// Drives a plugin through five intervals of a small network — random
+/// traffic plus two colluding pairs with disjoint interests and a
+/// bad-mouther against a look-alike competitor — mutating the social
+/// state per rating as Simulator::submit_rating does, then checks the
+/// last interval's adjusted stream and flagged pairs bit for bit against
+/// oracle_interval().
+void expect_interval_matches_oracle(core::BaselineSource baseline,
+                                    std::size_t threads) {
+  SCOPED_TRACE("baseline=" + std::to_string(static_cast<int>(baseline)) +
+               " threads=" + std::to_string(threads));
+  constexpr std::size_t kNodes = 40;
+  constexpr std::size_t kCategories = 8;
+  stats::Rng rng(4242);
+  SocialGraph g = graph::watts_strogatz(kNodes, 4, 0.2, rng);
+  InterestProfiles profiles(kNodes, kCategories);
+  for (graph::NodeId n = 0; n < kNodes; ++n) {
+    const reputation::InterestId ints[] = {
+        static_cast<reputation::InterestId>(n % kCategories),
+        static_cast<reputation::InterestId>((n + 3) % kCategories)};
+    profiles.set_interests(n, ints);
+  }
+  // 4 and 5 compete for the same two categories.
+  const reputation::InterestId rivals[] = {2, 6};
+  profiles.set_interests(4, rivals);
+  profiles.set_interests(5, rivals);
+
+  core::SocialTrustConfig cfg;
+  cfg.baseline = baseline;
+  cfg.threads = threads;
+  SocialTrustPlugin plugin(
+      std::make_unique<reputation::PaperEigenTrust>(
+          kNodes, std::vector<reputation::NodeId>{10, 11},
+          reputation::PaperEigenTrustConfig{}),
+      g, profiles, cfg);
+
+  std::vector<std::set<reputation::NodeId>> rated(kNodes);
+  std::vector<Rating> ratings;
+  auto submit = [&](reputation::NodeId rater, reputation::NodeId ratee,
+                    double value, reputation::InterestId interest) {
+    ratings.push_back(Rating{rater, ratee, value, 0, 0, interest});
+    rated[rater].insert(ratee);
+    g.record_interaction(rater, ratee);
+    profiles.record_request(rater, interest);
+  };
+  std::vector<double> reputations_before;
+  for (std::size_t interval = 0; interval < 5; ++interval) {
+    ratings.clear();
+    for (std::size_t q = 0; q < 120; ++q) {
+      const auto rater = static_cast<reputation::NodeId>(rng.index(kNodes));
+      auto ratee = static_cast<reputation::NodeId>(rng.index(kNodes));
+      if (ratee == rater) {
+        ratee = static_cast<reputation::NodeId>((ratee + 1) % kNodes);
+      }
+      submit(rater, ratee, rng.bernoulli(0.8) ? 1.0 : -1.0,
+             static_cast<reputation::InterestId>(rng.index(kCategories)));
+    }
+    for (int k = 0; k < 10; ++k) {
+      submit(0, 1, 1.0, 0);
+      submit(1, 0, 1.0, 1);
+      submit(2, 20, 1.0, 2);
+      submit(20, 2, 1.0, 7);
+      submit(4, 5, -1.0, 2);
+    }
+    auto reps = plugin.reputations();
+    reputations_before.assign(reps.begin(), reps.end());
+    plugin.update(ratings);
+  }
+
+  const OracleInterval want =
+      oracle_interval(cfg, g, profiles, rated, reputations_before, ratings);
+  const auto got = plugin.last_adjusted();
+  ASSERT_EQ(got.size(), want.adjusted.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(bits_equal(got[i].value, want.adjusted[i].value))
+        << "rating " << i;
+  }
+  const auto& flagged = plugin.last_report().flagged;
+  ASSERT_FALSE(want.flagged.empty());  // the oracle has something to pin
+  ASSERT_EQ(flagged.size(), want.flagged.size());
+  for (std::size_t i = 0; i < flagged.size(); ++i) {
+    EXPECT_EQ(flagged[i].rater, want.flagged[i].rater) << i;
+    EXPECT_EQ(flagged[i].ratee, want.flagged[i].ratee) << i;
+    EXPECT_EQ(flagged[i].behavior, want.flagged[i].behavior) << i;
+    EXPECT_TRUE(bits_equal(flagged[i].weight, want.flagged[i].weight)) << i;
+  }
+}
+
+TEST(FromScratchOracle, LastIntervalMatchesForEveryBaselineAndThreadCount) {
+  for (core::BaselineSource baseline :
+       {core::BaselineSource::kPerRater, core::BaselineSource::kSystemWide,
+        core::BaselineSource::kHybrid}) {
+    for (std::size_t threads : {1UL, 4UL}) {
+      expect_interval_matches_oracle(baseline, threads);
+    }
+  }
 }
 
 }  // namespace

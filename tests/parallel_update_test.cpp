@@ -255,8 +255,7 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
     EXPECT_LE(extra("tally_us") + extra("coeff_us") + extra("baseline_us"),
               extra("collect_us") + 1e-6)
         << "interval " << snap.sequence;
-    EXPECT_LE(extra("invalidate_us") + extra("collect_us") + extra("loo_us") +
-                  extra("adjust_us"),
+    EXPECT_LE(extra("invalidate_us") + extra("collect_us") + extra("adjust_us"),
               extra("total_us") + 1e-6)
         << "interval " << snap.sequence;
   }

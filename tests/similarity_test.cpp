@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/similarity.hpp"
@@ -242,8 +244,27 @@ TEST_P(SimilarityRangeProperty, AllMeasuresStayInUnitInterval) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityRangeProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// Profile revisions back the SocialStateCache similarity entries
-// (DESIGN.md §13): bump on every observable change, never on no-ops.
+TEST(Similarity, SymmetricBitForBitInBothVariants) {
+  // SocialTrustPlugin evaluates Omega_s in the canonical (min, max)
+  // orientation whichever way the pair was rated, so both variants must be
+  // symmetric to the last bit, not just to EXPECT_DOUBLE_EQ's 4 ulps.
+  InterestProfiles p(3, 8);
+  p.set_interests(0, ids({1, 2, 5}));
+  p.set_interests(1, ids({2, 5, 7}));
+  p.record_request(0, 2, 3.0);
+  p.record_request(0, 5, 1.0);
+  p.record_request(1, 2, 1.0);
+  p.record_request(1, 5, 2.0);
+  p.record_request(1, 6, 7.0);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(p.similarity(0, 1)), bits(p.similarity(1, 0)));
+  EXPECT_EQ(bits(p.weighted_similarity(0, 1)),
+            bits(p.weighted_similarity(1, 0)));
+  EXPECT_GT(p.weighted_similarity(0, 1), 0.0);
+}
+
+// Profile revisions: bump on every observable change, never on no-ops
+// (DESIGN.md §13 lists their remaining readers).
 
 TEST(ProfileRevisions, BumpOnlyOnActualChange) {
   InterestProfiles p(3, 8);

@@ -225,8 +225,8 @@ void run_property(std::uint64_t seed, std::size_t threads) {
   // The warm cache must have served entries stored in an earlier interval,
   // or the property degenerates to cold-vs-cold. Both plugins also hit
   // within an interval, so compare the totals.
-  EXPECT_GT(h.warm->social_cache().stats().hits,
-            h.cold->social_cache().stats().hits);
+  EXPECT_GT(h.warm->social_cache().stats().structure_hits,
+            h.cold->social_cache().stats().structure_hits);
 }
 
 /// Whitewash bursts: the plugin queues forgotten identities and erases

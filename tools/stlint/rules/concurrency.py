@@ -35,7 +35,7 @@ MANUAL_LOCK_CALLS = {"lock", "unlock", "try_lock", "try_lock_for",
                      "try_lock_until"}
 # The recompute/BFS surface that must never run under a shard lock
 # (SocialStateCache computes these between its two lock windows).
-EXPENSIVE_CALLS = {"shortest_path", "common_friends", "compute_closeness",
+EXPENSIVE_CALLS = {"shortest_path", "common_friends",
                    "fof_closeness", "bottleneck_closeness",
                    "adjacent_closeness", "weighted_similarity",
                    "parallel_for"}
