@@ -1,6 +1,7 @@
 #include "core/similarity.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace st::core {
@@ -9,11 +10,9 @@ InterestProfiles::InterestProfiles(std::size_t node_count,
                                    std::size_t category_count)
     : node_count_(node_count),
       categories_(category_count),
-      offsets_(node_count + 1, 0),
-      overlay_slot_(node_count, kNoOverlay),
+      declared_(node_count * category_count, 0),
       request_counts_(node_count * category_count, 0.0),
-      request_totals_(node_count, 0.0),
-      revisions_(node_count, 0) {
+      request_totals_(node_count, 0.0) {
   if (category_count == 0)
     throw std::invalid_argument("InterestProfiles: need >= 1 category");
 }
@@ -23,134 +22,49 @@ void InterestProfiles::check_node(NodeId node) const {
     throw std::out_of_range("InterestProfiles: node out of range");
 }
 
-void InterestProfiles::bump(NodeId node) {
-  ++revisions_[node];
-  ++epoch_;
-}
-
-InterestProfiles::Row InterestProfiles::row(NodeId node) const noexcept {
-  const std::uint32_t slot = overlay_slot_[node];
-  if (slot != kNoOverlay) {
-    const std::vector<InterestId>& r = overlay_[slot];
-    return {r.data(), r.size()};
-  }
-  const std::uint64_t begin = offsets_[node];
-  return {ids_.data() + begin,
-          static_cast<std::size_t>(offsets_[node + 1] - begin)};
-}
-
-std::vector<InterestId>& InterestProfiles::materialize(NodeId node) {
-  std::uint32_t slot = overlay_slot_[node];
-  if (slot == kNoOverlay) {
-    slot = static_cast<std::uint32_t>(overlay_.size());
-    const std::uint64_t begin = offsets_[node];
-    const std::uint64_t end = offsets_[node + 1];
-    overlay_.emplace_back(ids_.begin() + static_cast<std::ptrdiff_t>(begin),
-                          ids_.begin() + static_cast<std::ptrdiff_t>(end));
-    overlay_slot_[node] = slot;
-    overlay_entries_ += overlay_.back().size();
-    ++overlay_live_;
-  }
-  return overlay_[slot];
-}
-
-void InterestProfiles::rebuild() {
-  std::vector<std::uint64_t> offsets(node_count_ + 1, 0);
-  std::uint64_t total = 0;
-  for (NodeId node = 0; node < node_count_; ++node) {
-    offsets[node] = total;
-    total += row(node).size;
-  }
-  offsets[node_count_] = total;
-  std::vector<InterestId> ids(total);
-  for (NodeId node = 0; node < node_count_; ++node) {
-    const Row r = row(node);
-    std::copy(r.ids, r.ids + r.size,
-              ids.begin() + static_cast<std::ptrdiff_t>(offsets[node]));
-  }
-  offsets_ = std::move(offsets);
-  ids_ = std::move(ids);
-  overlay_.clear();
-  std::fill(overlay_slot_.begin(), overlay_slot_.end(), kNoOverlay);
-  overlay_entries_ = 0;
-  overlay_live_ = 0;
-  ++rebuilds_;
-}
-
-void InterestProfiles::begin_interval() {
-  if (delta_mass() > 0) rebuild();
-}
-
 void InterestProfiles::set_interests(NodeId node,
                                      std::span<const InterestId> interests) {
   check_node(node);
-  std::vector<InterestId> next;
+  std::uint8_t* row = declared_.data() + node * categories_;
+  std::fill(row, row + categories_, std::uint8_t{0});
   for (InterestId id : interests) {
-    if (id < categories_) next.push_back(id);
+    if (id < categories_) row[id] = 1;
   }
-  std::sort(next.begin(), next.end());
-  next.erase(std::unique(next.begin(), next.end()), next.end());
-  const Row current = row(node);
-  if (next.size() != current.size ||
-      !std::equal(next.begin(), next.end(), current.ids)) {
-    const std::size_t before = materialize(node).size();
-    overlay_[overlay_slot_[node]] = std::move(next);
-    overlay_entries_ += overlay_[overlay_slot_[node]].size() - before;
-    bump(node);
-  }
-  maybe_rebuild();
 }
 
 void InterestProfiles::add_interest(NodeId node, InterestId interest) {
   check_node(node);
-  if (interest >= categories_) return;
-  const Row current = row(node);
-  const InterestId* end = current.ids + current.size;
-  const InterestId* it = std::lower_bound(current.ids, end, interest);
-  if (it == end || *it != interest) {
-    std::vector<InterestId>& set = materialize(node);
-    set.insert(std::lower_bound(set.begin(), set.end(), interest), interest);
-    ++overlay_entries_;
-    bump(node);
-  }
-  maybe_rebuild();
+  if (interest < categories_) declared_[node * categories_ + interest] = 1;
 }
 
 void InterestProfiles::remove_interest(NodeId node, InterestId interest) {
   check_node(node);
-  const Row current = row(node);
-  const InterestId* end = current.ids + current.size;
-  const InterestId* it = std::lower_bound(current.ids, end, interest);
-  if (it != end && *it == interest) {
-    std::vector<InterestId>& set = materialize(node);
-    set.erase(std::lower_bound(set.begin(), set.end(), interest));
-    --overlay_entries_;
-    bump(node);
-  }
-  maybe_rebuild();
+  if (interest < categories_) declared_[node * categories_ + interest] = 0;
 }
 
-std::span<const InterestId> InterestProfiles::declared(NodeId node) const {
+std::vector<InterestId> InterestProfiles::declared(NodeId node) const {
   check_node(node);
-  const Row r = row(node);
-  return {r.ids, r.size};
+  std::vector<InterestId> result;
+  const std::uint8_t* row = flags(node);
+  for (std::size_t c = 0; c < categories_; ++c) {
+    if (row[c] != 0) result.push_back(static_cast<InterestId>(c));
+  }
+  return result;
 }
 
 void InterestProfiles::record_request(NodeId node, InterestId category,
                                       double count) {
   check_node(node);
-  if (category >= categories_ || count <= 0.0) return;
+  if (category >= categories_ || !std::isfinite(count) || count <= 0.0)
+    return;
   request_counts_[node * categories_ + category] += count;
   request_totals_[node] += count;
-  bump(node);
 }
 
 double InterestProfiles::request_weight(NodeId node,
                                         InterestId category) const {
   check_node(node);
-  if (category >= categories_ || request_totals_[node] <= 0.0) return 0.0;
-  return request_counts_[node * categories_ + category] /
-         request_totals_[node];
+  return category < categories_ ? weight_at(node, category) : 0.0;
 }
 
 double InterestProfiles::total_requests(NodeId node) const {
@@ -160,72 +74,46 @@ double InterestProfiles::total_requests(NodeId node) const {
 
 std::vector<InterestId> InterestProfiles::effective(NodeId node) const {
   check_node(node);
-  const Row r = row(node);
-  std::vector<InterestId> result(r.ids, r.ids + r.size);
-  const double* counts = request_counts_.data() + node * categories_;
+  std::vector<InterestId> result;
   for (std::size_t c = 0; c < categories_; ++c) {
-    if (counts[c] > 0.0) {
-      auto id = static_cast<InterestId>(c);
-      auto it = std::lower_bound(result.begin(), result.end(), id);
-      if (it == result.end() || *it != id) result.insert(it, id);
-    }
+    if (effective_at(node, c)) result.push_back(static_cast<InterestId>(c));
   }
   return result;
 }
 
 void InterestProfiles::clear_requests(NodeId node) {
   check_node(node);
-  if (request_totals_[node] == 0.0) return;
-  double* counts = request_counts_.data() + node * categories_;
-  std::fill(counts, counts + categories_, 0.0);
+  double* row = request_counts_.data() + node * categories_;
+  std::fill(row, row + categories_, 0.0);
   request_totals_[node] = 0.0;
-  bump(node);
 }
 
 double InterestProfiles::similarity(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  const Row va = row(a);
-  const Row vb = row(b);
-  if (va.size == 0 || vb.size == 0) return 0.0;
+  const std::uint8_t* fa = flags(a);
+  const std::uint8_t* fb = flags(b);
+  std::size_t size_a = 0;
+  std::size_t size_b = 0;
   std::size_t overlap = 0;
-  const InterestId* ia = va.ids;
-  const InterestId* ea = va.ids + va.size;
-  const InterestId* ib = vb.ids;
-  const InterestId* eb = vb.ids + vb.size;
-  while (ia != ea && ib != eb) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++overlap;
-      ++ia;
-      ++ib;
-    }
+  for (std::size_t c = 0; c < categories_; ++c) {
+    size_a += fa[c];
+    size_b += fb[c];
+    overlap += fa[c] & fb[c];
   }
+  if (size_a == 0 || size_b == 0) return 0.0;
   return static_cast<double>(overlap) /
-         static_cast<double>(std::min(va.size, vb.size));
+         static_cast<double>(std::min(size_a, size_b));
 }
 
 double InterestProfiles::weighted_similarity(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  std::vector<InterestId> va = effective(a);
-  std::vector<InterestId> vb = effective(b);
-  if (va.empty() || vb.empty()) return 0.0;
+  // An empty effective set shares no category, so the sum stays 0.
   double sum = 0.0;
-  auto ia = va.begin();
-  auto ib = vb.begin();
-  while (ia != va.end() && ib != vb.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      sum += std::min(request_weight(a, *ia), request_weight(b, *ib));
-      ++ia;
-      ++ib;
+  for (std::size_t c = 0; c < categories_; ++c) {
+    if (effective_at(a, c) && effective_at(b, c)) {
+      sum += std::min(weight_at(a, c), weight_at(b, c));
     }
   }
   return sum;
@@ -234,26 +122,20 @@ double InterestProfiles::weighted_similarity(NodeId a, NodeId b) const {
 double InterestProfiles::weighted_similarity_eq11(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  std::vector<InterestId> va = effective(a);
-  std::vector<InterestId> vb = effective(b);
-  if (va.empty() || vb.empty()) return 0.0;
   double sum = 0.0;
-  auto ia = va.begin();
-  auto ib = vb.begin();
-  while (ia != va.end() && ib != vb.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      sum += request_weight(a, *ia) * request_weight(b, *ib);
-      ++ia;
-      ++ib;
-    }
+  std::size_t size_a = 0;
+  std::size_t size_b = 0;
+  for (std::size_t c = 0; c < categories_; ++c) {
+    const bool in_a = effective_at(a, c);
+    const bool in_b = effective_at(b, c);
+    size_a += in_a;
+    size_b += in_b;
+    if (in_a && in_b) sum += weight_at(a, c) * weight_at(b, c);
   }
+  if (size_a == 0 || size_b == 0) return 0.0;
   // Eq. (11) keeps Eq. (7)'s denominator; the numerator swaps set
   // membership for behavioural weight products.
-  return sum / static_cast<double>(std::min(va.size(), vb.size()));
+  return sum / static_cast<double>(std::min(size_a, size_b));
 }
 
 }  // namespace st::core

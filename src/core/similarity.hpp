@@ -11,17 +11,13 @@
 // evaluate Eq. (11) over the *effective* interest set — declared interests
 // plus any category the node actually requested from.
 //
-// Storage layout (DESIGN.md §15, docs/ARCHITECTURE.md). Declared sets
-// live in a flat CSR array (offsets + sorted interest ids) with the same
-// copy-on-write delta overlay scheme as graph::SocialGraph: the first
-// set-resizing mutation of a node copies its row into a private sorted
-// overlay row, and a deterministic compaction (threshold-triggered, or
-// explicit at begin_interval()) folds the overlay back into fresh flat
-// arrays. The request histogram is one dense node-major matrix
-// (node_count x category_count doubles) — record_request is a single
-// indexed store, and every similarity pass reads two contiguous rows.
-// Rebuilds are representation-only: no accessor result and no revision
-// counter changes.
+// Storage layout (DESIGN.md §15, docs/ARCHITECTURE.md). Two dense
+// node-major matrices of node_count x category_count cells: a u8
+// declared flag and a double request count. Every mutator is a handful
+// of indexed stores, and each similarity variant is one ascending pass
+// over the categories of two contiguous rows — the same terms, in the
+// same order, as a merge of the two sorted interest sets. Profiles carry
+// no revision: the plugin re-reads them every interval (DESIGN.md §13).
 
 #include <cstdint>
 #include <span>
@@ -36,12 +32,6 @@ using reputation::NodeId;
 
 class InterestProfiles {
  public:
-  /// Monotone change counter, mirroring graph::SocialGraph::Revision:
-  /// bumps exactly when a node's declared set or request histogram actually
-  /// changes, so similarity values witnessed against the revisions of both
-  /// endpoints can be reused verbatim while those revisions hold.
-  using Revision = std::uint64_t;
-
   /// `node_count` peers over `category_count` product/resource categories.
   InterestProfiles(std::size_t node_count, std::size_t category_count);
 
@@ -55,13 +45,12 @@ class InterestProfiles {
   void add_interest(NodeId node, InterestId interest);
   void remove_interest(NodeId node, InterestId interest);
 
-  /// Declared interests, ascending. Invalidated by any mutating method
-  /// (a mutation may trigger a compaction that moves every row — same
-  /// span-stability contract as SocialGraph::neighbors()).
-  std::span<const InterestId> declared(NodeId node) const;
+  /// Declared interests, ascending.
+  std::vector<InterestId> declared(NodeId node) const;
 
   /// Records `count` resource requests by `node` in `category` — the
-  /// behavioural signal Eq. (11) weighs.
+  /// behavioural signal Eq. (11) weighs. Out-of-range categories and
+  /// counts that are not finite and positive are ignored.
   void record_request(NodeId node, InterestId category, double count = 1.0);
 
   /// ws(node, category): share of the node's requests in that category
@@ -70,7 +59,8 @@ class InterestProfiles {
 
   double total_requests(NodeId node) const;
 
-  /// Effective interest set: declared ∪ requested-from categories.
+  /// Effective interest set, ascending: declared ∪ requested-from
+  /// categories.
   std::vector<InterestId> effective(NodeId node) const;
 
   /// Erases the node's request history (whitewashing support; the
@@ -95,80 +85,32 @@ class InterestProfiles {
   /// common effective interests. Kept for the ablation bench and tests.
   double weighted_similarity_eq11(NodeId a, NodeId b) const;
 
-  /// Revision of `node`'s profile state (declared interests + request
-  /// histogram). Every similarity variant between a and b is a pure
-  /// function of the states witnessed by revision(a) and revision(b).
-  Revision revision(NodeId node) const noexcept {
-    return node < revisions_.size() ? revisions_[node] : 0;
-  }
-
-  /// Global epoch: bumps whenever any profile changes.
-  Revision epoch() const noexcept { return epoch_; }
-
-  /// Interval hook: compacts any pending declared-set overlay into fresh
-  /// flat CSR arrays. Representation-only; invalidates outstanding
-  /// declared() spans. Called by the Simulator alongside
-  /// SocialGraph::begin_interval().
-  void begin_interval();
-
-  /// Compactions performed so far (tests, bench, docs).
-  std::uint64_t rebuild_count() const noexcept { return rebuilds_; }
-
-  /// Overlay entries + materialised overlay rows — what the rebuild
-  /// threshold watches.
-  std::size_t delta_mass() const noexcept {
-    return overlay_entries_ + overlay_live_;
-  }
-
-  /// Same rebuild-threshold scheme as SocialGraph (see its doc comment).
-  static constexpr std::size_t kRebuildMinDelta = 256;
-  static constexpr std::size_t kRebuildFraction = 4;
-
  private:
-  static constexpr std::uint32_t kNoOverlay = 0xFFFFFFFFU;
-
-  struct Row {
-    const InterestId* ids = nullptr;
-    std::size_t size = 0;
-  };
-  Row row(NodeId node) const noexcept;
-
-  /// Copies node's CSR row into a fresh overlay row and routes the node
-  /// there. No-op if already routed.
-  std::vector<InterestId>& materialize(NodeId node);
-
-  void maybe_rebuild() {
-    const std::size_t mass = delta_mass();
-    if (mass >= kRebuildMinDelta &&
-        mass * kRebuildFraction >= ids_.size() + node_count_) {
-      rebuild();
-    }
-  }
-  void rebuild();
-
   void check_node(NodeId node) const;
-  void bump(NodeId node);
+
+  const std::uint8_t* flags(NodeId node) const noexcept {
+    return declared_.data() + node * categories_;
+  }
+  const double* counts(NodeId node) const noexcept {
+    return request_counts_.data() + node * categories_;
+  }
+  /// True when `c` is in the node's effective set.
+  bool effective_at(NodeId node, std::size_t c) const noexcept {
+    return flags(node)[c] != 0 || counts(node)[c] > 0.0;
+  }
+  /// ws(node, c) for an in-range category.
+  double weight_at(NodeId node, std::size_t c) const noexcept {
+    const double total = request_totals_[node];
+    return total <= 0.0 ? 0.0 : counts(node)[c] / total;
+  }
 
   std::size_t node_count_;
   std::size_t categories_;
 
-  // Declared-set CSR: node's row is ids_[offsets_[node] ..
-  // offsets_[node+1]), sorted ascending; overlay as in SocialGraph.
-  std::vector<std::uint64_t> offsets_;
-  std::vector<InterestId> ids_;
-  std::vector<std::uint32_t> overlay_slot_;
-  std::vector<std::vector<InterestId>> overlay_;
-  std::size_t overlay_entries_ = 0;
-  std::size_t overlay_live_ = 0;
-
-  // Request histogram: one dense node-major matrix,
-  // request_counts_[node * categories_ + category].
+  // Node-major matrices: cell [node * categories_ + category].
+  std::vector<std::uint8_t> declared_;  ///< 1 iff the category is declared
   std::vector<double> request_counts_;
   std::vector<double> request_totals_;
-
-  std::vector<Revision> revisions_;
-  Revision epoch_ = 0;
-  std::uint64_t rebuilds_ = 0;
 };
 
 }  // namespace st::core

@@ -45,9 +45,10 @@
 //
 // Observability: when the st::obs layer is enabled, update() times its
 // three stages (invalidate / collect / adjust), tallies pair and rating
-// counters, and emits one "socialtrust.update" interval event per call. Instrumentation is observation-only — it never feeds
-// back into the adjustment, so enabling it preserves the bit-identity
-// contract above (DESIGN.md §12, docs/OBSERVABILITY.md).
+// counters, and emits one "socialtrust.update" interval event per call.
+// Instrumentation is observation-only — it never feeds back into the
+// adjustment, so enabling it preserves the bit-identity contract above
+// (DESIGN.md §12, docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <memory>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 namespace st::graph {
@@ -11,21 +12,11 @@ ReferenceSocialGraph::ReferenceSocialGraph(std::size_t node_count)
       neighbor_ids_(node_count),
       interactions_(node_count),
       interaction_totals_(node_count, 0.0),
-      revisions_(node_count, 0),
       structure_revisions_(node_count, 0) {}
 
 void ReferenceSocialGraph::bump_structure(NodeId a, NodeId b) {
   ++structure_revisions_[a];
   ++structure_revisions_[b];
-  ++revisions_[a];
-  ++revisions_[b];
-  ++structure_epoch_;
-  ++epoch_;
-}
-
-void ReferenceSocialGraph::bump_value(NodeId a) {
-  ++revisions_[a];
-  ++epoch_;
 }
 
 void ReferenceSocialGraph::check_node(NodeId a) const {
@@ -145,7 +136,7 @@ std::size_t ReferenceSocialGraph::degree(NodeId a) const noexcept {
 void ReferenceSocialGraph::record_interaction(NodeId from, NodeId to, double count) {
   check_node(from);
   check_node(to);
-  if (from == to || count <= 0.0) return;
+  if (from == to || !std::isfinite(count) || count <= 0.0) return;
   auto& row = interactions_[from];
   auto it = std::lower_bound(
       row.begin(), row.end(), to,
@@ -158,7 +149,6 @@ void ReferenceSocialGraph::record_interaction(NodeId from, NodeId to, double cou
     row.insert(it, {to, count});
   }
   interaction_totals_[from] += count;
-  bump_value(from);
 }
 
 double ReferenceSocialGraph::interaction(NodeId from, NodeId to) const noexcept {
@@ -299,10 +289,9 @@ void ReferenceSocialGraph::clear_node(NodeId node) {
   if (!interactions_[node].empty()) {
     interactions_[node].clear();
     interaction_totals_[node] = 0.0;
-    bump_value(node);
   }
-  // Drop incoming interactions. f(from, node) is part of `from`'s state
-  // (Eq. 2 normalises by from's totals), so each affected rater bumps.
+  // Drop incoming interactions; each affected rater's Eq. (2) total
+  // shrinks with its row.
   for (NodeId from = 0; from < interactions_.size(); ++from) {
     auto& row = interactions_[from];
     auto it = std::lower_bound(
@@ -313,7 +302,6 @@ void ReferenceSocialGraph::clear_node(NodeId node) {
     if (it != row.end() && it->first == node) {
       interaction_totals_[from] -= it->second;
       row.erase(it);
-      bump_value(from);
     }
   }
 }
@@ -335,7 +323,7 @@ SocialGraph::MemoryFootprint ReferenceSocialGraph::memory_footprint()
   for (const auto& ids : neighbor_ids_) m.adjacency_bytes += vec_bytes(ids);
   m.interaction_bytes = vec_bytes(interactions_) + vec_bytes(interaction_totals_);
   for (const auto& row : interactions_) m.interaction_bytes += vec_bytes(row);
-  m.revision_bytes = vec_bytes(revisions_) + vec_bytes(structure_revisions_);
+  m.revision_bytes = vec_bytes(structure_revisions_);
   return m;
 }
 

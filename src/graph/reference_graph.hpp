@@ -6,7 +6,8 @@
 // Kept for two consumers only:
 //   * the CSR equivalence suite (tests/csr_graph_test.cpp) replays
 //     randomized mutation sequences against both representations and
-//     asserts every public accessor and revision counter agrees;
+//     asserts every public accessor, structure revision and the
+//     edge-addition epoch agree;
 //   * bench_csr_graph measures the before/after closeness throughput and
 //     memory footprint that BENCH_csr_graph.json commits.
 // It is NOT a production surface — simulation code links SocialGraph.
@@ -63,14 +64,9 @@ class ReferenceSocialGraph {
   /// No-op: the reference layout has no deferred representation work.
   void begin_interval() {}
 
-  Revision revision(NodeId node) const noexcept {
-    return node < revisions_.size() ? revisions_[node] : 0;
-  }
   Revision structure_revision(NodeId node) const noexcept {
     return node < structure_revisions_.size() ? structure_revisions_[node] : 0;
   }
-  Revision epoch() const noexcept { return epoch_; }
-  Revision structure_epoch() const noexcept { return structure_epoch_; }
   Revision edge_addition_epoch() const noexcept { return addition_epoch_; }
 
   /// Heap bytes of the old layout, on the same axes as
@@ -86,7 +82,6 @@ class ReferenceSocialGraph {
 
   void check_node(NodeId a) const;
   void bump_structure(NodeId a, NodeId b);
-  void bump_value(NodeId a);
   const EdgeRecord* find_edge(NodeId a, NodeId b) const noexcept;
   EdgeRecord* find_edge(NodeId a, NodeId b) noexcept;
 
@@ -95,10 +90,7 @@ class ReferenceSocialGraph {
   std::vector<std::vector<std::pair<NodeId, double>>> interactions_;
   std::vector<double> interaction_totals_;
 
-  std::vector<Revision> revisions_;
   std::vector<Revision> structure_revisions_;
-  Revision epoch_ = 0;
-  Revision structure_epoch_ = 0;
   Revision addition_epoch_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -33,7 +34,6 @@ SocialGraph::SocialGraph(std::size_t node_count)
       int_offsets_(node_count + 1, 0),
       int_overlay_slot_(node_count, kNoOverlay),
       interaction_totals_(node_count, 0.0),
-      revisions_(node_count, 0),
       structure_revisions_(node_count, 0) {
   auto& registry = obs::Obs::instance().registry();
   obs_rebuilds_ = &registry.counter("social_graph.csr_rebuilds");
@@ -43,15 +43,6 @@ SocialGraph::SocialGraph(std::size_t node_count)
 void SocialGraph::bump_structure(NodeId a, NodeId b) {
   ++structure_revisions_[a];
   ++structure_revisions_[b];
-  ++revisions_[a];
-  ++revisions_[b];
-  ++structure_epoch_;
-  ++epoch_;
-}
-
-void SocialGraph::bump_value(NodeId a) {
-  ++revisions_[a];
-  ++epoch_;
 }
 
 void SocialGraph::check_node(NodeId a) const {
@@ -348,7 +339,7 @@ std::size_t SocialGraph::degree(NodeId a) const noexcept {
 void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {
   check_node(from);
   check_node(to);
-  if (from == to || count <= 0.0) return;
+  if (from == to || !std::isfinite(count) || count <= 0.0) return;
   const IntRowMut row = int_row_mut(from);
   const std::size_t idx = find_in(row.targets, row.size, to);
   if (idx != static_cast<std::size_t>(-1)) {
@@ -364,7 +355,6 @@ void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {
     ++int_overlay_entries_;
   }
   interaction_totals_[from] += count;
-  bump_value(from);
   maybe_rebuild();
 }
 
@@ -657,23 +647,18 @@ void SocialGraph::clear_node(NodeId node) {
   // Drop outgoing interactions: zero the counts in place (zero and
   // absent are indistinguishable through every accessor); the next
   // rebuild reclaims the tombstones.
-  {
-    const IntRowMut mine = int_row_mut(node);
-    bool any = false;
-    for (std::size_t k = 0; k < mine.size; ++k) {
-      if (mine.counts[k] > 0.0) {
-        mine.counts[k] = 0.0;
-        ++int_tombstones_;
-        any = true;
-      }
-    }
-    if (any) {
-      interaction_totals_[node] = 0.0;
-      bump_value(node);
+  const IntRowMut mine = int_row_mut(node);
+  bool any = false;
+  for (std::size_t k = 0; k < mine.size; ++k) {
+    if (mine.counts[k] > 0.0) {
+      mine.counts[k] = 0.0;
+      ++int_tombstones_;
+      any = true;
     }
   }
-  // Drop incoming interactions. f(from, node) is part of `from`'s state
-  // (Eq. 2 normalises by from's totals), so each affected rater bumps.
+  if (any) interaction_totals_[node] = 0.0;
+  // Drop incoming interactions; each affected rater's Eq. (2) total
+  // shrinks with its row.
   for (NodeId from = 0; from < node_count_; ++from) {
     if (from == node) continue;
     const IntRowMut row_from = int_row_mut(from);
@@ -682,7 +667,6 @@ void SocialGraph::clear_node(NodeId node) {
       interaction_totals_[from] -= row_from.counts[idx];
       row_from.counts[idx] = 0.0;
       ++int_tombstones_;
-      bump_value(from);
     }
   }
   maybe_rebuild();
@@ -707,7 +691,7 @@ SocialGraph::MemoryFootprint SocialGraph::memory_footprint() const noexcept {
     m.overlay_bytes += vec_bytes(row.targets) + vec_bytes(row.counts) +
                        sizeof(IntOverlayRow);
   }
-  m.revision_bytes = vec_bytes(revisions_) + vec_bytes(structure_revisions_);
+  m.revision_bytes = vec_bytes(structure_revisions_);
   return m;
 }
 

@@ -29,9 +29,15 @@
 //
 // Rebuilds are representation-only: every accessor reads rows through
 // the same sorted-row view before and after, so results are
-// bit-identical and no revision/epoch counter moves. Rebuild timing is
-// a pure function of the mutation sequence (the counters that trigger
+// bit-identical and no structure revision or epoch moves. Rebuild timing
+// is a pure function of the mutation sequence (the counters that trigger
 // it never depend on representation), so runs are reproducible.
+//
+// Change tracking covers adjacency only (DESIGN.md §13): the structure
+// cache witnesses common-friend sets and paths against
+// structure_revision() and edge_addition_epoch(). Interaction counts
+// carry no revision — the plugin re-reads every Eq. (2) row each
+// interval.
 //
 // Span stability: neighbors() spans are invalidated by ANY mutating
 // method — not just mutations of the same node — because a mutation may
@@ -78,11 +84,12 @@ double default_relationship_weight(Relationship r) noexcept;
 /// relationships and interactions mutate freely.
 class SocialGraph {
  public:
-  /// Monotone change counter. Per-node revisions and global epochs never
-  /// decrease and bump exactly when the corresponding state actually
-  /// changes (no-op mutator calls and representation rebuilds leave them
-  /// untouched), so equality of a revision witnessed at compute time with
-  /// the current revision proves a derived value would come out identical
+  /// Monotone change counter for adjacency. Structure revisions and the
+  /// edge-addition epoch never decrease and bump exactly when the
+  /// adjacency they cover actually changes (no-op mutator calls,
+  /// interaction edits and representation rebuilds leave them untouched),
+  /// so equality of a revision witnessed at compute time with the current
+  /// revision proves a structure-derived value would come out identical
   /// if re-derived.
   using Revision = std::uint64_t;
 
@@ -179,34 +186,19 @@ class SocialGraph {
 
   /// Interval hook: compacts any pending delta overlay (and interaction
   /// tombstones) into fresh flat CSR arrays. Representation-only — no
-  /// accessor result and no revision counter changes — so callers may
+  /// accessor result and no structure revision changes — so callers may
   /// invoke it at any quiescent point; the Simulator does so at the top
   /// of every reputation-update interval so the parallel closeness
   /// passes always read pure CSR rows. Invalidates outstanding spans.
   void begin_interval();
 
-  /// Revision of *all* social state owned by `node`: its neighbour list,
-  /// edge types, and outgoing interaction row f(node, *). Bumped by every
-  /// mutator that changes any of those.
-  Revision revision(NodeId node) const noexcept {
-    return node < revisions_.size() ? revisions_[node] : 0;
-  }
-
-  /// Revision of `node`'s *structural* state only — its neighbour list and
+  /// Revision of `node`'s *structural* state — its neighbour list and
   /// the relationship types on its edges. Interaction counters do not bump
   /// this, so structure-derived values (common-friend sets, adjacency) can
   /// be witnessed without churning on the rating stream.
   Revision structure_revision(NodeId node) const noexcept {
     return node < structure_revisions_.size() ? structure_revisions_[node] : 0;
   }
-
-  /// Global epoch: bumps whenever any node's state changes at all.
-  Revision epoch() const noexcept { return epoch_; }
-
-  /// Structural epoch: bumps only when some edge appears, disappears, or
-  /// changes type anywhere. While it holds still, every BFS distance and
-  /// shortest path in the graph is unchanged.
-  Revision structure_epoch() const noexcept { return structure_epoch_; }
 
   /// Edge-addition epoch: bumps only when a brand-new adjacency appears
   /// anywhere (the first relationship between a previously non-adjacent
@@ -236,7 +228,7 @@ class SocialGraph {
     std::size_t adjacency_bytes = 0;     ///< CSR offsets + targets + masks
     std::size_t interaction_bytes = 0;   ///< CSR offsets + targets + counts
     std::size_t overlay_bytes = 0;       ///< delta rows awaiting compaction
-    std::size_t revision_bytes = 0;      ///< per-node revision counters
+    std::size_t revision_bytes = 0;      ///< per-node structure revisions
     std::size_t total() const noexcept {
       return adjacency_bytes + interaction_bytes + overlay_bytes +
              revision_bytes;
@@ -320,7 +312,6 @@ class SocialGraph {
 
   void check_node(NodeId a) const;
   void bump_structure(NodeId a, NodeId b);
-  void bump_value(NodeId a);
 
   std::size_t node_count_ = 0;
 
@@ -351,12 +342,8 @@ class SocialGraph {
   std::vector<double> interaction_totals_;
   std::size_t half_edges_ = 0;
 
-  // Change tracking (see Revision). structure_revisions_[n] <= revisions_[n]
-  // in bump count: every structural bump also bumps the full revision.
-  std::vector<Revision> revisions_;
+  // Change tracking (see Revision): adjacency only.
   std::vector<Revision> structure_revisions_;
-  Revision epoch_ = 0;
-  Revision structure_epoch_ = 0;
   Revision addition_epoch_ = 0;
 
   std::uint64_t rebuilds_ = 0;

@@ -363,12 +363,11 @@ RunResult Simulator::run() {
       }
     }
     ledger_.close_cycle();
-    // Compact any pending CSR deltas before the parallel reputation
+    // Compact any pending graph deltas before the parallel reputation
     // update so every closeness BFS and common-friend merge this interval
-    // walks pure flat rows. Representation-only: no revision moves, so
-    // the update pass sees bit-identical social state either way.
+    // walks pure flat rows. Representation-only: no structure revision
+    // moves, so the update pass sees bit-identical social state either way.
     graph_.begin_interval();
-    profiles_.begin_interval();
     system_->update(ledger_.last_cycle());
     current_bar_ = selection_bar();
     record_cycle_metrics(result);
@@ -387,13 +386,6 @@ RunResult Simulator::run() {
           {"inauthentic_services",
            static_cast<double>(inauthentic_services_)},
           {"fake_ratings", static_cast<double>(fake_ratings_)},
-          // How fast the social substrate churns: the graph's full epoch
-          // counts every relationship/interaction mutation, the structure
-          // epoch only edge changes. The gap between their growth rates is
-          // what the incremental SocialStateCache exploits (DESIGN.md §13).
-          {"graph_epoch", static_cast<double>(graph_.epoch())},
-          {"graph_structure_epoch",
-           static_cast<double>(graph_.structure_epoch())},
       };
       obs::Obs::instance().emit_interval("sim.cycle", system_->name(),
                                          extras);

@@ -1,19 +1,24 @@
 // CSR equivalence suite (DESIGN.md §15). The CSR refactor's contract is
-// that representation is unobservable: every public accessor and every
-// revision/epoch counter of the CSR-backed SocialGraph/InterestProfiles
-// must match a faithful port of the pre-CSR vector-of-vectors layout on
-// ANY mutation sequence, and compaction timing (threshold-triggered or
+// that representation is unobservable: every public accessor, structure
+// revision and the edge-addition epoch of the CSR-backed SocialGraph must
+// match a faithful port of the pre-CSR vector-of-vectors layout on ANY
+// mutation sequence, and compaction timing (threshold-triggered or
 // explicit begin_interval()) must be invisible. The suites here replay
 // randomized mutation mixes — relationship add/remove, interactions,
 // clear_node, whitewashing re-entry — against both representations and
 // compare exhaustively, then check rebuild determinism, memory
 // accounting, and the end-to-end plugin differential at threads {1,2,4}.
+// The dense InterestProfiles are checked the same way against a port of
+// the sorted-set layout, similarity kernels included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -64,13 +69,10 @@ void expect_graphs_identical(const SocialGraph& csr,
   ASSERT_EQ(csr.size(), ref.size());
   EXPECT_EQ(csr.edge_count(), ref.edge_count());
 
-  EXPECT_EQ(csr.epoch(), ref.epoch());
-  EXPECT_EQ(csr.structure_epoch(), ref.structure_epoch());
   EXPECT_EQ(csr.edge_addition_epoch(), ref.edge_addition_epoch());
 
   for (NodeId a = 0; a < n; ++a) {
     EXPECT_EQ(csr.degree(a), ref.degree(a)) << "node " << a;
-    EXPECT_EQ(csr.revision(a), ref.revision(a)) << "node " << a;
     EXPECT_EQ(csr.structure_revision(a), ref.structure_revision(a))
         << "node " << a;
     EXPECT_TRUE(bits_equal(csr.total_interactions(a),
@@ -199,10 +201,9 @@ TEST(CsrEquivalence, CompactionTimingIsUnobservable) {
   expect_graphs_identical(lazy, ref_b, "lazy vs reference");
   // And directly against each other, revisions included.
   for (NodeId v = 0; v < kNodes; ++v) {
-    EXPECT_EQ(eager.revision(v), lazy.revision(v));
     EXPECT_EQ(eager.structure_revision(v), lazy.structure_revision(v));
   }
-  EXPECT_EQ(eager.epoch(), lazy.epoch());
+  EXPECT_EQ(eager.edge_addition_epoch(), lazy.edge_addition_epoch());
 }
 
 TEST(CsrEquivalence, RebuildTimingIsDeterministic) {
@@ -235,14 +236,14 @@ TEST(CsrEquivalence, ExplicitCompactionDrainsDeltaAndKeepsCounters) {
   g.add_relationship(0, 1, Relationship::kKinship);
   g.record_interaction(0, 1, 3.0);
   g.clear_node(2);  // no-op clear: no tombstones, no bumps
-  const auto rev0 = g.revision(0);
-  const auto epoch = g.epoch();
+  const auto srev0 = g.structure_revision(0);
+  const auto epoch = g.edge_addition_epoch();
   EXPECT_GT(g.delta_mass(), 0u);
   g.begin_interval();
   EXPECT_EQ(g.delta_mass(), 0u);
   EXPECT_EQ(g.rebuild_count(), 1u);
-  EXPECT_EQ(g.revision(0), rev0);
-  EXPECT_EQ(g.epoch(), epoch);
+  EXPECT_EQ(g.structure_revision(0), srev0);
+  EXPECT_EQ(g.edge_addition_epoch(), epoch);
   g.begin_interval();  // nothing pending: not even a rebuild
   EXPECT_EQ(g.rebuild_count(), 1u);
 }
@@ -269,6 +270,29 @@ TEST(CsrEquivalence, ClearNodeTombstonesAreInvisibleAndReclaimed) {
   g.begin_interval();  // reclaim
   EXPECT_TRUE(bits_equal(g.interaction(0, 2), 0.0));
   EXPECT_TRUE(bits_equal(g.interaction(0, 1), 4.0));
+}
+
+TEST(ReferenceSocialGraph, InteractionRejectsNonFiniteAndNonPositiveCounts) {
+  ReferenceSocialGraph g(3);
+  g.add_relationship(0, 1, Relationship::kFriendship);
+  g.record_interaction(0, 1, 2.0);
+  g.record_interaction(0, 2, 3.0);
+  auto snapshot = [&g] {
+    std::vector<double> out;
+    for (NodeId v = 0; v < 3; ++v) {
+      out.push_back(g.total_interactions(v));
+      for (NodeId u = 0; u < 3; ++u) out.push_back(g.interaction(v, u));
+    }
+    return out;
+  };
+  const auto before = snapshot();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    g.record_interaction(0, 1, bad);  // an existing row entry
+    g.record_interaction(1, 2, bad);  // a rater with no row yet
+    EXPECT_EQ(snapshot(), before) << "count " << bad;
+  }
 }
 
 /// A reference graph with `g`'s adjacency, every edge a friendship (the
@@ -504,21 +528,21 @@ TEST(CsrEquivalence, ShortestPathIsLexMinAmongEqualLengthPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// InterestProfiles vs a reference port of its pre-CSR layout
+// Dense InterestProfiles vs a reference port of the sorted-set layout
 
-/// Pre-CSR InterestProfiles: per-node sorted vectors + per-node dense
-/// request vectors, exactly as the seed implemented them.
+/// Sorted-set InterestProfiles: per-node sorted declared vectors and
+/// per-node request vectors, with the similarity kernels as sorted-set
+/// merges. The dense kernels must add the same terms in the same order,
+/// so every result matches bit for bit.
 class ReferenceInterestProfiles {
  public:
   using InterestId = core::InterestId;
-  using Revision = std::uint64_t;
 
   ReferenceInterestProfiles(std::size_t node_count, std::size_t categories)
       : categories_(categories),
         declared_(node_count),
         request_counts_(node_count, std::vector<double>(categories, 0.0)),
-        request_totals_(node_count, 0.0),
-        revisions_(node_count, 0) {}
+        request_totals_(node_count, 0.0) {}
 
   void set_interests(NodeId node, std::span<const InterestId> interests) {
     std::vector<InterestId> next;
@@ -527,43 +551,32 @@ class ReferenceInterestProfiles {
     }
     std::sort(next.begin(), next.end());
     next.erase(std::unique(next.begin(), next.end()), next.end());
-    if (next != declared_[node]) {
-      declared_[node] = std::move(next);
-      bump(node);
-    }
+    declared_[node] = std::move(next);
   }
   void add_interest(NodeId node, InterestId interest) {
     if (interest >= categories_) return;
     auto& set = declared_[node];
     auto it = std::lower_bound(set.begin(), set.end(), interest);
-    if (it == set.end() || *it != interest) {
-      set.insert(it, interest);
-      bump(node);
-    }
+    if (it == set.end() || *it != interest) set.insert(it, interest);
   }
   void remove_interest(NodeId node, InterestId interest) {
     auto& set = declared_[node];
     auto it = std::lower_bound(set.begin(), set.end(), interest);
-    if (it != set.end() && *it == interest) {
-      set.erase(it);
-      bump(node);
-    }
+    if (it != set.end() && *it == interest) set.erase(it);
   }
   void record_request(NodeId node, InterestId category, double count) {
-    if (category >= categories_ || count <= 0.0) return;
+    if (category >= categories_ || !std::isfinite(count) || count <= 0.0)
+      return;
     request_counts_[node][category] += count;
     request_totals_[node] += count;
-    bump(node);
   }
   void clear_requests(NodeId node) {
-    if (request_totals_[node] == 0.0) return;
     std::fill(request_counts_[node].begin(), request_counts_[node].end(),
               0.0);
     request_totals_[node] = 0.0;
-    bump(node);
   }
 
-  std::span<const InterestId> declared(NodeId node) const {
+  const std::vector<InterestId>& declared(NodeId node) const {
     return declared_[node];
   }
   double request_weight(NodeId node, InterestId category) const {
@@ -571,40 +584,151 @@ class ReferenceInterestProfiles {
     return request_counts_[node][category] / request_totals_[node];
   }
   double total_requests(NodeId node) const { return request_totals_[node]; }
-  Revision revision(NodeId node) const { return revisions_[node]; }
-  Revision epoch() const { return epoch_; }
+
+  std::vector<InterestId> effective(NodeId node) const {
+    std::vector<InterestId> result = declared_[node];
+    for (std::size_t c = 0; c < categories_; ++c) {
+      if (request_counts_[node][c] > 0.0) {
+        auto id = static_cast<InterestId>(c);
+        auto it = std::lower_bound(result.begin(), result.end(), id);
+        if (it == result.end() || *it != id) result.insert(it, id);
+      }
+    }
+    return result;
+  }
+
+  double similarity(NodeId a, NodeId b) const {
+    const auto& va = declared_[a];
+    const auto& vb = declared_[b];
+    if (va.empty() || vb.empty()) return 0.0;
+    std::size_t overlap = 0;
+    auto ia = va.begin();
+    auto ib = vb.begin();
+    while (ia != va.end() && ib != vb.end()) {
+      if (*ia < *ib) {
+        ++ia;
+      } else if (*ib < *ia) {
+        ++ib;
+      } else {
+        ++overlap;
+        ++ia;
+        ++ib;
+      }
+    }
+    return static_cast<double>(overlap) /
+           static_cast<double>(std::min(va.size(), vb.size()));
+  }
+
+  double weighted_similarity(NodeId a, NodeId b) const {
+    std::vector<InterestId> va = effective(a);
+    std::vector<InterestId> vb = effective(b);
+    if (va.empty() || vb.empty()) return 0.0;
+    double sum = 0.0;
+    auto ia = va.begin();
+    auto ib = vb.begin();
+    while (ia != va.end() && ib != vb.end()) {
+      if (*ia < *ib) {
+        ++ia;
+      } else if (*ib < *ia) {
+        ++ib;
+      } else {
+        sum += std::min(request_weight(a, *ia), request_weight(b, *ib));
+        ++ia;
+        ++ib;
+      }
+    }
+    return sum;
+  }
+
+  double weighted_similarity_eq11(NodeId a, NodeId b) const {
+    std::vector<InterestId> va = effective(a);
+    std::vector<InterestId> vb = effective(b);
+    if (va.empty() || vb.empty()) return 0.0;
+    double sum = 0.0;
+    auto ia = va.begin();
+    auto ib = vb.begin();
+    while (ia != va.end() && ib != vb.end()) {
+      if (*ia < *ib) {
+        ++ia;
+      } else if (*ib < *ia) {
+        ++ib;
+      } else {
+        sum += request_weight(a, *ia) * request_weight(b, *ib);
+        ++ia;
+        ++ib;
+      }
+    }
+    return sum / static_cast<double>(std::min(va.size(), vb.size()));
+  }
 
  private:
-  void bump(NodeId node) {
-    ++revisions_[node];
-    ++epoch_;
-  }
   std::size_t categories_;
   std::vector<std::vector<InterestId>> declared_;
   std::vector<std::vector<double>> request_counts_;
   std::vector<double> request_totals_;
-  std::vector<Revision> revisions_;
-  Revision epoch_ = 0;
 };
+
+/// Compares every per-node accessor and, for every ordered node pair,
+/// all three similarity kernels bit for bit.
+void expect_profiles_identical(const core::InterestProfiles& dense,
+                               const ReferenceInterestProfiles& ref,
+                               std::size_t nodes, std::size_t categories) {
+  for (NodeId v = 0; v < nodes; ++v) {
+    EXPECT_TRUE(bits_equal(dense.total_requests(v), ref.total_requests(v)))
+        << "node " << v;
+    EXPECT_EQ(dense.declared(v), ref.declared(v)) << "node " << v;
+    EXPECT_EQ(dense.effective(v), ref.effective(v)) << "node " << v;
+    for (std::size_t c = 0; c < categories; ++c) {
+      EXPECT_TRUE(bits_equal(
+          dense.request_weight(v, static_cast<core::InterestId>(c)),
+          ref.request_weight(v, static_cast<core::InterestId>(c))))
+          << "node " << v << " cat " << c;
+    }
+    for (NodeId u = 0; u < nodes; ++u) {
+      EXPECT_TRUE(bits_equal(dense.similarity(v, u), ref.similarity(v, u)))
+          << "pair " << v << "," << u;
+      EXPECT_TRUE(bits_equal(dense.weighted_similarity(v, u),
+                             ref.weighted_similarity(v, u)))
+          << "pair " << v << "," << u;
+      EXPECT_TRUE(bits_equal(dense.weighted_similarity_eq11(v, u),
+                             ref.weighted_similarity_eq11(v, u)))
+          << "pair " << v << "," << u;
+    }
+  }
+}
 
 TEST(CsrEquivalence, InterestProfilesMatchesReferenceUnderRandomOps) {
   constexpr std::size_t kNodes = 16;
   constexpr std::size_t kCats = 12;
+  // Two nodes sit outside the random mix: one keeps an empty profile,
+  // the other only ever records requests (no declared interest).
+  constexpr auto kEmpty = static_cast<NodeId>(kNodes - 2);
+  constexpr auto kRequestsOnly = static_cast<NodeId>(kNodes - 1);
+  // Request counts, the guarded-out ones included.
+  constexpr double kCounts[] = {1.0,
+                                2.0,
+                                3.0,
+                                4.0,
+                                0.0,
+                                -1.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
   for (std::uint64_t seed : {3u, 31u}) {
-    core::InterestProfiles csr(kNodes, kCats);
+    core::InterestProfiles dense(kNodes, kCats);
     ReferenceInterestProfiles ref(kNodes, kCats);
     stats::Rng rng(seed);
     for (int step = 0; step < 800; ++step) {
-      const auto node = static_cast<NodeId>(rng.index(kNodes));
+      const auto node = static_cast<NodeId>(rng.index(kEmpty));
       const auto cat = static_cast<core::InterestId>(rng.index(kCats + 2));
       switch (rng.index(6)) {
         case 0:
         case 1:
-          csr.add_interest(node, cat);
+          dense.add_interest(node, cat);
           ref.add_interest(node, cat);
           break;
         case 2:
-          csr.remove_interest(node, cat);
+          dense.remove_interest(node, cat);
           ref.remove_interest(node, cat);
           break;
         case 3: {
@@ -612,41 +736,32 @@ TEST(CsrEquivalence, InterestProfilesMatchesReferenceUnderRandomOps) {
           for (std::size_t k = rng.index(5); k > 0; --k) {
             set.push_back(static_cast<core::InterestId>(rng.index(kCats)));
           }
-          csr.set_interests(node, set);
+          dense.set_interests(node, set);
           ref.set_interests(node, set);
           break;
         }
         case 4: {
-          const double count = 1.0 + rng.index(4);
-          csr.record_request(node, cat, count);
-          ref.record_request(node, cat, count);
+          const NodeId who = rng.bernoulli(0.25) ? kRequestsOnly : node;
+          const double count = kCounts[rng.index(std::size(kCounts))];
+          dense.record_request(who, cat, count);
+          ref.record_request(who, cat, count);
           break;
         }
         default:
-          csr.clear_requests(node);
+          dense.clear_requests(node);
           ref.clear_requests(node);
           break;
       }
-      if (step == 400) csr.begin_interval();
-    }
-    csr.begin_interval();
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    EXPECT_EQ(csr.epoch(), ref.epoch());
-    for (NodeId v = 0; v < kNodes; ++v) {
-      EXPECT_EQ(csr.revision(v), ref.revision(v)) << "node " << v;
-      EXPECT_TRUE(bits_equal(csr.total_requests(v), ref.total_requests(v)));
-      const auto dc = csr.declared(v);
-      const auto dr = ref.declared(v);
-      ASSERT_EQ(dc.size(), dr.size()) << "node " << v;
-      EXPECT_TRUE(std::equal(dc.begin(), dc.end(), dr.begin()))
-          << "node " << v;
-      for (std::size_t c = 0; c < kCats; ++c) {
-        EXPECT_TRUE(bits_equal(
-            csr.request_weight(v, static_cast<core::InterestId>(c)),
-            ref.request_weight(v, static_cast<core::InterestId>(c))))
-            << "node " << v << " cat " << c;
+      if (step % 200 == 199) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                     std::to_string(step));
+        expect_profiles_identical(dense, ref, kNodes, kCats);
       }
     }
+    EXPECT_TRUE(dense.declared(kEmpty).empty());
+    EXPECT_TRUE(dense.effective(kEmpty).empty());
+    EXPECT_TRUE(dense.declared(kRequestsOnly).empty());
+    EXPECT_FALSE(dense.effective(kRequestsOnly).empty());
   }
 }
 
@@ -690,8 +805,9 @@ std::vector<double> run_reputations(std::size_t threads) {
 }
 
 TEST(CsrEquivalence, PluginOverCsrCoreBitIdenticalAcrossThreadCounts) {
-  // The Simulator compacts both CSR cores at the top of every update
-  // interval, so this exercises rebuild + parallel read paths together.
+  // The Simulator compacts the graph's CSR core at the top of every
+  // update interval, so this exercises rebuild + parallel read paths
+  // together.
   const auto serial = run_reputations(1);
   for (std::size_t threads : {2UL, 4UL}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

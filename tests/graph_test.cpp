@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <queue>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/social_graph.hpp"
@@ -114,6 +116,34 @@ TEST(SocialGraph, InteractionIgnoresSelfAndNonPositive) {
   g.record_interaction(0, 1, 0.0);
   g.record_interaction(0, 1, -3.0);
   EXPECT_DOUBLE_EQ(g.total_interactions(0), 0.0);
+}
+
+TEST(SocialGraph, InteractionRejectsNonFiniteAndNonPositiveCounts) {
+  // A NaN count would make the rater's Eq. (2) total NaN, and +Inf would
+  // drive every other term of its closeness row to 0.
+  SocialGraph g(3);
+  g.add_relationship(0, 1, Relationship::kFriendship);
+  g.record_interaction(0, 1, 2.0);
+  g.record_interaction(0, 2, 3.0);
+  auto snapshot = [&g] {
+    std::vector<double> out;
+    for (NodeId v = 0; v < 3; ++v) {
+      out.push_back(g.total_interactions(v));
+      const auto row = g.interactions(v);
+      out.push_back(static_cast<double>(row.targets.size()));
+      out.insert(out.end(), row.targets.begin(), row.targets.end());
+      out.insert(out.end(), row.counts.begin(), row.counts.end());
+    }
+    return out;
+  };
+  const auto before = snapshot();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    g.record_interaction(0, 1, bad);  // an existing row entry
+    g.record_interaction(1, 2, bad);  // a rater with no row yet
+    EXPECT_EQ(snapshot(), before) << "count " << bad;
+  }
 }
 
 TEST(SocialGraph, InteractionsDoNotRequireAdjacency) {
@@ -317,89 +347,116 @@ TEST_P(GeneratorSeedProperty, GraphsAreDeterministicPerSeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeedProperty,
                          ::testing::Values(1u, 7u, 42u, 31337u));
 
-// Revision counters back the SocialStateCache validity checks
-// (DESIGN.md §13): they must tick on every actual state change and only
-// on actual state changes.
+// Structure revisions and the edge-addition epoch back the
+// SocialStateCache validity checks (DESIGN.md §13): they must tick on
+// every adjacency change and only on adjacency changes. Interaction
+// edits carry no revision.
 
 TEST(SocialGraphRevisions, EdgeMutationsBumpBothEndpointsStructurally) {
   SocialGraph g(4);
-  EXPECT_EQ(g.epoch(), 0U);
-  EXPECT_EQ(g.structure_epoch(), 0U);
+  EXPECT_EQ(g.edge_addition_epoch(), 0U);
 
   g.add_relationship(0, 1, Relationship::kFriendship);
   EXPECT_EQ(g.structure_revision(0), 1U);
   EXPECT_EQ(g.structure_revision(1), 1U);
   EXPECT_EQ(g.structure_revision(2), 0U);
-  // A structural change is also a full change (Eq. 2 reads m(i,j)).
-  EXPECT_EQ(g.revision(0), 1U);
-  EXPECT_EQ(g.revision(1), 1U);
-  EXPECT_EQ(g.structure_epoch(), 1U);
-  EXPECT_EQ(g.epoch(), 1U);
+  EXPECT_EQ(g.edge_addition_epoch(), 1U);
 
   // Re-adding an existing edge changes nothing and must not bump.
   g.add_relationship(1, 0, Relationship::kFriendship);
   EXPECT_EQ(g.structure_revision(0), 1U);
-  EXPECT_EQ(g.structure_epoch(), 1U);
+  EXPECT_EQ(g.edge_addition_epoch(), 1U);
 
-  g.remove_relationship(0, 1, Relationship::kFriendship);
+  // A second type on the edge changes structure but adds no adjacency.
+  g.add_relationship(0, 1, Relationship::kColleague);
   EXPECT_EQ(g.structure_revision(0), 2U);
   EXPECT_EQ(g.structure_revision(1), 2U);
-  EXPECT_EQ(g.structure_epoch(), 2U);
+  EXPECT_EQ(g.edge_addition_epoch(), 1U);
+
+  g.remove_relationship(0, 1, Relationship::kFriendship);
+  EXPECT_EQ(g.structure_revision(0), 3U);
+  EXPECT_EQ(g.structure_revision(1), 3U);
+  EXPECT_EQ(g.edge_addition_epoch(), 1U);  // removals never bump it
 
   // Removing a non-edge is a no-op.
   g.remove_relationship(0, 2, Relationship::kFriendship);
-  EXPECT_EQ(g.structure_epoch(), 2U);
+  EXPECT_EQ(g.structure_revision(0), 3U);
+  EXPECT_EQ(g.structure_revision(2), 0U);
 }
 
-TEST(SocialGraphRevisions, InteractionsBumpOnlyTheRaterAndOnlyFully) {
+// Every structure revision, then the edge-addition epoch.
+std::vector<SocialGraph::Revision> revision_witnesses(const SocialGraph& g) {
+  std::vector<SocialGraph::Revision> out;
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    out.push_back(g.structure_revision(static_cast<NodeId>(v)));
+  }
+  out.push_back(g.edge_addition_epoch());
+  return out;
+}
+
+TEST(SocialGraphRevisions, InteractionsBumpNothing) {
   SocialGraph g(3);
   g.add_relationship(0, 1, Relationship::kFriendship);
-  const auto sepoch = g.structure_epoch();
-  const auto srev0 = g.structure_revision(0);
+  const auto before = revision_witnesses(g);
 
-  g.record_interaction(0, 1, 2.0);
-  // Interaction counts live in the rater's row; the ratee's state is
-  // untouched and the topology did not change.
-  EXPECT_EQ(g.revision(0), srev0 + 1);
-  EXPECT_EQ(g.revision(1), g.structure_revision(1));
-  EXPECT_EQ(g.structure_revision(0), srev0);
-  EXPECT_EQ(g.structure_epoch(), sepoch);
-  EXPECT_GT(g.epoch(), sepoch);
+  g.record_interaction(0, 1, 2.0);  // along an edge
+  g.record_interaction(0, 2, 1.0);  // to a non-neighbour
+  g.record_interaction(2, 1, 1.0);  // from a node with no edges
+  g.record_interaction(0, 1, 1.0);  // onto an existing row entry
+  EXPECT_DOUBLE_EQ(g.total_interactions(0), 4.0);
+  EXPECT_DOUBLE_EQ(g.total_interactions(2), 1.0);
+  EXPECT_EQ(revision_witnesses(g), before);
 }
 
-TEST(SocialGraphRevisions, ClearNodeBumpsEveryRaterWhoseRowShrank) {
-  SocialGraph g(4);
+TEST(SocialGraphRevisions, ClearNodeBumpsOnlyItAndItsFormerNeighbours) {
+  SocialGraph g(5);
   g.add_relationship(0, 1, Relationship::kFriendship);
-  g.record_interaction(0, 1, 1.0);  // 0's row mentions 1
-  g.record_interaction(2, 1, 1.0);  // 2's row mentions 1
-  g.record_interaction(2, 3, 1.0);  // unrelated entry in 2's row
-  const auto rev0 = g.revision(0);
-  const auto rev2 = g.revision(2);
-  const auto rev3 = g.revision(3);
+  g.add_relationship(3, 4, Relationship::kFriendship);
+  g.record_interaction(0, 1, 2.0);
+  g.record_interaction(0, 2, 1.0);  // 0's row mentions 2
+  g.record_interaction(2, 1, 1.0);  // 2's own row
+  g.record_interaction(3, 2, 1.0);  // 3's row mentions 2
+  const auto before = revision_witnesses(g);
 
+  // Node 2 has no edges, so clearing it only trims interaction rows.
+  g.clear_node(2);
+  EXPECT_DOUBLE_EQ(g.total_interactions(0), 2.0);
+  EXPECT_DOUBLE_EQ(g.total_interactions(3), 0.0);
+  EXPECT_EQ(revision_witnesses(g), before);
+
+  // Clearing a node with an edge bumps it and its former friend only.
   g.clear_node(1);
-  // Raters whose incoming rows were trimmed changed observable state
-  // (their Eq. 2 denominators shrink); bystanders did not.
-  EXPECT_GT(g.revision(0), rev0);
-  EXPECT_GT(g.revision(2), rev2);
-  EXPECT_EQ(g.revision(3), rev3);
+  const auto after = revision_witnesses(g);
+  EXPECT_GT(after[0], before[0]);
+  EXPECT_GT(after[1], before[1]);
+  EXPECT_EQ(after[2], before[2]);
+  EXPECT_EQ(after[3], before[3]);
+  EXPECT_EQ(after[4], before[4]);
+  EXPECT_EQ(after[5], before[5]);
 }
 
 TEST(SocialGraphRevisions, EpochIsMonotoneOverAMixedWorkload) {
+  // The edge-addition epoch moves only when a brand-new adjacency
+  // appears; removals and interactions leave it alone.
   stats::Rng rng(99);
   SocialGraph g = barabasi_albert(30, 2, rng);
-  auto last = g.epoch();
-  for (int step = 0; step < 50; ++step) {
+  for (int step = 0; step < 60; ++step) {
     const auto a = static_cast<NodeId>(rng.index(30));
     auto b = static_cast<NodeId>(rng.index(30));
     if (b == a) b = (b + 1) % 30;
-    if (rng.bernoulli(0.3)) {
+    const auto last = g.edge_addition_epoch();
+    const bool was_adjacent = g.adjacent(a, b);
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 0.3) {
       g.add_relationship(a, b, Relationship::kColleague);
+      EXPECT_EQ(g.edge_addition_epoch(), last + (was_adjacent ? 0 : 1));
+    } else if (roll < 0.5) {
+      g.remove_relationship(a, b, Relationship::kFriendship);
+      EXPECT_EQ(g.edge_addition_epoch(), last);
     } else {
       g.record_interaction(a, b);
+      EXPECT_EQ(g.edge_addition_epoch(), last);
     }
-    EXPECT_GE(g.epoch(), last);
-    last = g.epoch();
   }
 }
 

@@ -241,9 +241,9 @@ TEST(SocialStateCacheTest, PathEntriesGateOnStructureAndSpareTheSink) {
   EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);  // now via 0-4-5-3
 
   // A new edge far from the path can open a shorter one, so path entries
-  // gate on the edge-addition epoch (not the structure epoch, which
-  // removals bump too). Chain 0-1-2-3-4 plus pendants 0-5 and 4-6: adding
-  // 5-6 bumps only 5 and 6, off the old path, and opens 0-5-6-4.
+  // gate on the edge-addition epoch, which removals leave alone. Chain
+  // 0-1-2-3-4 plus pendants 0-5 and 4-6: adding 5-6 bumps only 5 and 6,
+  // off the old path, and opens 0-5-6-4.
   SocialGraph h(7);
   befriend(h, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {4, 6}});
   h.record_interaction(0, 1, 1.0);

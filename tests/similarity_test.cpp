@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/similarity.hpp"
@@ -22,9 +23,7 @@ TEST(Profiles, DeclareSortsAndDeduplicates) {
   InterestProfiles p(2, 10);
   auto set = ids({5, 1, 5, 3, 1});
   p.set_interests(0, set);
-  auto declared = p.declared(0);
-  EXPECT_EQ(std::vector<InterestId>(declared.begin(), declared.end()),
-            ids({1, 3, 5}));
+  EXPECT_EQ(p.declared(0), ids({1, 3, 5}));
 }
 
 TEST(Profiles, DeclareDropsOutOfRangeCategories) {
@@ -41,10 +40,9 @@ TEST(Profiles, AddRemoveInterest) {
   p.add_interest(0, 4);  // duplicate ignored
   EXPECT_EQ(p.declared(0).size(), 2u);
   p.remove_interest(0, 4);
-  EXPECT_EQ(std::vector<InterestId>(p.declared(0).begin(),
-                                    p.declared(0).end()),
-            ids({2}));
+  EXPECT_EQ(p.declared(0), ids({2}));
   p.remove_interest(0, 9);  // absent: no-op
+  EXPECT_EQ(p.declared(0), ids({2}));
 }
 
 TEST(Profiles, RequestWeightsAreShares) {
@@ -67,6 +65,47 @@ TEST(Profiles, RequestIgnoresInvalidInput) {
   p.record_request(0, 9, 5.0);   // out-of-range category
   p.record_request(0, 1, -2.0);  // non-positive count
   EXPECT_DOUBLE_EQ(p.total_requests(0), 0.0);
+}
+
+TEST(Profiles, NonFiniteAndNonPositiveCountsChangeNothing) {
+  // A NaN or +Inf count would poison the node's total and so every
+  // request weight and weighted similarity it enters.
+  InterestProfiles p(3, 4);
+  p.set_interests(0, ids({1, 2}));
+  p.record_request(0, 1, 3.0);
+  p.record_request(0, 2, 1.0);
+  p.record_request(1, 2, 2.0);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  auto snapshot = [&] {
+    std::vector<std::uint64_t> out;
+    for (NodeId v = 0; v < 3; ++v) {
+      out.push_back(bits(p.total_requests(v)));
+      out.push_back(p.effective(v).size());
+      for (InterestId c = 0; c < 4; ++c) {
+        out.push_back(bits(p.request_weight(v, c)));
+      }
+      for (NodeId u = 0; u < 3; ++u) {
+        out.push_back(bits(p.weighted_similarity(v, u)));
+        out.push_back(bits(p.weighted_similarity_eq11(v, u)));
+      }
+    }
+    return out;
+  };
+  const auto before = snapshot();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    for (NodeId v = 0; v < 3; ++v) {
+      p.record_request(v, 2, bad);  // a category node 0 and 1 requested
+      p.record_request(v, 3, bad);  // a category nobody requested
+    }
+    EXPECT_EQ(snapshot(), before) << "count " << bad;
+  }
+  // Node 2 never made a valid request: its history stays empty, and
+  // clearing it changes nothing either.
+  EXPECT_TRUE(p.effective(2).empty());
+  p.clear_requests(2);
+  EXPECT_EQ(snapshot(), before);
 }
 
 TEST(Profiles, EffectiveUnionsDeclaredAndRequested) {
@@ -261,62 +300,6 @@ TEST(Similarity, SymmetricBitForBitInBothVariants) {
   EXPECT_EQ(bits(p.weighted_similarity(0, 1)),
             bits(p.weighted_similarity(1, 0)));
   EXPECT_GT(p.weighted_similarity(0, 1), 0.0);
-}
-
-// Profile revisions: bump on every observable change, never on no-ops
-// (DESIGN.md §13 lists their remaining readers).
-
-TEST(ProfileRevisions, BumpOnlyOnActualChange) {
-  InterestProfiles p(3, 8);
-  EXPECT_EQ(p.revision(0), 0U);
-  EXPECT_EQ(p.epoch(), 0U);
-
-  const InterestId ints[] = {1, 4, 6};
-  p.set_interests(0, ints);
-  const auto after_set = p.revision(0);
-  EXPECT_GT(after_set, 0U);
-  EXPECT_EQ(p.revision(1), 0U);  // other nodes untouched
-  EXPECT_EQ(p.epoch(), after_set);
-
-  // Re-declaring the identical set (even permuted — declarations are
-  // stored sorted) is observably a no-op.
-  const InterestId same[] = {6, 1, 4};
-  p.set_interests(0, same);
-  EXPECT_EQ(p.revision(0), after_set);
-
-  p.add_interest(0, 4);  // already declared: no-op
-  EXPECT_EQ(p.revision(0), after_set);
-  p.add_interest(0, 7);
-  EXPECT_GT(p.revision(0), after_set);
-
-  const auto before_remove = p.revision(0);
-  p.remove_interest(0, 3);  // never declared: no-op
-  EXPECT_EQ(p.revision(0), before_remove);
-  p.remove_interest(0, 7);
-  EXPECT_GT(p.revision(0), before_remove);
-}
-
-TEST(ProfileRevisions, RequestsAndClearsBumpTheRequester) {
-  InterestProfiles p(2, 4);
-  const auto rev0 = p.revision(0);
-
-  p.record_request(0, 2, 3.0);
-  EXPECT_GT(p.revision(0), rev0);
-  EXPECT_EQ(p.revision(1), 0U);
-
-  // Guarded-out requests (bad category, non-positive count) change
-  // nothing and must not bump.
-  const auto before = p.revision(0);
-  p.record_request(0, 99, 1.0);
-  p.record_request(0, 2, 0.0);
-  EXPECT_EQ(p.revision(0), before);
-
-  p.clear_requests(0);
-  EXPECT_GT(p.revision(0), before);
-  // Clearing an already-empty history is a no-op.
-  const auto after_clear = p.revision(0);
-  p.clear_requests(0);
-  EXPECT_EQ(p.revision(0), after_clear);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@ runs under plain ``python3 tests/st_lint_test.py`` or pytest.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -37,7 +38,7 @@ LINTER = REPO_ROOT / "tools" / "st_lint.py"
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from stlint.callgraph import CallGraph  # noqa: E402
-from stlint.core import load_file  # noqa: E402
+from stlint.core import RULES, load_file  # noqa: E402
 from stlint.index import ProjectIndex, build_facts  # noqa: E402
 from stlint.scopes import collect_aliases  # noqa: E402
 
@@ -1431,68 +1432,6 @@ double reduce2(const PairStore2& store) {
         self.assert_clean(self.lint(self.root / "src"))
 
 
-class Api2RevisionTests(LintFixtureCase):
-    """API-2: SocialGraph/InterestProfiles mutation-path discipline."""
-
-    def test_mutation_without_bump_fires(self) -> None:
-        f = self.write("src/graph/sg.cpp", """
-class SocialGraph {
- public:
-  void add_edge(unsigned a, unsigned b) { edges_ = edges_ + 1; }
-  void remove_edge(unsigned a, unsigned b) {
-    edges_ = edges_ - 1;
-    bump();
-  }
-  unsigned revision() const { return rev_; }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned edges_ = 0;
-  unsigned rev_ = 0;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "API-2")
-        self.assertIn("add_edge", proc.stderr)
-        self.assertNotIn("remove_edge", proc.stderr)
-
-    def test_mutation_reaching_bump_passes(self) -> None:
-        f = self.write("src/graph/sg2.cpp", """
-class SocialGraph {
- public:
-  void remove_edge(unsigned a, unsigned b) {
-    edges_ = edges_ - 1;
-    note();
-  }
- private:
-  void note() { bump(); }
-  void bump() { rev_ = rev_ + 1; }
-  unsigned edges_ = 0;
-  unsigned rev_ = 0;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    def test_rebuild_calling_public_accessor_fires(self) -> None:
-        f = self.write("src/graph/sg3.cpp", """
-class SocialGraph {
- public:
-  void rebuild() {
-    bump();
-    cached_ = revision();
-  }
-  unsigned revision() const { return rev_; }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned rev_ = 0;
-  unsigned cached_ = 0;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "API-2")
-        self.assertIn("revision", proc.stderr)
-        self.assertIn("rebuild", proc.stderr)
-
-
 class SeededBugAuditTests(LintFixtureCase):
     """The PR-3 seeded-bug audit: ebay.cpp's original hash-order
     reduction, re-introduced behind a fixture copy with the unordered
@@ -1675,7 +1614,7 @@ class SarifOutputTests(LintFixtureCase):
         self.assertEqual(doc["version"], "2.1.0")
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        for rule in ("DET-4", "CON-3", "LOCK-4", "API-2"):
+        for rule in ("DET-4", "CON-3", "LOCK-4", "REV-1"):
             self.assertIn(rule, rule_ids)
         result = run["results"][0]
         self.assertEqual(result["ruleId"], "DET-1")
@@ -1987,8 +1926,71 @@ class DataflowTests(unittest.TestCase):
 
 
 class Rev1PathSensitivityTests(LintFixtureCase):
-    """REV-1: per-path revision-protocol enforcement, including the
-    seeded early-return bug API-2's whole-closure boolean cannot see."""
+    """REV-1: per-path revision-protocol enforcement — a mutator with no
+    bump at all, and the seeded early-return bug that skips a bump the
+    other branch reaches."""
+
+    def test_mutation_without_bump_fires(self) -> None:
+        f = self.write("src/graph/sg.cpp", """
+class SocialGraph {
+ public:
+  void add_edge(unsigned a, unsigned b) { edges_ = edges_ + 1; }
+  void remove_edge(unsigned a, unsigned b) {
+    edges_ = edges_ - 1;
+    bump();
+  }
+  unsigned revision() const { return rev_; }
+ private:
+  void bump() { rev_ = rev_ + 1; }
+  unsigned edges_ = 0;
+  unsigned rev_ = 0;
+};
+""")
+        proc = self.lint(f)
+        self.assert_fires(proc, "REV-1")
+        self.assertIn("add_edge", proc.stderr)
+        self.assertNotIn("remove_edge", proc.stderr)
+
+    def test_bump_reached_through_helper_is_clean(self) -> None:
+        f = self.write("src/graph/sg2.cpp", """
+class SocialGraph {
+ public:
+  void remove_edge(unsigned a, unsigned b) {
+    edges_ = edges_ - 1;
+    note();
+  }
+ private:
+  void note() { bump(); }
+  void bump() { rev_ = rev_ + 1; }
+  unsigned edges_ = 0;
+  unsigned rev_ = 0;
+};
+""")
+        self.assert_clean(self.lint(f))
+
+    def test_interaction_writes_need_no_bump(self) -> None:
+        """Interaction state carries no revision, so a write to it is
+        clean without a bump; an adjacency write still needs one."""
+        f = self.write("src/graph/sg_int.cpp", """
+#include <vector>
+class SocialGraph {
+ public:
+  void record_interaction(unsigned from, double count) {
+    interaction_totals_[from] += count;
+    int_counts_[from] += count;
+  }
+  void add_edge(unsigned a, unsigned b) { rel_targets_[a] = b; }
+ private:
+  std::vector<double> interaction_totals_;
+  std::vector<double> int_counts_;
+  std::vector<unsigned> rel_targets_;
+};
+""")
+        proc = self.lint(f)
+        self.assert_fires(proc, "REV-1")
+        self.assertIn("add_edge", proc.stderr)
+        self.assertIn("rel_targets_", proc.stderr)
+        self.assertNotIn("record_interaction", proc.stderr)
 
     EARLY_RETURN = """
 class SocialGraph {
@@ -2015,15 +2017,6 @@ class SocialGraph {
         # the early return
         self.assertIn("entry@L", proc.stderr)
         self.assertIn("return@L", proc.stderr)
-
-    def test_seeded_audit_api2_is_blind_to_the_same_bug(self) -> None:
-        """The mandated differential: the closure DOES reach bump_value,
-        so API-2's whole-closure boolean is satisfied; only the
-        path-sensitive analysis reports the unbumped early return."""
-        f = self.write("src/graph/sg_rev2.cpp", self.EARLY_RETURN)
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-1")
-        self.assertNotIn("API-2", proc.stderr + proc.stdout)
 
     def test_bump_on_every_path_is_clean(self) -> None:
         f = self.write("src/graph/sg_ok.cpp", """
@@ -2133,6 +2126,27 @@ class SocialGraph {
 """)
         proc = self.lint(f)
         self.assert_fires(proc, "REV-2")
+        self.assertIn("rebuild", proc.stderr)
+
+    def test_rebuild_calling_public_accessor_fires(self) -> None:
+        f = self.write("src/graph/sg3.cpp", """
+class SocialGraph {
+ public:
+  void rebuild() {
+    bump();
+    cached_ = revision();
+  }
+  unsigned revision() const { return rev_; }
+ private:
+  void bump() { rev_ = rev_ + 1; }
+  unsigned rev_ = 0;
+  unsigned cached_ = 0;
+};
+""")
+        proc = self.lint(f)
+        self.assert_fires(proc, "REV-2")
+        self.assertIn("calls public const accessor SocialGraph::revision()",
+                      proc.stderr)
         self.assertIn("rebuild", proc.stderr)
 
     def test_rebuild_without_bump_is_clean(self) -> None:
@@ -2304,13 +2318,21 @@ class ChangedOnlyRenameTests(LintFixtureCase):
 
 class SarifHelpUriTests(LintFixtureCase):
     def test_rules_link_to_catalogue_anchors(self) -> None:
+        """core.RULES and the catalogue's anchors are the same set, and
+        every SARIF rule links to its own anchor: retiring a rule cannot
+        leave a dangling row, anchor or helpUri behind."""
+        catalogue = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text(
+            encoding="utf-8")
+        anchors = {a.upper() for a in
+                   re.findall(r'<a id="([a-z0-9-]+)"></a>', catalogue)}
+        self.assertEqual(anchors, set(RULES))
         f = self.write("src/core/bad.cpp", "int f() { return rand(); }\n")
         proc = run_lint("--sarif", str(f))
         doc = json.loads(proc.stdout)
         rules = {r["id"]: r for r in
                  doc["runs"][0]["tool"]["driver"]["rules"]}
-        for rule in ("REV-1", "REV-2", "EXC-1"):
-            self.assertIn(rule, rules)
+        self.assertEqual(set(rules), set(RULES))
+        for rule in RULES:
             self.assertEqual(rules[rule]["helpUri"],
                              f"docs/STATIC_ANALYSIS.md#{rule.lower()}")
 

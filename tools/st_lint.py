@@ -19,7 +19,7 @@ string literals (OBS-1 checks the metric-name literal itself).
 v3 adds the whole-program layer: every run distils each file into a
 fact record (functions, calls, writes, locks, class fields — index.py),
 resolves call edges across translation units (callgraph.py), and runs
-four inter-procedural rule families on the resulting graph. Facts are
+three inter-procedural rule families on the resulting graph. Facts are
 cached content-hash-keyed in ``--index-cache`` JSON, so warm re-lints
 re-lex only changed files.
 
@@ -49,8 +49,12 @@ etiquette in docs/STATIC_ANALYSIS.md):
   OBS-1   metric names: snake_case, globally unique, documented in
           docs/OBSERVABILITY.md
   OBS-2   documented metrics that no longer exist in code
-  API-2   (whole-program) SocialGraph/InterestProfiles mutation paths
-          must bump a revision; rebuild() must not call accessors
+  REV-1   (per-path) every path through a SocialGraph mutator that
+          commits an adjacency write must bump a structure revision
+  REV-2   representation-only entry points must not bump; rebuild()
+          must not call public const accessors
+  EXC-1   (per-path) no committed write before a potentially-throwing
+          call in a mutator, unless rolled back or noexcept
   HYG-1   every src/ .cpp includes its own header first
   HYG-2   no using namespace at namespace scope in headers
   SUP-1   (--strict) every suppression names its rule and a reason

@@ -9,7 +9,8 @@ output formats are the stable interface (docs/STATIC_ANALYSIS.md):
 
 v3 adds the whole-program layer: every run builds the project index
 (symbols + call-graph facts) over *all* scanned files and runs the
-inter-procedural families (CON-3/LOCK-4/DET-4/API-2) on it. With
+inter-procedural families (CON-3/LOCK-4/DET-4) and the flow-sensitive
+protocol families (REV-1/REV-2/EXC-1) on it. With
 ``--index-cache PATH`` the facts and per-file findings are served from a
 content-hash-keyed JSON cache, so a warm re-lint after touching one file
 re-lexes only that file. ``--changed-only`` narrows the per-file rules

@@ -42,15 +42,13 @@ RULES = {
               "inside a lock scope",
     "LOCK-4": "lock-order cycle in the whole-program acquisition graph "
               "(lifted across function boundaries)",
-    "API-2": "SocialGraph/InterestProfiles mutation path that never "
-             "reaches a revision bump, or an accessor callable from "
-             "inside rebuild()",
     "REV-1": "path-sensitive revision protocol: a path through a public "
              "mutator commits an observable member write but returns "
              "without reaching bump()/bump_structure()/bump_value()",
     "REV-2": "representation-only entry point (rebuild/materialize/"
              "begin_interval) reaches a revision bump, spuriously "
-             "invalidating O(changed) reuse",
+             "invalidating O(changed) reuse, or rebuild() calls a public "
+             "const accessor",
     "EXC-1": "committed member write in a mutator precedes a potentially-"
              "throwing call without rollback or noexcept; an exception "
              "strands un-bumped state",
@@ -78,15 +76,19 @@ CON2_ALLOWED_PREFIXES: tuple[str, ...] = ()
 LOCK2_ALLOWED_PREFIXES = ("src/util/thread_annotations.",)
 OBS_SCOPE_PREFIXES = ("src/",)
 
-# Shared between API-2 (v3, whole-closure) and the REV family (v4,
-# path-sensitive) so the two layers agree on what counts as protocol-
-# observable. Entry points that reorganise storage without changing
-# observable values need no bump (REV-2 *forbids* one); writes to
-# representation buffers are maintenance, not mutation; writing an
-# epoch/revision counter IS the protocol.
+# What the REV family (rules/protocol.py) counts as protocol-observable.
+# Entry points that reorganise storage without changing observable values
+# need no bump (REV-2 *forbids* one); writes to representation buffers
+# are maintenance, not mutation; writing an epoch/revision counter IS the
+# protocol.
 REPRESENTATION_ONLY = {"begin_interval", "rebuild", "maybe_rebuild",
                        "materialize", "materialize_rel", "materialize_int"}
 REPR_FIELD_MARKERS = ("overlay", "tombstone", "scratch", "rebuilds_")
+# Interaction state carries no revision (DESIGN.md §13): the plugin
+# re-reads every Eq. (2) row each interval, so REV-1/EXC-1 skip writes to
+# SocialGraph's int_* rows and interaction_totals_ and the reference
+# graph's interactions_. Matched as field-name prefixes.
+INTERACTION_FIELD_MARKERS = ("int_", "interaction")
 BUMP_FIELD_MARKERS = ("epoch_", "revision")
 
 ALLOW_RE = re.compile(r"//\s*st-lint:\s*allow\(\s*([A-Za-z]+-?\d*)\s*([^)]*)\)")

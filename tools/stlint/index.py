@@ -5,7 +5,7 @@ JSON-serialisable fact record: function definitions (with their calls,
 writes, lock acquisitions, and unordered-iteration sites), class fields
 and method declarations (visibility, constness, mutex-typed members),
 unordered aliases and accessors, metric registrations, and suppression
-lines. The inter-procedural rules (CON-3/LOCK-4/DET-4/API-2) consume
+lines. The whole-program rules (CON-3/LOCK-4/DET-4/REV-*/EXC-1) consume
 facts only — never tokens — so they stay whole-program even when most
 files are served from the cache.
 

@@ -1,4 +1,4 @@
-"""Inter-procedural rule families (v3): CON-3, LOCK-4, DET-4, API-2.
+"""Inter-procedural rule families (v3): CON-3, LOCK-4, DET-4.
 
 These rules consume the ProjectIndex facts and the CallGraph only —
 never raw tokens — so they run whole-program on every lint, including
@@ -16,27 +16,18 @@ never raw tokens — so they run whole-program on every lint, including
          defined in *another* TU (invisible to per-file DET-3) into a
          float accumulation or an ordered sink, and iteration over
          pointer-keyed ordered containers (address order).
-  API-2  CSR mutation discipline: every public mutation path on
-         SocialGraph / InterestProfiles must reach a revision bump, and
-         rebuild() must not call public const accessors.
+
+The revision protocol is the flow-sensitive REV family's
+(rules/protocol.py).
 """
 
 from __future__ import annotations
 
 from ..callgraph import CallGraph
-from ..core import (BUMP_FIELD_MARKERS, DET2_SCOPE_PREFIXES,
-                    REPR_FIELD_MARKERS, REPRESENTATION_ONLY, Finding,
-                    in_scope)
+from ..core import DET2_SCOPE_PREFIXES, Finding, in_scope
 from ..index import ProjectIndex
 
 CON3_SCOPE_PREFIXES = ("src/",)
-API2_CLASSES = ("SocialGraph", "InterestProfiles")
-API2_BUMP_NAMES = {"bump", "bump_structure", "bump_value"}
-# Representation-only entry points reorganise storage (CSR arrays,
-# caches) without changing observable values, so no bump is required —
-# the shared set in core.py keeps this aligned with REV-2, which
-# *forbids* a bump on these same entry points.
-API2_REPRESENTATION_ONLY = REPRESENTATION_ONLY
 
 
 def check(index: ProjectIndex, graph: CallGraph,
@@ -44,7 +35,6 @@ def check(index: ProjectIndex, graph: CallGraph,
     check_con3(index, graph, findings)
     check_lock4(index, graph, findings)
     check_det4(index, graph, findings)
-    check_api2(index, graph, findings)
 
 
 def _emit(index: ProjectIndex, findings: list[Finding], rel: str,
@@ -303,98 +293,3 @@ def check_det4(index: ProjectIndex, graph: CallGraph,
                               f"'{it['name']}' feeds {sink}: pointer "
                               f"comparison is address order, which varies "
                               f"per run; key on a stable id instead")
-
-
-# --- API-2 ------------------------------------------------------------------
-
-def _same_class_closure(index: ProjectIndex, graph: CallGraph, cls: str,
-                        roots: list[int]) -> list[int]:
-    family = set(graph._class_family(cls))
-    seen: list[int] = []
-    queue = list(roots)
-    while queue:
-        gid = queue.pop()
-        if gid in seen:
-            continue
-        seen.append(gid)
-        for target, _ in graph.callees(gid):
-            if index.functions[target]["cls"] in family:
-                queue.append(target)
-    return seen
-
-
-def check_api2(index: ProjectIndex, graph: CallGraph,
-               findings: list[Finding]) -> None:
-    for cls in API2_CLASSES:
-        info = index.classes.get(cls)
-        if info is None:
-            continue
-        methods = info["methods"]
-        for name, decl in sorted(methods.items()):
-            if decl["visibility"] != "public" or decl["const"]:
-                continue
-            if name == cls or name.startswith("~") or \
-                    name in API2_BUMP_NAMES or \
-                    name in API2_REPRESENTATION_ONLY or \
-                    name.startswith("operator"):
-                continue
-            roots = list(index.by_qname.get(f"{cls}::{name}", []))
-            if not roots:
-                continue  # declared but defined outside the scanned tree
-            closure = _same_class_closure(index, graph, cls, roots)
-            writes_member = False
-            write_site: tuple[str, int] | None = None
-            bump_reached = False
-            for gid in closure:
-                fn = index.functions[gid]
-                for call in fn["calls"]:
-                    if call["name"] in API2_BUMP_NAMES and \
-                            call.get("recv", "") in ("", "this"):
-                        bump_reached = True
-                for w in fn["writes"]:
-                    root = w["root"]
-                    member = w["member"] if root == "this" else root
-                    if root == "this" or (
-                            root not in fn["locals"]
-                            and index.field_of(cls, member) is not None):
-                        if any(m in member for m in BUMP_FIELD_MARKERS):
-                            bump_reached = True  # epoch counters ARE the protocol
-                            continue
-                        if any(m in member for m in REPR_FIELD_MARKERS):
-                            continue  # representation maintenance
-                        writes_member = True
-                        if write_site is None:
-                            write_site = (fn["_file"], w["line"])
-            if writes_member and not bump_reached:
-                fn0 = index.functions[roots[0]]
-                site = (f"; first member write at "
-                        f"{write_site[0]}:{write_site[1]}"
-                        if write_site else "")
-                _emit(index, findings, fn0["_file"], fn0["line"], "API-2",
-                      f"{cls}::{name}() mutates member state but no path "
-                      f"reaches bump()/bump_structure()/bump_value(){site}; "
-                      f"every observable mutation must advance a revision "
-                      f"witness (DESIGN.md CSR contract)")
-        # rebuild() must not call public const accessors: a reader invoked
-        # mid-rebuild would observe torn CSR state.
-        rebuild_roots = list(index.by_qname.get(f"{cls}::rebuild", []))
-        if not rebuild_roots:
-            continue
-        closure = _same_class_closure(index, graph, cls, rebuild_roots)
-        for gid in closure:
-            fn = index.functions[gid]
-            for target, call in graph.callees(gid):
-                callee = index.functions[target]
-                if callee["cls"] != cls:
-                    continue
-                decl = methods.get(callee["name"])
-                is_public = (decl or {}).get("visibility") == "public"
-                is_const = callee["const"] or (decl or {}).get("const")
-                if is_public and is_const:
-                    _emit(index, findings, fn["_file"], call["line"],
-                          "API-2",
-                          f"{fn['qname']}() (reachable from "
-                          f"{cls}::rebuild()) calls public const accessor "
-                          f"{cls}::{callee['name']}() — accessors must not "
-                          f"run mid-rebuild; use the private materialized "
-                          f"state directly")

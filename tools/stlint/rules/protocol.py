@@ -5,17 +5,18 @@ These run on the per-function CFGs serialised into the fact records
 they stay whole-program *and* cache-warm like the v3 families.
 
   REV-1  path-sensitive revision protocol: every path through a public
-         mutating method of SocialGraph / InterestProfiles /
-         ReferenceSocialGraph that commits an observable member write
-         must reach a bump()/bump_structure()/bump_value() (or an
-         epoch-counter write) before returning. Unlike API-2's
-         whole-closure boolean, an early return on one branch while the
-         other branch bumps is caught, and the offending path is
-         reported as a block-level witness chain (LOCK-4 style).
+         mutating method of SocialGraph / ReferenceSocialGraph that
+         commits an observable member write must reach a
+         bump()/bump_structure()/bump_value() (or an epoch-counter
+         write) before returning. A mutator with no bump at all fails on
+         every writing path; one that bumps on one branch but returns
+         early on another fails on that path alone, and the offending
+         path is reported as a block-level witness chain (LOCK-4 style).
   REV-2  the inverse: representation-only entry points (rebuild,
          materialize, begin_interval, ...) must NOT reach a bump —
          storage reorganisation that advances witnesses would spuriously
-         invalidate O(changed) reuse.
+         invalidate O(changed) reuse — and rebuild() must not call a
+         public const accessor, which would read torn CSR state.
   EXC-1  exception safety in mutators: no committed observable write may
          precede a potentially-throwing event (allocating container
          call, throwing same-tree callee, explicit uncaught throw)
@@ -26,9 +27,9 @@ Soundness notes (see docs/STATIC_ANALYSIS.md §v4 for the catalogue):
 guarded-commit gens (`bool changed = helper(...); if (changed) bump();`)
 are discharged when a bump sits in a block guarded by the result
 variable; writes to representation-only fields (overlay/tombstone
-buffers, rebuild counters) are not protocol-observable; unresolved
-cross-TU calls are assumed non-throwing unless they match the
-allocating-method list.
+buffers, rebuild counters) and to interaction state (which carries no
+revision) are not protocol-observable; unresolved cross-TU calls are
+assumed non-throwing unless they match the allocating-method list.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from __future__ import annotations
 from .. import dataflow
 from ..callgraph import CallGraph
 from ..cfg import ENTRY, EXIT, RAISE
-from ..core import (BUMP_FIELD_MARKERS, REPR_FIELD_MARKERS,
-                    REPRESENTATION_ONLY, Finding)
+from ..core import (BUMP_FIELD_MARKERS, INTERACTION_FIELD_MARKERS,
+                    REPR_FIELD_MARKERS, REPRESENTATION_ONLY, Finding)
 from ..index import ProjectIndex
 
-REV_CLASSES = ("SocialGraph", "InterestProfiles", "ReferenceSocialGraph")
+REV_CLASSES = ("SocialGraph", "ReferenceSocialGraph")
 BUMP_NAMES = {"bump", "bump_structure", "bump_value"}
 # Container methods that may allocate (and therefore throw bad_alloc).
 ALLOC_CALLS = {"push_back", "emplace_back", "emplace", "insert", "resize",
@@ -146,7 +147,8 @@ class _Analysis:
                     if any(m in field for m in BUMP_FIELD_MARKERS):
                         out[bid].append({"t": "kill", "line": w["line"]})
                     elif repr_fn or any(m in field
-                                        for m in REPR_FIELD_MARKERS):
+                                        for m in REPR_FIELD_MARKERS) or \
+                            field.startswith(INTERACTION_FIELD_MARKERS):
                         continue
                     elif b.get("h"):
                         # catch-handler re-write: rollback, not a commit
@@ -415,6 +417,26 @@ class _Analysis:
                           f"reorganisation must not advance revision "
                           f"witnesses (it would spuriously invalidate "
                           f"O(changed) reuse)")
+        # rebuild() must not call public const accessors: a reader invoked
+        # mid-rebuild would observe torn CSR state.
+        rebuild_roots = list(index.by_qname.get(f"{self.cls}::rebuild", []))
+        for gid in _same_class_closure(index, graph, self.family,
+                                       rebuild_roots):
+            fn = index.functions[gid]
+            for target, call in graph.callees(gid):
+                callee = index.functions[target]
+                if callee["cls"] != self.cls:
+                    continue
+                decl = info["methods"].get(callee["name"]) or {}
+                if decl.get("visibility") == "public" and \
+                        (callee["const"] or decl.get("const")):
+                    _emit(index, findings, fn["_file"], call["line"],
+                          "REV-2",
+                          f"{fn['qname']}() (reachable from "
+                          f"{self.cls}::rebuild()) calls public const "
+                          f"accessor {self.cls}::{callee['name']}() — "
+                          f"accessors must not run mid-rebuild; use the "
+                          f"private materialized state directly")
 
     # -- EXC-1 --------------------------------------------------------------
 
