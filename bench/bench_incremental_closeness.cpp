@@ -1,10 +1,10 @@
 // Warm-vs-cold wall-clock of the SocialTrust update interval under a
 // steady-state Section 5.1 workload, measuring what the persistent
-// SocialStateCache (DESIGN.md §13) buys: when only a small fraction of
-// nodes mutate between intervals, the revision-validated structure layer
-// serves most common-friend set and shortest-path lookups without redoing
-// the BFS / friend-of-friend work, and the results stay bit-identical to
-// a cold recompute.
+// SocialStateCache (DESIGN.md §13) buys: while the relationships hold
+// still between intervals, the path cache, witnessed by the graph's one
+// structure epoch, serves every shortest-path lookup without redoing the
+// bounded search, and the results stay bit-identical to a cold
+// recompute.
 //
 // Protocol: one network, one recurring rating stream (peers keep rating
 // their regular partners), and between intervals a small random subset
@@ -22,10 +22,10 @@
 //   --churn <pct>       % of nodes mutating per interval  (default 8)
 //   --rel-churn <pct>   % of nodes whose *relationships* are rewired per
 //                       interval (friendships added and removed mid-run,
-//                       default 0). Topology churn bumps structure
-//                       revisions, so the cached common-friend sets and
-//                       BFS paths actually miss — the adversarial preset
-//                       for the structure layer's persistence bet.
+//                       default 0). Topology churn moves the structure
+//                       epoch every interval, so every cached path
+//                       misses — the adversarial preset for the path
+//                       cache's persistence bet.
 //   --reps <n>          repetitions, min totals are kept  (default 2)
 //   --json <path>       also write results as JSON (the
 //                       BENCH_incremental_closeness.json artifact)
@@ -34,13 +34,13 @@
 //   --seed <n>          workload seed                     (default 42)
 //
 // Exit code is non-zero if any warm interval is not bit-identical to
-// its cold twin, if the steady-state structure-layer hit rate falls below
-// 80%, or (full runs only — --quick skips the timing gate to stay robust
-// on loaded CI machines) if the steady-state speedup falls below 2x.
-// With --rel-churn > 0 the hit-rate and speedup gates are reported but
-// not enforced: rewiring the topology every interval deliberately
-// defeats the structure layer's steady-state assumption, so the only
-// hard claim left — and the one still gated — is bit-identity.
+// its cold twin, if the steady-state path hit rate falls below 80%, or
+// (full runs only — --quick skips the timing gate to stay robust on
+// loaded CI machines) if the steady-state speedup falls below 2x. With
+// --rel-churn > 0 the hit-rate and speedup gates are reported but not
+// enforced: rewiring the topology every interval deliberately defeats
+// the path cache's steady-state assumption, so the only hard claim left
+// — and the one still gated — is bit-identity.
 
 #include <algorithm>
 #include <bit>
@@ -90,9 +90,8 @@ struct Workload {
 Workload make_workload(std::size_t n, st::stats::Rng& rng) {
   Workload w;
   // k = 6 (sparser than bench_parallel_update's 10): longer social
-  // distances push more pairs onto the friend-of-friend and bottleneck
-  // branches, which is where the cached BFS / set-intersection work
-  // lives — the cost this bench is about.
+  // distances push more pairs onto the bottleneck branch, whose bounded
+  // path search is what the cache keeps — the cost this bench is about.
   w.graph = st::graph::watts_strogatz(n, 6, 0.1, rng);
   w.profiles = InterestProfiles(n, 20);
 
@@ -157,8 +156,8 @@ Workload make_workload(std::size_t n, st::stats::Rng& rng) {
 /// interactions towards existing neighbours, occasionally a fresh
 /// interest request — and returns the exact count of distinct nodes
 /// touched. Relationships are left alone: the topology only changes at
-/// setup and on whitewashing in the simulator, and the structure layer
-/// of the cache is exactly the bet that it rarely does.
+/// setup and on whitewashing in the simulator, and the path cache is
+/// exactly the bet that it rarely does.
 std::size_t apply_churn(Workload& w, st::stats::Rng& rng, double pct) {
   const std::size_t n = w.graph.size();
   const auto target = static_cast<std::size_t>(
@@ -187,9 +186,8 @@ std::size_t apply_churn(Workload& w, st::stats::Rng& rng, double pct) {
 /// each step picks a node and either drops the friendship to one of its
 /// current neighbours or befriends a random stranger (alternating, so
 /// the edge count stays roughly stable across a long run). Every flip
-/// bumps both endpoints' structure revisions, and every new friendship the
-/// graph's edge-addition epoch, so cached common-friend sets and BFS paths
-/// genuinely miss — the scenario the steady-state preset (apply_churn)
+/// moves the graph's structure epoch, so every cached path genuinely
+/// misses — the scenario the steady-state preset (apply_churn)
 /// deliberately avoids.
 std::size_t apply_rel_churn(Workload& w, st::stats::Rng& rng, double pct) {
   const std::size_t n = w.graph.size();
@@ -401,7 +399,7 @@ int main(int argc, char** argv) {
     hit_rate_ok = hit_rate_ok && r.structure_hit_rate_pct >= 80.0;
     speedup_ok = speedup_ok && r.speedup >= 2.0;
   }
-  // Topology churn deliberately defeats the structure layer's
+  // Topology churn deliberately defeats the path cache's
   // steady-state assumption, so under --rel-churn the performance gates
   // become informational; bit-identity stays a hard gate regardless.
   const bool perf_gated = rel_churn_pct <= 0.0;
@@ -411,10 +409,10 @@ int main(int argc, char** argv) {
   }
   if (!hit_rate_ok) {
     std::cout << (perf_gated
-                      ? "HIT RATE BELOW TARGET: steady-state structure-layer "
-                        "hit rate under 80%\n"
-                      : "note: steady-state structure-layer hit rate under "
-                        "80% (not gated under --rel-churn)\n");
+                      ? "HIT RATE BELOW TARGET: steady-state path hit rate "
+                        "under 80%\n"
+                      : "note: steady-state path hit rate under 80% (not "
+                        "gated under --rel-churn)\n");
   }
   if (!speedup_ok) {
     std::cout << (!perf_gated

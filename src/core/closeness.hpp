@@ -53,8 +53,9 @@ class ClosenessModel {
 
   /// Eq. (3) given the common-friend set of (i, j): the friend-of-friend
   /// sum over `common`, exactly as the non-adjacent branch of closeness()
-  /// evaluates it. Exposed so a caller holding a memoised common set (the
-  /// incremental SocialStateCache) reproduces closeness() bit-for-bit.
+  /// evaluates it. Exposed so a caller that runs closeness()'s branches
+  /// itself (the incremental SocialStateCache, which memoises only the
+  /// path) reproduces closeness() bit-for-bit.
   double fof_closeness(const graph::SocialGraph& g, graph::NodeId i,
                        graph::NodeId j,
                        std::span<const graph::NodeId> common) const;

@@ -1,6 +1,7 @@
 #pragma once
-// SocialStateCache — persistent, revision-validated memoisation of the
-// social *structure* Omega_c reads: common-friend sets and shortest paths.
+// SocialStateCache — persistent memoisation of the one piece of social
+// structure Omega_c reads that is expensive to re-derive: the shortest
+// path of Eq. 4.
 //
 // In the paper's simulator (Section 5.1) every rating records an
 // interaction, so every active rater's whole Omega_c row is new in each
@@ -9,44 +10,43 @@
 // plugin evaluates each (rater, ratee) coefficient exactly once per
 // interval (SocialTrustPlugin::update, DESIGN.md §11/§13). What does
 // survive is the structure those values are derived from: relationships
-// change only at setup and on whitewashing, so the friend-of-friend sets
-// of Eq. 3 and the bounded shortest-path search of Eq. 4 are redone only
-// when their answer could actually differ.
+// change only at setup and on whitewashing. Of that structure, only the
+// bounded shortest-path search of Eq. 4 costs more than a hashed lookup;
+// adjacency (Eq. 2) is one CSR row probe and the common-friend set
+// (Eq. 3) one merge of two short rows, so both are read off the graph.
 //
-//   * common-friend sets — canonical (min,max) key, witnessed by the
-//     structure revisions of both endpoints. Interaction churn never
-//     bumps a structure revision, so the set survives it.
-//   * shortest paths — directional key. A cached path is the
-//     lexicographically smallest shortest path, which is
+//   * shortest paths — directional key (a path i->j is not a path j->i:
+//     the lex-min path from j need not be the reverse). A cached path is
+//     the lexicographically smallest shortest path, which is
 //     SocialGraph::shortest_path()'s contract whatever traversal computes
-//     it (a forward FIFO BFS over ascending rows returns it, and so does
-//     today's meet-in-the-middle search — DESIGN.md §13/§15). Being a
-//     graph-intrinsic value, not an algorithm accident, it is witnessed
-//     precisely: it can only change if a brand-new adjacency appears
-//     somewhere (the graph's edge-addition epoch — new edges can shorten
-//     distances or create lex-smaller competitors) or if the structural
-//     state of a non-sink node ON the path changes (every path edge bumps
-//     both endpoints, so the sink adds nothing). An empty path records
-//     "unreachable within max_hops" and needs only the addition gate:
-//     removals never make a pair reachable.
+//     it, so it is a function of the graph alone. An empty path records
+//     "unreachable within shortest_path()'s default hop cap" — negative
+//     results are exactly as expensive to rediscover.
+//
+// One witness: each shard remembers the graph's structure_epoch() its
+// entries were computed under. A lookup that finds its shard at another
+// epoch first clears the shard, under that shard's own lock, so no entry
+// is ever served across a relationship change — in any call order,
+// including tests that mutate the graph between direct lookups.
+// Interactions, no-op mutators and CSR rebuilds leave the epoch alone, so
+// a path survives all of them.
 //
 // Bit-identity: closeness() runs ClosenessModel::closeness()'s branch
-// code (fof_closeness / bottleneck_closeness over the memoised structure,
-// in the order closeness() derives it), and a valid witness set proves
-// the structure unchanged, so it returns the identical double a direct
-// ClosenessModel::closeness() call would — at every thread count.
-// Same-key races are benign: both racers compute the same entry from the
-// frozen graph and the duplicate store is idempotent.
+// code (adjacent_closeness / fof_closeness / bottleneck_closeness, in the
+// order closeness() derives them), and a served path is exactly what
+// shortest_path() returns under the same epoch, so it returns the
+// identical double a direct ClosenessModel::closeness() call would — at
+// every thread count. Same-key races are benign: both racers compute the
+// same path from the frozen graph and the duplicate store is idempotent.
 //
 // Concurrency: the key space is striped over kShards independently-locked
-// shards and entries are computed outside the shard lock ("compute
+// shards and paths are computed outside the shard lock ("compute
 // outside, publish inside"). A lookup takes at most one shard lock at a
 // time, so there is no lock ordering to get wrong.
 //
-// Lifetime: entries are validated lazily, at lookup. A stale entry stays
-// in its map until a lookup finds and replaces it, a whitewash pass
-// (invalidate_nodes) erases it, or clear() drops everything; nothing
-// sweeps entries on an interval boundary, and there is no eviction.
+// Lifetime: entries are dropped lazily, shard by shard, by the first
+// lookup after the epoch moves, or all at once by clear(); nothing sweeps
+// entries on an interval boundary, and there is no eviction.
 //
 // Observability: per-instance relaxed atomic counters (always on; the
 // bench reads them to prove the hit rate) plus process-wide obs counters
@@ -56,7 +56,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -74,35 +73,23 @@ class SocialStateCache {
 
   SocialStateCache();
 
-  /// Omega_c(i,j), bit-identical to model.closeness(g, i, j, max_hops),
-  /// with the common-friend set and the shortest path served from (and
-  /// memoised in) the structure layer. `max_hops` must be the same for
-  /// every call on one cache instance — it is not part of the key.
+  /// Omega_c(i,j), bit-identical to model.closeness(g, i, j) at its
+  /// default hop cap, with the shortest path served from (and memoised
+  /// in) the path layer.
   double closeness(const ClosenessModel& model, const graph::SocialGraph& g,
-                   NodeId i, NodeId j, std::size_t max_hops = 6);
-
-  /// Erases, in one pass over every shard, each entry whose key or
-  /// contents (common set, path) mention any node of `nodes` — the
-  /// whitewashing hook. The result is exactly the union of per-node
-  /// passes: the same entries and the same `invalidations` count, since
-  /// the predicates read only the entries, never the graph. The
-  /// plugin queues its forgotten identities and calls this once, before
-  /// the next lookup (SocialTrustPlugin::forget_node). Duplicates and
-  /// ids no entry mentions are harmless.
-  void invalidate_nodes(std::span<const NodeId> nodes);
-  /// invalidate_nodes() for a single node.
-  void invalidate_node(NodeId node);
+                   NodeId i, NodeId j);
 
   /// Drops everything (plugin reset, cold-cache tests).
   void clear();
 
-  /// Entries across shards (common sets + paths). Diagnostics and tests
+  /// Path entries across shards, including those of shards whose epoch
+  /// has moved but that no lookup has cleared yet. Diagnostics and tests
   /// only; takes every shard lock.
   std::size_t size() const;
 
-  /// Monotone per-instance totals: structure_* count common-set and path
-  /// lookups; invalidations counts entries a lookup found stale and
-  /// entries erased by invalidate_nodes.
+  /// Monotone per-instance totals: structure_* count path lookups;
+  /// invalidations counts the entries dropped when a lookup found its
+  /// shard at an older structure epoch.
   struct StatsSnapshot {
     /// Always 0: these counted the per-pair value memo, which is gone
     /// (every coefficient is evaluated once per interval). Kept only
@@ -125,41 +112,14 @@ class SocialStateCache {
   static std::uint64_t pack(NodeId a, NodeId b) noexcept {
     return (static_cast<std::uint64_t>(a) << 32U) | b;
   }
-  static NodeId key_first(std::uint64_t key) noexcept {
-    return static_cast<NodeId>(key >> 32U);
-  }
-  static NodeId key_second(std::uint64_t key) noexcept {
-    return static_cast<NodeId>(key & 0xFFFFFFFFU);
-  }
 
-  /// Memoised common-friend set, canonical (min,max) key (symmetric).
-  struct CommonEntry {
-    std::vector<NodeId> common;
-    Revision srev_lo = 0;  ///< structure revision of min(a,b)
-    Revision srev_hi = 0;  ///< structure revision of max(a,b)
-  };
-
-  /// Memoised shortest path, directional key (a path i->j is not a path
-  /// j->i: the lex-min path from j need not be the reverse). An empty
-  /// node list records "unreachable within max_hops" — negative results
-  /// are exactly as expensive to rediscover. Valid while the
-  /// edge-addition epoch holds and every non-sink path node's structure
-  /// revision is unchanged (see the header notes); an unreachable record
-  /// needs only the addition gate.
-  struct PathEntry {
-    std::vector<NodeId> path;
-    Revision addition_epoch = 0;
-    /// structure_revision of path[0..len-2] at compute time, same order.
-    std::vector<Revision> node_srevs;
-  };
-
-  /// One stripe: its own mutex plus the slices of both maps whose keys
-  /// hash here.
+  /// One stripe: its own mutex, the paths whose keys hash here (empty =
+  /// unreachable), and the structure epoch every one of them was
+  /// computed under.
   struct Shard {
     mutable util::Mutex mutex;
-    std::unordered_map<std::uint64_t, CommonEntry> common_sets
-        ST_GUARDED_BY(mutex);
-    std::unordered_map<std::uint64_t, PathEntry> paths
+    Revision epoch ST_GUARDED_BY(mutex) = 0;
+    std::unordered_map<std::uint64_t, std::vector<NodeId>> paths
         ST_GUARDED_BY(mutex);
   };
 
@@ -171,20 +131,16 @@ class SocialStateCache {
            (kShards - 1);
   }
 
-  /// Common-friend set of (i,j) via the structure layer (copied out of the
-  /// shard so no lock is held during downstream work).
-  std::vector<NodeId> common_cached(const graph::SocialGraph& g, NodeId i,
-                                    NodeId j);
-
-  /// Shortest path i -> j via the structure layer; empty = unreachable.
+  /// Shortest path i -> j via the path layer (copied out of the shard so
+  /// no lock is held during downstream work); empty = unreachable.
   std::vector<NodeId> path_cached(const graph::SocialGraph& g, NodeId i,
-                                  NodeId j, std::size_t max_hops);
+                                  NodeId j);
 
-  /// Counts a lookup served from a valid entry.
+  /// Counts a lookup served from the shard.
   void count_hit() noexcept;
-  /// Counts a lookup that re-derives its entry; `stale` when the entry it
-  /// replaces was present but invalid.
-  void count_miss(bool stale) noexcept;
+  /// Counts a lookup that re-derives its path, after `dropped` entries
+  /// of an older epoch were cleared from its shard.
+  void count_miss(std::uint64_t dropped) noexcept;
 
   std::unique_ptr<Shard[]> shards_;
 

@@ -36,7 +36,6 @@ SocialTrustPlugin::SocialTrustPlugin(
   }
   auto& registry = obs::Obs::instance().registry();
   obs_.total_us = &registry.histogram("socialtrust.update.total_us");
-  obs_.invalidate_us = &registry.histogram("socialtrust.update.invalidate_us");
   obs_.collect_us = &registry.histogram("socialtrust.update.collect_us");
   obs_.tally_us = &registry.histogram("socialtrust.update.tally_us");
   obs_.coeff_us = &registry.histogram("socialtrust.update.coeff_us");
@@ -130,28 +129,20 @@ double SocialTrustPlugin::similarity_of(NodeId i, NodeId j) const {
 // --- update -----------------------------------------------------------------
 
 void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
-  // Stage timers (no-ops when st::obs is disabled). The three stage
-  // spans cover: invalidate = the queued whitewash invalidations;
-  // collect = pair tally + sort + rater walk + system baseline; adjust =
-  // detect-and-adjust + ordered reduction. Inside collect, tally (pass 1),
-  // coeff (the rater walk, pass 3) and baseline (pass 4) time its
-  // sub-stages.
+  // Stage timers (no-ops when st::obs is disabled). The two stage spans
+  // cover: collect = pair tally + sort + rater walk + system baseline;
+  // adjust = detect-and-adjust + ordered reduction. Inside collect, tally
+  // (pass 1), coeff (the rater walk, pass 3) and baseline (pass 4) time
+  // its sub-stages.
   obs::ScopedTimer total_timer(*obs_.total_us);
-
-  // 0. Erase the cache entries of every identity forget_node discarded
-  // since the last interval, in one pass before any lookup.
-  obs::ScopedTimer invalidate_timer(*obs_.invalidate_us);
-  drain_invalidations();
-  const double invalidate_us = invalidate_timer.stop();
-
   obs::ScopedTimer collect_timer(*obs_.collect_us);
   double collect_us = 0.0, adjust_us = 0.0;
   double tally_us = 0.0, coeff_us = 0.0, baseline_us = 0.0;
 
   // No cache wipe here: social_cache_ persists across intervals and
-  // revalidates each entry against graph structure revisions, so common
-  // sets and paths whose topology is unchanged since the last interval are
-  // served without redoing the BFS / friend-of-friend work.
+  // drops a shard's paths only once the graph's structure epoch has
+  // moved, so while the topology holds still every path is served
+  // without redoing the bounded search.
   adjusted_.assign(cycle_ratings.begin(), cycle_ratings.end());
   report_ = AdjustmentReport{};
 
@@ -364,7 +355,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // the bit-identity contract (DESIGN.md §11) is untouched by obs state.
   if (obs::enabled()) {
     const double total_us = total_timer.stop();
-    // This interval's structure-layer hit rate: delta of the cache's
+    // This interval's path hit rate: delta of the cache's
     // cumulative per-instance totals since the last report.
     const SocialStateCache::StatsSnapshot cache_stats = social_cache_.stats();
     const std::uint64_t interval_hits =
@@ -393,7 +384,6 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         {"b3", static_cast<double>(report_.b3)},
         {"b4", static_cast<double>(report_.b4)},
         {"mean_weight", report_.mean_weight},
-        {"invalidate_us", invalidate_us},
         {"collect_us", collect_us},
         {"tally_us", tally_us},
         {"coeff_us", coeff_us},
@@ -416,31 +406,15 @@ void SocialTrustPlugin::forget_node(NodeId node) {
     auto it = std::lower_bound(hist.begin(), hist.end(), node);
     if (it != hist.end() && *it == node) hist.erase(it);
   }
-  // Whitewashing hook: cached common sets and paths mentioning the node
-  // are stale the moment its new identity starts from a blank social
-  // record.
-  // Only queued here: one invalidate_nodes() pass erases them before
-  // anything next reads the cache (update(), social_cache(), reset()).
-  // Nothing looks entries up or stores them in between, so the batch
-  // erases exactly what one pass per forget would. Draining early once
-  // the queue holds more entries than there are ids is just as exact, and
-  // bounds the queue for callers that never call update().
-  forgotten_.push_back(node);
-  if (forgotten_.size() > inner_->size()) drain_invalidations();
-}
-
-void SocialTrustPlugin::drain_invalidations() const {
-  if (forgotten_.empty()) return;
-  social_cache_.invalidate_nodes(forgotten_);
-  forgotten_.clear();
+  // The social cache is not touched: a cached path depends on the graph
+  // alone. Simulator::whitewash follows with SocialGraph::clear_node,
+  // which moves the structure epoch whenever the node had a relationship;
+  // a node with none lies on no path.
 }
 
 void SocialTrustPlugin::reset() {
   inner_->reset();
   for (auto& hist : rated_history_) hist.clear();
-  // Queued forgets count their erasures before the wholesale drop,
-  // exactly as the per-forget passes they stand for would have.
-  drain_invalidations();
   social_cache_.clear();
   adjusted_.clear();
   report_ = AdjustmentReport{};

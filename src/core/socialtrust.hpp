@@ -32,20 +32,19 @@
 // interval".
 //
 // Social structure: closeness lookups go through a persistent
-// SocialStateCache that keeps only what survives an interval — the
-// common-friend sets and shortest paths Eqs. 3-4 read, revalidated against
-// the graph's structure revisions — so the expensive BFS /
-// friend-of-friend work is only redone where the topology actually
-// changed (DESIGN.md §13). Each coefficient itself is evaluated once per
-// interval by the rater walk. The cold-vs-warm gates in
-// tests/incremental_state_test.cpp and tests/warm_cold_property_test.cpp
-// pin bit-identity with a cleared cache at every interval and thread
-// count, and a from-scratch oracle there recomputes an interval without
-// the cache.
+// SocialStateCache that keeps only what survives an interval and is
+// expensive to recompute — the shortest paths Eq. 4 reads, valid while
+// the graph's structure epoch holds — so the bounded path search is only
+// redone after the topology actually changed (DESIGN.md §13). Each
+// coefficient itself is evaluated once per interval by the rater walk.
+// The cold-vs-warm gates in tests/incremental_state_test.cpp and
+// tests/warm_cold_property_test.cpp pin bit-identity with a cleared cache
+// at every interval and thread count, and a from-scratch oracle there
+// recomputes an interval without the cache.
 //
 // Observability: when the st::obs layer is enabled, update() times its
-// three stages (invalidate / collect / adjust), tallies pair and rating
-// counters, and emits one "socialtrust.update" interval event per call.
+// two stages (collect / adjust), tallies pair and rating counters, and
+// emits one "socialtrust.update" interval event per call.
 // Instrumentation is observation-only — it never feeds back into the
 // adjustment, so enabling it preserves the bit-identity contract above
 // (DESIGN.md §12, docs/OBSERVABILITY.md).
@@ -138,16 +137,10 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   const DirtyStats& last_dirty_stats() const noexcept { return dirty_stats_; }
 
   /// The persistent social-state cache (tests, benches, diagnostics).
-  /// First drains the whitewash invalidations forget_node queued, so the
-  /// caller sees the cache update() would see (the drain allocates, hence
-  /// not noexcept). Mutable access is deliberate: dropping it
-  /// (`social_cache().clear()`) must never change update() output, only
-  /// its cost — that is the cold-vs-warm property the incremental tests
-  /// pin down.
-  SocialStateCache& social_cache() const {
-    drain_invalidations();
-    return social_cache_;
-  }
+  /// Mutable access is deliberate: dropping it (`social_cache().clear()`)
+  /// must never change update() output, only its cost — that is the
+  /// cold-vs-warm property the incremental tests pin down.
+  SocialStateCache& social_cache() const noexcept { return social_cache_; }
 
   /// Block grain of the parallel passes (raters in the walk, pairs in
   /// detect-and-adjust). A fixed constant — not a function of the worker
@@ -243,20 +236,12 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// the per-rater Gaussian statistics are computed.
   std::vector<std::vector<reputation::NodeId>> rated_history_;
 
-  /// Persistent common-friend / shortest-path memo, revalidated per entry
-  /// against graph structure revisions — NOT per-update scratch; it
-  /// survives across intervals (DESIGN.md §13). Mutable because
-  /// closeness_of() is a logically-const read shared by the concurrent
-  /// rater walk; the sharded cache makes it physically thread-safe.
+  /// Persistent shortest-path memo, valid while the graph's structure
+  /// epoch holds — NOT per-update scratch; it survives across intervals
+  /// (DESIGN.md §13). Mutable because closeness_of() is a logically-const
+  /// read shared by the concurrent rater walk; the sharded cache makes it
+  /// physically thread-safe.
   mutable SocialStateCache social_cache_;
-
-  /// Identities forget_node discarded whose cache entries are not erased
-  /// yet, in forget order (duplicates allowed). Mutable because the const
-  /// social_cache() accessor drains it; coordinator-only, like forget_node.
-  mutable std::vector<reputation::NodeId> forgotten_;
-  /// One SocialStateCache::invalidate_nodes() pass over forgotten_, then
-  /// clears it. No-op while nothing is queued.
-  void drain_invalidations() const;
 
   // Per-update scratch (rebuilt each call).
   std::vector<reputation::Rating> adjusted_;
@@ -274,8 +259,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// record microseconds; counters accumulate across intervals.
   struct ObsHandles {
     obs::Histogram* total_us = nullptr;    ///< socialtrust.update.total_us
-    /// socialtrust.update.invalidate_us
-    obs::Histogram* invalidate_us = nullptr;
     obs::Histogram* collect_us = nullptr;  ///< socialtrust.update.collect_us
     obs::Histogram* tally_us = nullptr;    ///< socialtrust.update.tally_us
     obs::Histogram* coeff_us = nullptr;    ///< socialtrust.update.coeff_us

@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -72,6 +73,21 @@ void write_edge_list(std::ostream& out, const SocialGraph& graph) {
   }
 }
 
+namespace {
+
+/// Rejects a well-formed record that write_edge_list never writes, naming
+/// it as it was read.
+template <typename Value>
+[[noreturn]] void throw_bad_record(char kind, NodeId a, NodeId b,
+                                   Value value) {
+  std::ostringstream record;
+  record << kind << ' ' << a << ' ' << b << ' ' << value;
+  throw std::runtime_error("read_edge_list: invalid record '" +
+                           record.str() + "'");
+}
+
+}  // namespace
+
 SocialGraph read_edge_list(std::istream& in) {
   std::string tag;
   std::size_t node_count = 0;
@@ -87,6 +103,12 @@ SocialGraph read_edge_list(std::istream& in) {
       if (!(in >> a >> b >> mask)) {
         throw std::runtime_error("read_edge_list: malformed edge line");
       }
+      // write_edge_list never writes a self-edge, an empty type set or a
+      // type bit past kRelationshipCount; add_relationship would drop
+      // each of them without a trace.
+      if (a == b || mask == 0 || mask >= (1U << kRelationshipCount)) {
+        throw_bad_record('e', a, b, mask);
+      }
       for (std::size_t r = 0; r < kRelationshipCount; ++r) {
         if (mask & (1U << r)) {
           graph.add_relationship(a, b, static_cast<Relationship>(r));
@@ -98,6 +120,11 @@ SocialGraph read_edge_list(std::istream& in) {
       if (!(in >> from >> to >> count)) {
         throw std::runtime_error(
             "read_edge_list: malformed interaction line");
+      }
+      // Only positive counts between distinct nodes are ever written;
+      // record_interaction would drop anything else silently.
+      if (from == to || !std::isfinite(count) || count <= 0.0) {
+        throw_bad_record('i', from, to, count);
       }
       graph.record_interaction(from, to, count);
     } else {

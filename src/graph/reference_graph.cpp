@@ -11,13 +11,7 @@ ReferenceSocialGraph::ReferenceSocialGraph(std::size_t node_count)
     : adjacency_(node_count),
       neighbor_ids_(node_count),
       interactions_(node_count),
-      interaction_totals_(node_count, 0.0),
-      structure_revisions_(node_count, 0) {}
-
-void ReferenceSocialGraph::bump_structure(NodeId a, NodeId b) {
-  ++structure_revisions_[a];
-  ++structure_revisions_[b];
-}
+      interaction_totals_(node_count, 0.0) {}
 
 void ReferenceSocialGraph::check_node(NodeId a) const {
   if (a >= adjacency_.size())
@@ -43,7 +37,6 @@ bool ReferenceSocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) 
   check_node(b);
   if (a == b) return false;
   auto mask = static_cast<std::uint8_t>(1U << static_cast<unsigned>(r));
-  bool new_edge = false;
   auto insert_half = [&](NodeId from, NodeId to) {
     auto& edges = adjacency_[from];
     auto it = std::lower_bound(
@@ -57,15 +50,11 @@ bool ReferenceSocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) 
     edges.insert(it, EdgeRecord{to, mask});
     auto& ids = neighbor_ids_[from];
     ids.insert(std::lower_bound(ids.begin(), ids.end(), to), to);
-    new_edge = true;
     return true;
   };
   bool added = insert_half(a, b);
   bool added_rev = insert_half(b, a);
-  if (added || added_rev) bump_structure(a, b);
-  // A brand-new adjacency (as opposed to one more type on an existing
-  // edge) is the only mutation that can create or shorten paths.
-  if (new_edge) ++addition_epoch_;
+  if (added || added_rev) bump_structure();
   return added;
 }
 
@@ -87,7 +76,7 @@ bool ReferenceSocialGraph::remove_relationship(NodeId a, NodeId b, Relationship 
   };
   bool removed = remove_half(a, b);
   bool removed_rev = remove_half(b, a);
-  if (removed || removed_rev) bump_structure(a, b);
+  if (removed || removed_rev) bump_structure();
   return removed;
 }
 
@@ -323,7 +312,6 @@ SocialGraph::MemoryFootprint ReferenceSocialGraph::memory_footprint()
   for (const auto& ids : neighbor_ids_) m.adjacency_bytes += vec_bytes(ids);
   m.interaction_bytes = vec_bytes(interactions_) + vec_bytes(interaction_totals_);
   for (const auto& row : interactions_) m.interaction_bytes += vec_bytes(row);
-  m.revision_bytes = vec_bytes(structure_revisions_);
   return m;
 }
 

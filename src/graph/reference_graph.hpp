@@ -6,8 +6,7 @@
 // Kept for two consumers only:
 //   * the CSR equivalence suite (tests/csr_graph_test.cpp) replays
 //     randomized mutation sequences against both representations and
-//     asserts every public accessor, structure revision and the
-//     edge-addition epoch agree;
+//     asserts every public accessor and the structure epoch agree;
 //   * bench_csr_graph measures the before/after closeness throughput and
 //     memory footprint that BENCH_csr_graph.json commits.
 // It is NOT a production surface — simulation code links SocialGraph.
@@ -64,10 +63,7 @@ class ReferenceSocialGraph {
   /// No-op: the reference layout has no deferred representation work.
   void begin_interval() {}
 
-  Revision structure_revision(NodeId node) const noexcept {
-    return node < structure_revisions_.size() ? structure_revisions_[node] : 0;
-  }
-  Revision edge_addition_epoch() const noexcept { return addition_epoch_; }
+  Revision structure_epoch() const noexcept { return structure_epoch_; }
 
   /// Heap bytes of the old layout, on the same axes as
   /// SocialGraph::MemoryFootprint (overlay_bytes counts the per-node
@@ -81,7 +77,7 @@ class ReferenceSocialGraph {
   };
 
   void check_node(NodeId a) const;
-  void bump_structure(NodeId a, NodeId b);
+  void bump_structure() noexcept { ++structure_epoch_; }
   const EdgeRecord* find_edge(NodeId a, NodeId b) const noexcept;
   EdgeRecord* find_edge(NodeId a, NodeId b) noexcept;
 
@@ -90,8 +86,7 @@ class ReferenceSocialGraph {
   std::vector<std::vector<std::pair<NodeId, double>>> interactions_;
   std::vector<double> interaction_totals_;
 
-  std::vector<Revision> structure_revisions_;
-  Revision addition_epoch_ = 0;
+  Revision structure_epoch_ = 0;
 };
 
 }  // namespace st::graph

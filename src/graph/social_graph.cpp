@@ -33,16 +33,10 @@ SocialGraph::SocialGraph(std::size_t node_count)
       rel_overlay_slot_(node_count, kNoOverlay),
       int_offsets_(node_count + 1, 0),
       int_overlay_slot_(node_count, kNoOverlay),
-      interaction_totals_(node_count, 0.0),
-      structure_revisions_(node_count, 0) {
+      interaction_totals_(node_count, 0.0) {
   auto& registry = obs::Obs::instance().registry();
   obs_rebuilds_ = &registry.counter("social_graph.csr_rebuilds");
   obs_delta_edges_ = &registry.counter("social_graph.csr_delta_edges");
-}
-
-void SocialGraph::bump_structure(NodeId a, NodeId b) {
-  ++structure_revisions_[a];
-  ++structure_revisions_[b];
 }
 
 void SocialGraph::check_node(NodeId a) const {
@@ -231,7 +225,6 @@ bool SocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) {
   check_node(b);
   if (a == b) return false;
   const auto mask = static_cast<std::uint8_t>(1U << static_cast<unsigned>(r));
-  bool new_edge = false;
   auto insert_half = [&](NodeId from, NodeId to) {
     const RelRowMut row = rel_row_mut(from);
     const std::size_t idx = find_in(row.targets, row.size, to);
@@ -248,17 +241,13 @@ bool SocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) {
     overlay.masks.insert(overlay.masks.begin() + pos, mask);
     ++rel_overlay_entries_;
     ++half_edges_;
-    new_edge = true;
     return true;
   };
   const bool added = insert_half(a, b);
   const bool added_rev = insert_half(b, a);
   // The halves are symmetric, but bump on either so a broken half-edge
   // invariant can never strand an un-revisioned write.
-  if (added || added_rev) bump_structure(a, b);
-  // A brand-new adjacency (as opposed to one more type on an existing
-  // edge) is the only mutation that can create or shorten paths.
-  if (new_edge) ++addition_epoch_;
+  if (added || added_rev) bump_structure();
   maybe_rebuild();
   return added;
 }
@@ -292,7 +281,7 @@ bool SocialGraph::remove_relationship(NodeId a, NodeId b, Relationship r) {
   };
   const bool removed = remove_half(a, b);
   const bool removed_rev = remove_half(b, a);
-  if (removed || removed_rev) bump_structure(a, b);
+  if (removed || removed_rev) bump_structure();
   maybe_rebuild();
   return removed;
 }
@@ -691,7 +680,6 @@ SocialGraph::MemoryFootprint SocialGraph::memory_footprint() const noexcept {
     m.overlay_bytes += vec_bytes(row.targets) + vec_bytes(row.counts) +
                        sizeof(IntOverlayRow);
   }
-  m.revision_bytes = vec_bytes(structure_revisions_);
   return m;
 }
 

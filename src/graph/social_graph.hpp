@@ -29,14 +29,13 @@
 //
 // Rebuilds are representation-only: every accessor reads rows through
 // the same sorted-row view before and after, so results are
-// bit-identical and no structure revision or epoch moves. Rebuild timing
+// bit-identical and the structure epoch does not move. Rebuild timing
 // is a pure function of the mutation sequence (the counters that trigger
 // it never depend on representation), so runs are reproducible.
 //
-// Change tracking covers adjacency only (DESIGN.md §13): the structure
-// cache witnesses common-friend sets and paths against
-// structure_revision() and edge_addition_epoch(). Interaction counts
-// carry no revision — the plugin re-reads every Eq. (2) row each
+// Change tracking covers adjacency only (DESIGN.md §13): one graph-wide
+// structure_epoch() witnesses every cached shortest path. Interaction
+// counts carry no epoch — the plugin re-reads every Eq. (2) row each
 // interval.
 //
 // Span stability: neighbors() spans are invalidated by ANY mutating
@@ -84,13 +83,12 @@ double default_relationship_weight(Relationship r) noexcept;
 /// relationships and interactions mutate freely.
 class SocialGraph {
  public:
-  /// Monotone change counter for adjacency. Structure revisions and the
-  /// edge-addition epoch never decrease and bump exactly when the
-  /// adjacency they cover actually changes (no-op mutator calls,
-  /// interaction edits and representation rebuilds leave them untouched),
-  /// so equality of a revision witnessed at compute time with the current
-  /// revision proves a structure-derived value would come out identical
-  /// if re-derived.
+  /// Monotone change counter for adjacency. The structure epoch never
+  /// decreases and bumps exactly when some adjacency actually changes
+  /// (no-op mutator calls, interaction edits and representation rebuilds
+  /// leave it untouched), so equality of the epoch witnessed at compute
+  /// time with the current one proves a structure-derived value would
+  /// come out identical if re-derived.
   using Revision = std::uint64_t;
 
   explicit SocialGraph(std::size_t node_count);
@@ -168,10 +166,10 @@ class SocialGraph {
   /// The result is a function of the graph alone — it is the path a FIFO
   /// BFS over ascending rows returns — whatever traversal computes it
   /// (today a meet-in-the-middle search, DESIGN.md §15). Cached path
-  /// entries rely on that: the path can change only through an edit at
-  /// one of its own nodes or a brand-new adjacency somewhere
-  /// (edge_addition_epoch(), DESIGN.md §13). It is direction-dependent:
-  /// shortest_path(b, a) need not be the reverse.
+  /// entries rely on that: the path can change only through a
+  /// relationship change, which moves structure_epoch() (DESIGN.md §13).
+  /// It is direction-dependent: shortest_path(b, a) need not be the
+  /// reverse.
   std::optional<std::vector<NodeId>> shortest_path(
       NodeId a, NodeId b, std::size_t max_hops = 6) const;
 
@@ -186,28 +184,20 @@ class SocialGraph {
 
   /// Interval hook: compacts any pending delta overlay (and interaction
   /// tombstones) into fresh flat CSR arrays. Representation-only — no
-  /// accessor result and no structure revision changes — so callers may
+  /// accessor result changes and the structure epoch stays — so callers may
   /// invoke it at any quiescent point; the Simulator does so at the top
   /// of every reputation-update interval so the parallel closeness
   /// passes always read pure CSR rows. Invalidates outstanding spans.
   void begin_interval();
 
-  /// Revision of `node`'s *structural* state — its neighbour list and
-  /// the relationship types on its edges. Interaction counters do not bump
-  /// this, so structure-derived values (common-friend sets, adjacency) can
-  /// be witnessed without churning on the rating stream.
-  Revision structure_revision(NodeId node) const noexcept {
-    return node < structure_revisions_.size() ? structure_revisions_[node] : 0;
-  }
-
-  /// Edge-addition epoch: bumps only when a brand-new adjacency appears
-  /// anywhere (the first relationship between a previously non-adjacent
-  /// pair). Removals and type changes never bump it. While it holds
-  /// still, no distance anywhere has shrunk and no new path exists, so a
-  /// previously computed shortest path can only have been affected by
-  /// changes touching its own nodes — the precise gate the path cache
-  /// pairs with per-node structure witnesses.
-  Revision edge_addition_epoch() const noexcept { return addition_epoch_; }
+  /// Graph-wide structure epoch: bumps on every relationship add or
+  /// remove that changes something — a new edge, a new type on an
+  /// existing edge, a removed type or edge, and so every clear_node() of
+  /// a node with a relationship. Interactions, no-op mutator calls and
+  /// rebuilds leave it alone. While it holds still, every structure-
+  /// derived value (common-friend sets, distances, lex-min paths) is
+  /// unchanged; the structure cache keys its shards on it.
+  Revision structure_epoch() const noexcept { return structure_epoch_; }
 
   // --- CSR maintenance diagnostics (tests, bench, docs) ---------------------
 
@@ -228,10 +218,8 @@ class SocialGraph {
     std::size_t adjacency_bytes = 0;     ///< CSR offsets + targets + masks
     std::size_t interaction_bytes = 0;   ///< CSR offsets + targets + counts
     std::size_t overlay_bytes = 0;       ///< delta rows awaiting compaction
-    std::size_t revision_bytes = 0;      ///< per-node structure revisions
     std::size_t total() const noexcept {
-      return adjacency_bytes + interaction_bytes + overlay_bytes +
-             revision_bytes;
+      return adjacency_bytes + interaction_bytes + overlay_bytes;
     }
   };
   MemoryFootprint memory_footprint() const noexcept;
@@ -311,7 +299,7 @@ class SocialGraph {
   void rebuild();
 
   void check_node(NodeId a) const;
-  void bump_structure(NodeId a, NodeId b);
+  void bump_structure() noexcept { ++structure_epoch_; }
 
   std::size_t node_count_ = 0;
 
@@ -343,8 +331,7 @@ class SocialGraph {
   std::size_t half_edges_ = 0;
 
   // Change tracking (see Revision): adjacency only.
-  std::vector<Revision> structure_revisions_;
-  Revision addition_epoch_ = 0;
+  Revision structure_epoch_ = 0;
 
   std::uint64_t rebuilds_ = 0;
 

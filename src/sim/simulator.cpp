@@ -365,8 +365,9 @@ RunResult Simulator::run() {
     ledger_.close_cycle();
     // Compact any pending graph deltas before the parallel reputation
     // update so every closeness BFS and common-friend merge this interval
-    // walks pure flat rows. Representation-only: no structure revision
-    // moves, so the update pass sees bit-identical social state either way.
+    // walks pure flat rows. Representation-only: the structure epoch does
+    // not move, so the update pass sees bit-identical social state either
+    // way.
     graph_.begin_interval();
     system_->update(ledger_.last_cycle());
     current_bar_ = selection_bar();

@@ -1,8 +1,8 @@
 // CSR equivalence suite (DESIGN.md §15). The CSR refactor's contract is
-// that representation is unobservable: every public accessor, structure
-// revision and the edge-addition epoch of the CSR-backed SocialGraph must
-// match a faithful port of the pre-CSR vector-of-vectors layout on ANY
-// mutation sequence, and compaction timing (threshold-triggered or
+// that representation is unobservable: every public accessor and the
+// structure epoch of the CSR-backed SocialGraph must match a faithful
+// port of the pre-CSR vector-of-vectors layout on ANY mutation sequence,
+// and compaction timing (threshold-triggered or
 // explicit begin_interval()) must be invisible. The suites here replay
 // randomized mutation mixes — relationship add/remove, interactions,
 // clear_node, whitewashing re-entry — against both representations and
@@ -69,12 +69,10 @@ void expect_graphs_identical(const SocialGraph& csr,
   ASSERT_EQ(csr.size(), ref.size());
   EXPECT_EQ(csr.edge_count(), ref.edge_count());
 
-  EXPECT_EQ(csr.edge_addition_epoch(), ref.edge_addition_epoch());
+  EXPECT_EQ(csr.structure_epoch(), ref.structure_epoch());
 
   for (NodeId a = 0; a < n; ++a) {
     EXPECT_EQ(csr.degree(a), ref.degree(a)) << "node " << a;
-    EXPECT_EQ(csr.structure_revision(a), ref.structure_revision(a))
-        << "node " << a;
     EXPECT_TRUE(bits_equal(csr.total_interactions(a),
                            ref.total_interactions(a)))
         << "node " << a;
@@ -199,11 +197,8 @@ TEST(CsrEquivalence, CompactionTimingIsUnobservable) {
   EXPECT_GT(eager.rebuild_count(), lazy.rebuild_count());
   expect_graphs_identical(eager, ref_a, "eager vs reference");
   expect_graphs_identical(lazy, ref_b, "lazy vs reference");
-  // And directly against each other, revisions included.
-  for (NodeId v = 0; v < kNodes; ++v) {
-    EXPECT_EQ(eager.structure_revision(v), lazy.structure_revision(v));
-  }
-  EXPECT_EQ(eager.edge_addition_epoch(), lazy.edge_addition_epoch());
+  // And directly against each other, the structure epoch included.
+  EXPECT_EQ(eager.structure_epoch(), lazy.structure_epoch());
 }
 
 TEST(CsrEquivalence, RebuildTimingIsDeterministic) {
@@ -236,14 +231,12 @@ TEST(CsrEquivalence, ExplicitCompactionDrainsDeltaAndKeepsCounters) {
   g.add_relationship(0, 1, Relationship::kKinship);
   g.record_interaction(0, 1, 3.0);
   g.clear_node(2);  // no-op clear: no tombstones, no bumps
-  const auto srev0 = g.structure_revision(0);
-  const auto epoch = g.edge_addition_epoch();
+  const auto epoch = g.structure_epoch();
   EXPECT_GT(g.delta_mass(), 0u);
   g.begin_interval();
   EXPECT_EQ(g.delta_mass(), 0u);
   EXPECT_EQ(g.rebuild_count(), 1u);
-  EXPECT_EQ(g.structure_revision(0), srev0);
-  EXPECT_EQ(g.edge_addition_epoch(), epoch);
+  EXPECT_EQ(g.structure_epoch(), epoch);
   g.begin_interval();  // nothing pending: not even a rebuild
   EXPECT_EQ(g.rebuild_count(), 1u);
 }

@@ -206,6 +206,22 @@ TEST(GraphIo, ReadRejectsGarbage) {
   EXPECT_THROW(graph::read_edge_list(bad1), std::runtime_error);
   std::stringstream bad2("socialgraph 3\nx 1 2 3");
   EXPECT_THROW(graph::read_edge_list(bad2), std::runtime_error);
+  // Well-formed records write_edge_list never writes: a type bit past
+  // kRelationshipCount, an empty type set, a self-edge, a negative count
+  // and a self-interaction. Each is rejected, naming the record.
+  for (const std::string record :
+       {"e 0 1 64", "e 0 1 0", "e 2 2 1", "i 0 1 -2", "i 1 1 4"}) {
+    SCOPED_TRACE(record);
+    std::stringstream in("socialgraph 3\n" + record + "\n");
+    try {
+      graph::read_edge_list(in);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + record + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(GraphIo, RelationshipNames) {

@@ -347,68 +347,59 @@ TEST_P(GeneratorSeedProperty, GraphsAreDeterministicPerSeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeedProperty,
                          ::testing::Values(1u, 7u, 42u, 31337u));
 
-// Structure revisions and the edge-addition epoch back the
-// SocialStateCache validity checks (DESIGN.md §13): they must tick on
-// every adjacency change and only on adjacency changes. Interaction
-// edits carry no revision.
+// The structure epoch is the one witness of the SocialStateCache's path
+// shards (DESIGN.md §13): it must move on every relationship change that
+// changes something, and on nothing else. Interaction edits, no-op
+// mutator calls and CSR compactions carry no epoch.
 
-TEST(SocialGraphRevisions, EdgeMutationsBumpBothEndpointsStructurally) {
+TEST(SocialGraphStructureEpoch, EveryEffectiveRelationshipChangeMovesIt) {
   SocialGraph g(4);
-  EXPECT_EQ(g.edge_addition_epoch(), 0U);
+  EXPECT_EQ(g.structure_epoch(), 0U);
 
-  g.add_relationship(0, 1, Relationship::kFriendship);
-  EXPECT_EQ(g.structure_revision(0), 1U);
-  EXPECT_EQ(g.structure_revision(1), 1U);
-  EXPECT_EQ(g.structure_revision(2), 0U);
-  EXPECT_EQ(g.edge_addition_epoch(), 1U);
+  EXPECT_TRUE(g.add_relationship(0, 1, Relationship::kFriendship));
+  EXPECT_EQ(g.structure_epoch(), 1U);  // a brand-new edge
 
-  // Re-adding an existing edge changes nothing and must not bump.
-  g.add_relationship(1, 0, Relationship::kFriendship);
-  EXPECT_EQ(g.structure_revision(0), 1U);
-  EXPECT_EQ(g.edge_addition_epoch(), 1U);
+  // Re-adding a type the edge has changes nothing, from either end.
+  EXPECT_FALSE(g.add_relationship(1, 0, Relationship::kFriendship));
+  EXPECT_EQ(g.structure_epoch(), 1U);
 
-  // A second type on the edge changes structure but adds no adjacency.
-  g.add_relationship(0, 1, Relationship::kColleague);
-  EXPECT_EQ(g.structure_revision(0), 2U);
-  EXPECT_EQ(g.structure_revision(1), 2U);
-  EXPECT_EQ(g.edge_addition_epoch(), 1U);
+  // A second type on the edge adds no adjacency but still moves it.
+  EXPECT_TRUE(g.add_relationship(0, 1, Relationship::kColleague));
+  EXPECT_EQ(g.structure_epoch(), 2U);
 
-  g.remove_relationship(0, 1, Relationship::kFriendship);
-  EXPECT_EQ(g.structure_revision(0), 3U);
-  EXPECT_EQ(g.structure_revision(1), 3U);
-  EXPECT_EQ(g.edge_addition_epoch(), 1U);  // removals never bump it
+  EXPECT_TRUE(g.remove_relationship(0, 1, Relationship::kFriendship));
+  EXPECT_EQ(g.structure_epoch(), 3U);  // one type off, the edge survives
+  EXPECT_TRUE(g.remove_relationship(1, 0, Relationship::kColleague));
+  EXPECT_EQ(g.structure_epoch(), 4U);  // the last type: the edge is gone
+  EXPECT_FALSE(g.adjacent(0, 1));
 
-  // Removing a non-edge is a no-op.
-  g.remove_relationship(0, 2, Relationship::kFriendship);
-  EXPECT_EQ(g.structure_revision(0), 3U);
-  EXPECT_EQ(g.structure_revision(2), 0U);
+  // Removing a type from a non-edge, a missing type from an edge, and a
+  // self-relationship are all no-ops.
+  EXPECT_FALSE(g.remove_relationship(0, 2, Relationship::kFriendship));
+  EXPECT_TRUE(g.add_relationship(2, 3, Relationship::kKinship));
+  EXPECT_EQ(g.structure_epoch(), 5U);
+  EXPECT_FALSE(g.remove_relationship(2, 3, Relationship::kFriendship));
+  EXPECT_FALSE(g.add_relationship(3, 3, Relationship::kFriendship));
+  EXPECT_EQ(g.structure_epoch(), 5U);
 }
 
-// Every structure revision, then the edge-addition epoch.
-std::vector<SocialGraph::Revision> revision_witnesses(const SocialGraph& g) {
-  std::vector<SocialGraph::Revision> out;
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    out.push_back(g.structure_revision(static_cast<NodeId>(v)));
-  }
-  out.push_back(g.edge_addition_epoch());
-  return out;
-}
-
-TEST(SocialGraphRevisions, InteractionsBumpNothing) {
+TEST(SocialGraphStructureEpoch, InteractionsAndCompactionLeaveItAlone) {
   SocialGraph g(3);
   g.add_relationship(0, 1, Relationship::kFriendship);
-  const auto before = revision_witnesses(g);
+  const SocialGraph::Revision before = g.structure_epoch();
 
   g.record_interaction(0, 1, 2.0);  // along an edge
   g.record_interaction(0, 2, 1.0);  // to a non-neighbour
   g.record_interaction(2, 1, 1.0);  // from a node with no edges
   g.record_interaction(0, 1, 1.0);  // onto an existing row entry
+  g.record_interaction(1, 1, 1.0);  // a self-interaction: dropped
+  g.begin_interval();
   EXPECT_DOUBLE_EQ(g.total_interactions(0), 4.0);
   EXPECT_DOUBLE_EQ(g.total_interactions(2), 1.0);
-  EXPECT_EQ(revision_witnesses(g), before);
+  EXPECT_EQ(g.structure_epoch(), before);
 }
 
-TEST(SocialGraphRevisions, ClearNodeBumpsOnlyItAndItsFormerNeighbours) {
+TEST(SocialGraphStructureEpoch, ClearNodeMovesItOnlyIfTheNodeHadARelationship) {
   SocialGraph g(5);
   g.add_relationship(0, 1, Relationship::kFriendship);
   g.add_relationship(3, 4, Relationship::kFriendship);
@@ -416,48 +407,51 @@ TEST(SocialGraphRevisions, ClearNodeBumpsOnlyItAndItsFormerNeighbours) {
   g.record_interaction(0, 2, 1.0);  // 0's row mentions 2
   g.record_interaction(2, 1, 1.0);  // 2's own row
   g.record_interaction(3, 2, 1.0);  // 3's row mentions 2
-  const auto before = revision_witnesses(g);
+  const SocialGraph::Revision before = g.structure_epoch();
 
-  // Node 2 has no edges, so clearing it only trims interaction rows.
+  // Node 2 has no relationship, so clearing it only trims interaction
+  // rows: it lies on no path, and no path can move.
   g.clear_node(2);
   EXPECT_DOUBLE_EQ(g.total_interactions(0), 2.0);
   EXPECT_DOUBLE_EQ(g.total_interactions(3), 0.0);
-  EXPECT_EQ(revision_witnesses(g), before);
+  EXPECT_EQ(g.structure_epoch(), before);
 
-  // Clearing a node with an edge bumps it and its former friend only.
+  // Clearing a node with a relationship removes it, which moves the
+  // epoch; clearing it again is a no-op.
   g.clear_node(1);
-  const auto after = revision_witnesses(g);
-  EXPECT_GT(after[0], before[0]);
-  EXPECT_GT(after[1], before[1]);
-  EXPECT_EQ(after[2], before[2]);
-  EXPECT_EQ(after[3], before[3]);
-  EXPECT_EQ(after[4], before[4]);
-  EXPECT_EQ(after[5], before[5]);
+  const SocialGraph::Revision after = g.structure_epoch();
+  EXPECT_GT(after, before);
+  g.clear_node(1);
+  EXPECT_EQ(g.structure_epoch(), after);
 }
 
-TEST(SocialGraphRevisions, EpochIsMonotoneOverAMixedWorkload) {
-  // The edge-addition epoch moves only when a brand-new adjacency
-  // appears; removals and interactions leave it alone.
+TEST(SocialGraphStructureEpoch, MovesByOneExactlyWhenAMutatorReportsAChange) {
+  // Over a mixed workload the epoch never decreases and moves by one
+  // exactly when add/remove_relationship report a change.
   stats::Rng rng(99);
   SocialGraph g = barabasi_albert(30, 2, rng);
-  for (int step = 0; step < 60; ++step) {
+  std::size_t moves = 0;
+  for (int step = 0; step < 200; ++step) {
     const auto a = static_cast<NodeId>(rng.index(30));
     auto b = static_cast<NodeId>(rng.index(30));
     if (b == a) b = (b + 1) % 30;
-    const auto last = g.edge_addition_epoch();
-    const bool was_adjacent = g.adjacent(a, b);
+    const auto r = static_cast<Relationship>(rng.index(kRelationshipCount));
+    const SocialGraph::Revision last = g.structure_epoch();
     const double roll = rng.uniform(0.0, 1.0);
+    bool changed = false;
     if (roll < 0.3) {
-      g.add_relationship(a, b, Relationship::kColleague);
-      EXPECT_EQ(g.edge_addition_epoch(), last + (was_adjacent ? 0 : 1));
-    } else if (roll < 0.5) {
-      g.remove_relationship(a, b, Relationship::kFriendship);
-      EXPECT_EQ(g.edge_addition_epoch(), last);
-    } else {
+      changed = g.add_relationship(a, b, r);
+    } else if (roll < 0.6) {
+      changed = g.remove_relationship(a, b, r);
+    } else if (roll < 0.9) {
       g.record_interaction(a, b);
-      EXPECT_EQ(g.edge_addition_epoch(), last);
+    } else {
+      g.begin_interval();
     }
+    EXPECT_EQ(g.structure_epoch(), last + (changed ? 1 : 0)) << step;
+    moves += changed ? 1 : 0;
   }
+  EXPECT_GT(moves, 0U);
 }
 
 }  // namespace

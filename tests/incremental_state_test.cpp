@@ -1,15 +1,15 @@
 // Incremental social-state correctness suite (DESIGN.md §13).
 //
-// The SocialStateCache persists common-friend sets and shortest paths
-// across update intervals and revalidates them against the graph's
-// structure revisions; the contract is that a warm cache is a pure
-// performance optimisation. Four layers of evidence:
+// The SocialStateCache persists lex-min shortest paths across update
+// intervals, each shard witnessed by the graph's one structure epoch;
+// the contract is that a warm cache is a pure performance optimisation.
+// Four layers of evidence:
 //   1. unit tests on the cache itself — every lookup bit-equals a direct
-//      ClosenessModel::closeness(), entries hit while their witnesses
-//      hold and miss the moment one changes, and each witness is exactly
-//      as precise as DESIGN.md §13 claims (a common set survives all
-//      interaction churn, a path spares its sink, an unreachable record
-//      gates on edge additions alone, path keys are directional);
+//      ClosenessModel::closeness(); adjacent and friend-of-friend pairs
+//      store nothing; a path (or an unreachable record) is served across
+//      interaction churn and no-op mutations, and re-derived after any
+//      relationship change, however far from the path; path keys are
+//      directional;
 //   2. a cold-vs-warm differential gate — full simulations where one
 //      plugin keeps its cache across intervals and a second has it wiped
 //      before every update() must produce bit-identical adjusted ratings,
@@ -18,11 +18,10 @@
 //      20 intervals; simulator runs of the same shape also pin the work
 //      report perfbench reads (every active pair recomputed, nothing
 //      carried);
-//   3. a whitewashing regression — forget_node must drop every cached
-//      entry mentioning the discarded identity (queued, then erased in
-//      one batched pass that must equal per-node passes and must run
-//      before update() touches the cache), and a warm plugin driven
-//      across a whitewash event must stay bit-identical to a cold one;
+//   3. a whitewashing regression — forget_node alone leaves the cache
+//      untouched and every path valid, and a warm plugin driven across a
+//      whitewash (forget_node, clear_node, a new tie) clears its stale
+//      shards and stays bit-identical to a cold one;
 //   4. a from-scratch oracle — one interval recomputed without the cache
 //      or the rater walk, straight from the graph, the profiles and each
 //      rater's cumulative rated set, for every baseline source and
@@ -138,64 +137,51 @@ TEST(SocialStateCacheTest, AdjacentPairsReadTheGraphDirectly) {
   EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 1), before));
 }
 
-TEST(SocialStateCacheTest, FofEntrySurvivesRateeInteractionChurn) {
+TEST(SocialStateCacheTest, FofPairsReadTheGraphDirectly) {
   // 0 and 1 are not adjacent and share the common friend 2; 5 is a friend
-  // of 1 only and 6 a friend of 0 only.
-  SocialGraph g(7);
+  // of 1 only.
+  SocialGraph g(6);
   g.add_relationship(0, 2, Relationship::kFriendship);
   g.add_relationship(1, 2, Relationship::kColleague);
   g.add_relationship(1, 5, Relationship::kFriendship);
-  g.add_relationship(0, 6, Relationship::kFriendship);
   g.record_interaction(0, 2, 2.0);
   g.record_interaction(2, 1, 4.0);
   g.record_interaction(2, 0, 1.0);
   g.record_interaction(0, 5, 1.0);
   g.record_interaction(5, 1, 3.0);
-  g.record_interaction(0, 6, 2.0);
-  g.record_interaction(6, 1, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
 
+  // Eq. 3 is one merge of two short rows: no structure lookup, nothing
+  // stored, in either orientation.
   auto d = checked_lookup(cache, model, g, 0, 1);
-  EXPECT_EQ(d.structure_misses, 1U);  // the common-friend set
-  EXPECT_EQ(cache.size(), 1U);
-  d = checked_lookup(cache, model, g, 0, 1);
-  EXPECT_EQ(d.structure_hits, 1U);
+  EXPECT_EQ(d.structure_hits + d.structure_misses, 0U);
+  d = checked_lookup(cache, model, g, 1, 0);
+  EXPECT_EQ(d.structure_hits + d.structure_misses, 0U);
+  EXPECT_EQ(cache.size(), 0U);
 
   // Interaction churn on the rater, the ratee and the common friend moves
-  // Omega_c but never the set: the set is served, the value recomputed.
+  // Omega_c, and the very next lookup sees it.
+  const double before = cache.closeness(model, g, 0, 1);
   g.record_interaction(0, 3, 7.0);
   g.record_interaction(1, 4, 1.0);
   g.record_interaction(2, 4, 1.0);
-  d = checked_lookup(cache, model, g, 0, 1);
-  EXPECT_EQ(d.structure_hits, 1U);
-  EXPECT_EQ(d.structure_misses, 0U);
+  checked_lookup(cache, model, g, 0, 1);
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 1), before));
 
-  // The set is symmetric: the reverse orientation reads the same
-  // canonical (min, max) entry.
-  d = checked_lookup(cache, model, g, 1, 0);
-  EXPECT_EQ(d.structure_hits, 1U);
-
-  // 0 befriends 5, 1's friend: only 0 (the lower endpoint) and 5 are
-  // bumped, and 5 joins the set. Serving {2} would drop its Eq. 3 term.
+  // 0 befriends 5, 1's friend, so 5 joins the common set; the next
+  // lookup reads the new set off the graph.
   g.add_relationship(0, 5, Relationship::kFriendship);
   d = checked_lookup(cache, model, g, 0, 1);
-  EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
-
-  // 1 befriends 6, 0's friend: only 1 (the upper endpoint) and 6 are
-  // bumped, and 6 joins the set.
-  g.add_relationship(1, 6, Relationship::kFriendship);
-  d = checked_lookup(cache, model, g, 0, 1);
-  EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_EQ(d.structure_hits + d.structure_misses, 0U);
+  EXPECT_EQ(cache.size(), 0U);
 }
 
-TEST(SocialStateCacheTest, PathEntriesGateOnStructureAndSpareTheSink) {
-  // 0 -> 3 has no common friend. Two shortest paths: 0-1-2-3 (lex-min,
-  // bottleneck 1/3 of the friendship mass) and 0-4-5-3 (2/3). 3-6 is an
-  // extra edge on the sink.
-  SocialGraph g(7);
+TEST(SocialStateCacheTest, PathEntriesSurviveInteractionChurnAndNoOps) {
+  // 0 -> 3 has no common friend. Two shortest paths: 0-1-2-3 (lex-min)
+  // and 0-4-5-3. 3-6 is an extra edge on the sink; 7 has no relationship
+  // but trades interactions with the source and an interior node.
+  SocialGraph g(8);
   befriend(g, {{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 3}, {3, 6}});
   g.record_interaction(0, 1, 1.0);
   g.record_interaction(1, 2, 2.0);
@@ -203,64 +189,93 @@ TEST(SocialStateCacheTest, PathEntriesGateOnStructureAndSpareTheSink) {
   g.record_interaction(0, 4, 2.0);
   g.record_interaction(4, 5, 1.0);
   g.record_interaction(5, 3, 2.0);
+  g.record_interaction(7, 0, 1.0);
+  g.record_interaction(1, 7, 5.0);
   ClosenessModel model;
   SocialStateCache cache;
 
   auto d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_misses, 2U);  // the (empty) common set + the path
+  EXPECT_EQ(d.structure_misses, 1U);  // the path, and nothing else
+  EXPECT_EQ(cache.size(), 1U);
   d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_hits, 2U);
+  EXPECT_EQ(d.structure_hits, 1U);
 
   // Interaction churn on the source, an interior node and the sink
-  // changes the Eq. 4 terms, never the path: both entries are served and
-  // the value is recomputed.
+  // changes the Eq. 4 terms, never the path: the path is served and the
+  // value recomputed.
   const double before_churn = cache.closeness(model, g, 0, 3);
   g.record_interaction(0, 6, 1.0);
   g.record_interaction(1, 0, 1.0);
   g.record_interaction(3, 0, 9.0);
   d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_hits, 2U);
+  EXPECT_EQ(d.structure_hits, 1U);
+  EXPECT_EQ(d.structure_misses, 0U);
   EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 3), before_churn));
 
-  // A structural change at the sink alone cannot alter the path (every
-  // path edge also bumps a non-sink node). The common set, witnessed by
-  // both endpoints, re-derives; the path is served.
-  ASSERT_TRUE(g.remove_relationship(3, 6, Relationship::kFriendship));
+  // No-op mutations leave the structure epoch, and with it the entry,
+  // alone: a type the edge already has, a non-edge, an isolated node
+  // (whose clear trims 1's interaction row, and so the value), and a
+  // compaction.
+  const SocialGraph::Revision epoch = g.structure_epoch();
+  EXPECT_FALSE(g.add_relationship(1, 0, Relationship::kFriendship));
+  EXPECT_FALSE(g.remove_relationship(0, 2, Relationship::kFriendship));
+  g.clear_node(7);
+  g.begin_interval();
+  EXPECT_EQ(g.structure_epoch(), epoch);
   d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_misses, 1U);
   EXPECT_EQ(d.structure_hits, 1U);
+  EXPECT_EQ(d.structure_misses, 0U);
+  EXPECT_EQ(d.invalidations, 0U);
+  EXPECT_EQ(cache.size(), 1U);
+}
 
-  // Removing an interior edge adds no adjacency, so the addition epoch
-  // holds; the interior nodes' structure revisions must catch it. The
-  // stale path would read the missing edge 1-2 as closeness 0.
-  ASSERT_TRUE(g.remove_relationship(1, 2, Relationship::kFriendship));
-  d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_hits, 1U);  // the common set
+TEST(SocialStateCacheTest, EveryRelationshipChangeRederivesThePath) {
+  // 0 -> 4 has two shortest paths, 0-1-2-3-4 (lex-min, bottleneck 1/4
+  // of the friendship mass at 0-1) and 0-5-6-7-4 (3/4 at 0-5); 8-9 is an
+  // edge off both.
+  SocialGraph g(10);
+  befriend(g, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}, {6, 7},
+               {7, 4}, {8, 9}});
+  g.record_interaction(0, 1, 1.0);
+  g.record_interaction(0, 5, 3.0);
+  g.record_interaction(1, 2, 2.0);
+  g.record_interaction(1, 3, 2.0);
+  g.record_interaction(2, 3, 3.0);
+  g.record_interaction(3, 4, 4.0);
+  g.record_interaction(5, 6, 1.0);
+  g.record_interaction(6, 7, 1.0);
+  g.record_interaction(7, 4, 1.0);
+  ClosenessModel model;
+  SocialStateCache cache;
+  checked_lookup(cache, model, g, 0, 4);
+  ASSERT_EQ(cache.size(), 1U);
+
+  // A type change on an unrelated edge alters no path, but it moves the
+  // one epoch every entry is witnessed by: the lookup clears the shard
+  // and re-derives the same path.
+  const double via_1234 = cache.closeness(model, g, 0, 4);
+  g.add_relationship(8, 9, Relationship::kColleague);
+  auto d = checked_lookup(cache, model, g, 0, 4);
   EXPECT_EQ(d.structure_misses, 1U);
   EXPECT_EQ(d.invalidations, 1U);
-  EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);  // now via 0-4-5-3
+  EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 4), via_1234));
 
-  // A new edge far from the path can open a shorter one, so path entries
-  // gate on the edge-addition epoch, which removals leave alone. Chain
-  // 0-1-2-3-4 plus pendants 0-5 and 4-6: adding 5-6 bumps only 5 and 6,
-  // off the old path, and opens 0-5-6-4.
-  SocialGraph h(7);
-  befriend(h, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {4, 6}});
-  h.record_interaction(0, 1, 1.0);
-  h.record_interaction(1, 2, 1.0);
-  h.record_interaction(2, 3, 1.0);
-  h.record_interaction(3, 4, 1.0);
-  h.record_interaction(0, 5, 3.0);
-  h.record_interaction(5, 6, 2.0);
-  h.record_interaction(6, 4, 1.0);
-  SocialStateCache chain_cache;
-  checked_lookup(chain_cache, model, h, 0, 4);
-  const double long_path = chain_cache.closeness(model, h, 0, 4);
-  h.add_relationship(5, 6, Relationship::kFriendship);
-  d = checked_lookup(chain_cache, model, h, 0, 4);
-  EXPECT_EQ(d.structure_hits, 1U);  // the common set: 0 and 4 untouched
+  // Removing an interior edge: the stale path would read the missing
+  // edge 2-3 as closeness 0.
+  ASSERT_TRUE(g.remove_relationship(2, 3, Relationship::kFriendship));
+  d = checked_lookup(cache, model, g, 0, 4);
   EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_FALSE(bits_equal(chain_cache.closeness(model, h, 0, 4), long_path));
+  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_GT(cache.closeness(model, g, 0, 4), 0.0);  // now via 0-5-6-7-4
+
+  // A brand-new edge touching no node of the cached path 0-5-6-7-4 opens
+  // the shorter 0-1-3-4 (bottleneck 1/4 again).
+  const double via_5674 = cache.closeness(model, g, 0, 4);
+  g.add_relationship(1, 3, Relationship::kFriendship);
+  d = checked_lookup(cache, model, g, 0, 4);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 4), via_5674));
 }
 
 TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
@@ -271,28 +286,31 @@ TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
   g.record_interaction(0, 1, 1.0);
   g.record_interaction(1, 4, 2.0);
   g.record_interaction(4, 3, 1.0);
+  g.record_interaction(2, 0, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
 
   auto d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_misses, 2U);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(cache.size(), 1U);
   EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 3), 0.0));
 
-  // Interaction churn and a type change on an existing edge cannot
-  // create reachability. The type change bumps 0, so the common set
-  // re-derives; the unreachable record is served.
+  // Interaction churn and no-op mutations cannot create reachability,
+  // and leave the epoch alone: the unreachable record is served.
   g.record_interaction(0, 1, 5.0);
   g.record_interaction(3, 4, 1.0);
-  g.add_relationship(0, 1, Relationship::kColleague);
+  EXPECT_FALSE(g.add_relationship(0, 1, Relationship::kFriendship));
+  EXPECT_FALSE(g.remove_relationship(1, 3, Relationship::kFriendship));
+  g.clear_node(2);
+  g.begin_interval();
   d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_misses, 1U);
   EXPECT_EQ(d.structure_hits, 1U);
+  EXPECT_EQ(d.structure_misses, 0U);
 
-  // A new edge can. 1-4 touches neither endpoint, so only the addition
-  // epoch tells the record apart from the new path 0-1-4-3.
+  // A new edge can. 1-4 touches neither endpoint; the moved epoch clears
+  // the record, and the lookup finds the new path 0-1-4-3.
   g.add_relationship(1, 4, Relationship::kFriendship);
   d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_hits, 1U);  // the (still empty) common set
   EXPECT_EQ(d.structure_misses, 1U);
   EXPECT_EQ(d.invalidations, 1U);
   EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);
@@ -316,76 +334,15 @@ TEST(SocialStateCacheTest, ClosenessKeysAreDirectional) {
 
   checked_lookup(cache, model, g, 0, 3);
   auto d = checked_lookup(cache, model, g, 3, 0);
-  EXPECT_EQ(d.structure_hits, 1U);    // the canonical common set
+  EXPECT_EQ(d.structure_hits, 0U);
   EXPECT_EQ(d.structure_misses, 1U);  // its own path
+  EXPECT_EQ(cache.size(), 2U);
   EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 3),
                           cache.closeness(model, g, 3, 0)));
-}
-
-TEST(SocialStateCacheTest, InvalidateNodeErasesEveryMention) {
-  // Common sets: (0,1) = {2} and (3,4) = {5}.
-  SocialGraph g(6);
-  g.add_relationship(0, 2, Relationship::kFriendship);
-  g.add_relationship(1, 2, Relationship::kFriendship);
-  g.add_relationship(3, 5, Relationship::kFriendship);
-  g.add_relationship(4, 5, Relationship::kFriendship);
-  g.record_interaction(0, 2, 1.0);
-  g.record_interaction(3, 5, 1.0);
-  ClosenessModel model;
-  SocialStateCache cache;
-
-  checked_lookup(cache, model, g, 0, 1);
-  checked_lookup(cache, model, g, 3, 4);
-  ASSERT_EQ(cache.size(), 2U);
-
-  auto d = stats_delta(cache, [&] { cache.invalidate_node(2); });
-  EXPECT_EQ(d.invalidations, 1U);
-  EXPECT_EQ(cache.size(), 1U);
-
-  // The unrelated entry survives; the set naming node 2 is gone even
-  // though no revision changed.
-  d = checked_lookup(cache, model, g, 3, 4);
-  EXPECT_EQ(d.structure_hits, 1U);
-  d = checked_lookup(cache, model, g, 0, 1);
-  EXPECT_EQ(d.structure_misses, 1U);
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0U);
 }
-
-/// A 12-node substrate whose all-pairs lookups store every entry kind:
-/// a common set (2-4 via 3), bottleneck paths along the chain 5-6-7-8,
-/// unreachable records towards the isolated 9-10 edge and node 11, and
-/// empty common sets beside each path. Adjacent pairs (0-1) store
-/// nothing.
-struct MixedSubstrate {
-  SocialGraph g{12};
-
-  MixedSubstrate() {
-    g.add_relationship(0, 1, Relationship::kFriendship);
-    g.add_relationship(2, 3, Relationship::kFriendship);
-    g.add_relationship(3, 4, Relationship::kColleague);
-    g.add_relationship(5, 6, Relationship::kFriendship);
-    g.add_relationship(6, 7, Relationship::kFriendship);
-    g.add_relationship(7, 8, Relationship::kFriendship);
-    g.add_relationship(9, 10, Relationship::kFriendship);
-    g.record_interaction(0, 1, 2.0);
-    g.record_interaction(2, 3, 1.0);
-    g.record_interaction(3, 4, 3.0);
-    g.record_interaction(5, 6, 1.0);
-    g.record_interaction(6, 7, 2.0);
-    g.record_interaction(7, 8, 1.0);
-  }
-
-  void populate(SocialStateCache& cache) const {
-    ClosenessModel model;
-    for (graph::NodeId i = 0; i < 12; ++i) {
-      for (graph::NodeId j = 0; j < 12; ++j) {
-        if (i != j) checked_lookup(cache, model, g, i, j);
-      }
-    }
-  }
-};
 
 void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
                         const SocialStateCache::StatsSnapshot& b) {
@@ -393,59 +350,6 @@ void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
   EXPECT_EQ(a.structure_hits, b.structure_hits);
   EXPECT_EQ(a.structure_misses, b.structure_misses);
 }
-
-TEST(SocialStateCacheTest, InvalidateNodesEqualsPerNodePasses) {
-  // One batched pass must erase exactly the union of per-node passes:
-  // the same entries and the same invalidation count. The batch carries a
-  // duplicate (6) and two nodes one path entry names (6 and 7 both lie on
-  // 5-6-7-8).
-  const MixedSubstrate s;
-  SocialStateCache per_node;
-  SocialStateCache batched;
-  s.populate(per_node);
-  s.populate(batched);
-  ASSERT_EQ(per_node.size(), batched.size());
-
-  const std::vector<graph::NodeId> batch = {6, 3, 7, 6, 10};
-  for (graph::NodeId n : batch) per_node.invalidate_node(n);
-  batched.invalidate_nodes(batch);
-
-  EXPECT_GT(batched.stats().invalidations, 0U);
-  EXPECT_GT(batched.size(), 0U);  // entries naming no batch node survive
-  EXPECT_EQ(per_node.size(), batched.size());
-  expect_stats_equal(per_node.stats(), batched.stats());
-
-  // Mentions inside an entry count, not just its key: the common set of
-  // (2,4) names 3 and the path 5-6-7-8 names 6 and 7, so both re-derive,
-  // while (0,2)'s empty set and unreachable record name no batch node and
-  // are served.
-  ClosenessModel model;
-  auto d = checked_lookup(batched, model, s.g, 2, 4);
-  EXPECT_EQ(d.structure_misses, 1U);
-  d = checked_lookup(batched, model, s.g, 5, 8);
-  EXPECT_EQ(d.structure_hits, 1U);  // the empty common set of (5,8)
-  EXPECT_EQ(d.structure_misses, 1U);
-  d = checked_lookup(batched, model, s.g, 0, 2);
-  EXPECT_EQ(d.structure_hits, 2U);
-}
-
-TEST(SocialStateCacheTest, InvalidateNodesIgnoresIdsNoEntryMentions) {
-  // A hostile id costs nothing and erases nothing: membership is bounded
-  // by the batch, not by the id value.
-  const MixedSubstrate s;
-  SocialStateCache cache;
-  s.populate(cache);
-  const std::size_t size = cache.size();
-  const auto stats = cache.stats();
-  ASSERT_GT(size, 0U);
-
-  const std::vector<graph::NodeId> hostile = {0xFFFFFFFFU};
-  EXPECT_NO_THROW(cache.invalidate_nodes(hostile));
-  EXPECT_NO_THROW(cache.invalidate_nodes({}));
-  EXPECT_EQ(cache.size(), size);
-  expect_stats_equal(cache.stats(), stats);
-}
-
 
 // --- 2. cold-vs-warm differential gate ---------------------------------------
 
@@ -601,10 +505,10 @@ TEST_P(ColdVsWarmEquivalence, BitIdenticalAcrossIntervalsAndThreads) {
       ASSERT_EQ(cold.size(), warm.size());
       const std::string run = model + " seed=" + std::to_string(seed) +
                               " threads=" + std::to_string(threads);
-      // The warm cache must have served entries stored in an earlier
-      // interval, or this compares two cold runs and proves nothing. Both
-      // runs also hit within an interval (a common set is shared by both
-      // orientations of a pair), so compare the totals.
+      // The warm cache must have served paths stored in an earlier
+      // interval, or this compares two cold runs and proves nothing. A
+      // cold run looks each directional pair up once per interval, so it
+      // never hits; comparing the totals states that directly.
       EXPECT_GT(warm.back().cache_stats.structure_hits,
                 cold.back().cache_stats.structure_hits)
           << run;
@@ -668,54 +572,64 @@ INSTANTIATE_TEST_SUITE_P(CollusionModels, FullVsDirtyEquivalence,
 
 // --- 3. whitewashing regression ---------------------------------------------
 
-/// Directly driven plugin pair (no simulator): one warm, one cold, fed the
-/// identical interval sequence over the identical shared social state,
-/// with a whitewash event in the middle. Any stale entry the warm cache
-/// serves after the whitewash diverges the two and fails the bit compare.
-TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
-  stats::Rng rng(1234);
-  SocialGraph g = graph::watts_strogatz(48, 6, 0.2, rng);
-  InterestProfiles profiles(48, 16);
-  for (graph::NodeId n = 0; n < 48; ++n) {
-    const reputation::InterestId ints[] = {
-        static_cast<reputation::InterestId>(n % 16),
-        static_cast<reputation::InterestId>((n + 5) % 16)};
-    profiles.set_interests(n, ints);
+/// Directly driven plugin pair (no simulator): one warm, one cold (its
+/// cache wiped before every update), fed the identical interval sequence
+/// over the identical shared social state. Any stale path the warm cache
+/// serves diverges the two and fails the bit compare.
+struct WarmColdPair {
+  static constexpr std::size_t kNodes = 48;
+  static constexpr std::size_t kCategories = 16;
+
+  stats::Rng rng{1234};
+  SocialGraph g = graph::watts_strogatz(kNodes, 6, 0.2, rng);
+  InterestProfiles profiles{kNodes, kCategories};
+  std::unique_ptr<SocialTrustPlugin> warm;
+  std::unique_ptr<SocialTrustPlugin> cold;
+
+  WarmColdPair() {
+    for (graph::NodeId n = 0; n < kNodes; ++n) {
+      const reputation::InterestId ints[] = {
+          static_cast<reputation::InterestId>(n % kCategories),
+          static_cast<reputation::InterestId>((n + 5) % kCategories)};
+      profiles.set_interests(n, ints);
+    }
+    warm = make_plugin();
+    cold = make_plugin();
   }
 
-  core::SocialTrustConfig cfg;
-  cfg.threads = 1;
-  auto make_plugin = [&] {
+  std::unique_ptr<SocialTrustPlugin> make_plugin() {
+    core::SocialTrustConfig cfg;
+    cfg.threads = 1;
     return std::make_unique<SocialTrustPlugin>(
         std::make_unique<reputation::PaperEigenTrust>(
-            48, std::vector<reputation::NodeId>{0, 1},
+            kNodes, std::vector<reputation::NodeId>{0, 1},
             reputation::PaperEigenTrustConfig{}),
         g, profiles, cfg);
-  };
-  auto warm = make_plugin();
-  auto cold = make_plugin();
+  }
 
-  // Deterministic interval streams; every rating also mutates the social
-  // state the way Simulator::submit_rating does.
-  auto make_interval = [&](std::uint64_t seed) {
+  /// A deterministic interval stream; every rating also mutates the
+  /// social state the way Simulator::submit_rating does (interactions and
+  /// requests only, so the structure epoch holds).
+  std::vector<Rating> make_interval(std::uint64_t seed) {
     stats::Rng interval_rng(seed);
     std::vector<Rating> ratings;
     for (std::size_t q = 0; q < 160; ++q) {
-      const auto rater = static_cast<reputation::NodeId>(
-          interval_rng.index(48));
-      auto ratee = static_cast<reputation::NodeId>(interval_rng.index(48));
-      if (ratee == rater) ratee = (ratee + 1) % 48;
+      const auto rater =
+          static_cast<reputation::NodeId>(interval_rng.index(kNodes));
+      auto ratee = static_cast<reputation::NodeId>(interval_rng.index(kNodes));
+      if (ratee == rater) ratee = (ratee + 1) % kNodes;
       const double value = interval_rng.bernoulli(0.8) ? 1.0 : -1.0;
       ratings.push_back(Rating{rater, ratee, value, 0, 0,
                                static_cast<reputation::InterestId>(
-                                   interval_rng.index(16))});
+                                   interval_rng.index(kCategories))});
       g.record_interaction(rater, ratee);
       profiles.record_request(rater, ratings.back().interest);
     }
     return ratings;
-  };
+  }
 
-  auto run_interval = [&](const std::vector<Rating>& ratings) {
+  /// Closes one interval on both plugins and bit-compares their outputs.
+  void run_interval(const std::vector<Rating>& ratings) {
     cold->social_cache().clear();
     cold->update(ratings);
     warm->update(ratings);
@@ -730,101 +644,56 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
     for (std::size_t v = 0; v < cr.size(); ++v) {
       ASSERT_TRUE(bits_equal(cr[v], wr[v])) << "node " << v;
     }
-  };
+  }
+};
 
-  run_interval(make_interval(1));
-  run_interval(make_interval(2));
-  ASSERT_GT(warm->social_cache().stats().structure_hits, 0U);
+/// A whitewash as Simulator::whitewash does it (forget_node, clear_node),
+/// then the new identity re-wires: the next update() finds its shards at
+/// an older epoch and clears them, and warm still equals cold.
+TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
+  WarmColdPair p;
+  p.run_interval(p.make_interval(1));
+  p.run_interval(p.make_interval(2));
+  ASSERT_GT(p.warm->social_cache().stats().structure_hits, 0U);
 
-  // Whitewash node 7, exactly as Simulator::whitewash does it.
   const reputation::NodeId w = 7;
-  const std::size_t entries_before = warm->social_cache().size();
-  const auto inval_before = warm->social_cache().stats().invalidations;
-  warm->forget_node(w);
-  cold->forget_node(w);
-  // forget_node alone must already have dropped every cached entry
-  // mentioning the node — before any graph mutation bumps a revision.
-  EXPECT_LT(warm->social_cache().size(), entries_before);
-  EXPECT_GT(warm->social_cache().stats().invalidations, inval_before);
-  g.clear_node(w);
-  profiles.clear_requests(w);
+  const auto inval_before = p.warm->social_cache().stats().invalidations;
+  const SocialGraph::Revision epoch = p.g.structure_epoch();
+  p.warm->forget_node(w);
+  p.cold->forget_node(w);
+  p.g.clear_node(w);
+  p.profiles.clear_requests(w);
+  EXPECT_GT(p.g.structure_epoch(), epoch);  // 7 had relationships
+  // The new identity makes a brand-new tie.
+  ASSERT_TRUE(p.g.add_relationship(w, 30, Relationship::kKinship));
 
   // The discarded identity re-joins and gets rated again: warm results
   // must match a from-scratch recompute, not the pre-whitewash state.
-  run_interval(make_interval(3));
-  run_interval(make_interval(4));
+  p.run_interval(p.make_interval(3));
+  EXPECT_GT(p.warm->social_cache().stats().invalidations, inval_before);
+  p.run_interval(p.make_interval(4));
 }
 
-/// forget_node only queues the cache invalidation. update() must drain
-/// the queue before any lookup, or an entry naming the forgotten node
-/// would be served (or found stale and replaced) instead of invalidated.
-/// The reference is a twin whose queue is drained early through the
-/// social_cache() accessor: every cache total must match.
-TEST(IncrementalWhitewashing, UpdateDrainsQueuedForgetsBeforeTouchingCache) {
-  stats::Rng rng(77);
-  SocialGraph g = graph::watts_strogatz(16, 4, 0.2, rng);
-  InterestProfiles profiles(16, 8);
-  for (graph::NodeId n = 0; n < 16; ++n) {
-    const reputation::InterestId ints[] = {
-        static_cast<reputation::InterestId>(n % 8),
-        static_cast<reputation::InterestId>((n + 3) % 8)};
-    profiles.set_interests(n, ints);
-  }
-  core::SocialTrustConfig cfg;
-  cfg.threads = 1;
-  auto make_plugin = [&] {
-    return std::make_unique<SocialTrustPlugin>(
-        std::make_unique<reputation::PaperEigenTrust>(
-            16, std::vector<reputation::NodeId>{0, 1},
-            reputation::PaperEigenTrustConfig{}),
-        g, profiles, cfg);
-  };
-  auto drained_in_update = make_plugin();
-  auto drained_early = make_plugin();
+/// forget_node alone leaves the graph, and so every cached path, as it
+/// was: the cache is untouched, and the warm plugin keeps serving paths
+/// stored before the forget while still matching a cold twin.
+TEST(IncrementalWhitewashing, ForgetNodeAloneKeepsCachedPathsValid) {
+  WarmColdPair p;
+  p.run_interval(p.make_interval(1));
+  p.run_interval(p.make_interval(2));
+  const std::size_t entries = p.warm->social_cache().size();
+  const auto before = p.warm->social_cache().stats();
+  ASSERT_GT(entries, 0U);
 
-  // Node 9 trades ratings with 10-12 in the first interval only; the
-  // second interval's raters (2-5) never rated it, so its entries sit
-  // untouched until the third re-rates the first interval's pairs.
-  const reputation::NodeId w = 9;
-  std::vector<Rating> with_w = {Rating{13, 14, 1.0, 0, 0, 1}};
-  std::vector<Rating> without_w;
-  for (reputation::NodeId x = 10; x <= 12; ++x) {
-    with_w.push_back(Rating{w, x, 1.0, 0, 0, 1});
-    with_w.push_back(Rating{x, w, 1.0, 0, 0, 1});
-  }
-  for (reputation::NodeId r = 2; r <= 5; ++r) {
-    without_w.push_back(Rating{r, static_cast<reputation::NodeId>(r + 1),
-                               1.0, 0, 0, 2});
-  }
-  for (auto* p : {drained_in_update.get(), drained_early.get()}) {
-    p->update(with_w);
-    p->update(without_w);
-  }
-  const auto before = drained_early->social_cache().stats();
-  drained_in_update->forget_node(w);
-  drained_early->forget_node(w);
-  // The accessor drains the twin's queue here, outside any update().
-  EXPECT_GT(drained_early->social_cache().stats().invalidations,
-            before.invalidations);
-  drained_in_update->update(with_w);
-  drained_early->update(with_w);
+  p.warm->forget_node(7);
+  p.cold->forget_node(7);
+  EXPECT_EQ(p.warm->social_cache().size(), entries);
+  expect_stats_equal(p.warm->social_cache().stats(), before);
 
-  const auto got = drained_in_update->social_cache().stats();
-  const auto want = drained_early->social_cache().stats();
-  expect_stats_equal(got, want);
-  EXPECT_EQ(drained_in_update->social_cache().size(),
-            drained_early->social_cache().size());
-
-  // reset() drains before its wholesale drop, so queued erasures still
-  // count as invalidations.
-  drained_in_update->forget_node(10);
-  drained_early->forget_node(10);
-  const auto before_reset = drained_early->social_cache().stats();
-  EXPECT_GT(before_reset.invalidations, want.invalidations);
-  drained_in_update->reset();
-  drained_early->reset();
-  EXPECT_EQ(drained_in_update->social_cache().stats().invalidations,
-            before_reset.invalidations);
+  p.run_interval(p.make_interval(3));
+  const auto after = p.warm->social_cache().stats();
+  EXPECT_GT(after.structure_hits, before.structure_hits);
+  EXPECT_EQ(after.invalidations, before.invalidations);
 }
 
 // --- 4. from-scratch oracle -------------------------------------------------

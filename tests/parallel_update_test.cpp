@@ -235,12 +235,10 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
   EXPECT_GT(intervals, 0U);
   // collect_us encloses its sub-stage timers: each records one sample per
   // interval, and per interval they add up to no more than collect_us.
-  // The whitewash drain (invalidate_us) records one sample per interval
-  // too, even when nothing was forgotten, and sits beside the top-level
-  // stages inside total_us.
+  // collect_us and adjust_us sit side by side inside total_us.
   for (const char* stage :
-       {"socialtrust.update.invalidate_us", "socialtrust.update.tally_us",
-        "socialtrust.update.coeff_us", "socialtrust.update.baseline_us"}) {
+       {"socialtrust.update.tally_us", "socialtrust.update.coeff_us",
+        "socialtrust.update.baseline_us"}) {
     EXPECT_EQ(registry.histogram(stage).count(), intervals) << stage;
   }
   for (const obs::Snapshot& snap : obs::Obs::instance().snapshots()) {
@@ -255,7 +253,7 @@ TEST(ParallelEquivalenceConfig, InstrumentationPreservesBitIdentity) {
     EXPECT_LE(extra("tally_us") + extra("coeff_us") + extra("baseline_us"),
               extra("collect_us") + 1e-6)
         << "interval " << snap.sequence;
-    EXPECT_LE(extra("invalidate_us") + extra("collect_us") + extra("adjust_us"),
+    EXPECT_LE(extra("collect_us") + extra("adjust_us"),
               extra("total_us") + 1e-6)
         << "interval " << snap.sequence;
   }
