@@ -1,10 +1,10 @@
 // Warm-vs-cold wall-clock of the SocialTrust update interval under a
 // steady-state Section 5.1 workload, measuring what the persistent
 // SocialStateCache (DESIGN.md §13) buys: while the relationships hold
-// still between intervals, the path cache, witnessed by the graph's one
-// structure epoch, serves every shortest-path lookup without redoing the
-// bounded search, and the results stay bit-identical to a cold
-// recompute.
+// still between intervals, the path cache, whose one witness is the
+// graph's structure epoch checked at each interval boundary, serves
+// every shortest-path lookup without redoing the bounded search, and the
+// results stay bit-identical to a cold recompute.
 //
 // Protocol: one network, one recurring rating stream (peers keep rating
 // their regular partners), and between intervals a small random subset
@@ -23,9 +23,12 @@
 //   --rel-churn <pct>   % of nodes whose *relationships* are rewired per
 //                       interval (friendships added and removed mid-run,
 //                       default 0). Topology churn moves the structure
-//                       epoch every interval, so every cached path
-//                       misses — the adversarial preset for the path
-//                       cache's persistence bet.
+//                       epoch before every interval, so the warm cache
+//                       drops its paths at each boundary and stores none —
+//                       the adversarial preset for the path cache's
+//                       persistence bet. The cold side, cleared before
+//                       every update(), opens each interval like a new
+//                       cache and stores every interval.
 //   --reps <n>          repetitions, min totals are kept  (default 2)
 //   --json <path>       also write results as JSON (the
 //                       BENCH_incremental_closeness.json artifact)
@@ -39,8 +42,10 @@
 // loaded CI machines) if the steady-state speedup falls below 2x. With
 // --rel-churn > 0 the hit-rate and speedup gates are reported but not
 // enforced: rewiring the topology every interval deliberately defeats
-// the path cache's steady-state assumption, so the only hard claim left
-// — and the one still gated — is bit-identity.
+// the path cache's steady-state assumption. Two hard claims are left
+// and gated: bit-identity, and that the warm cache holds no path after
+// any steady-state interval (an interval opened after a relationship
+// change stores nothing).
 
 #include <algorithm>
 #include <bit>
@@ -252,6 +257,8 @@ struct Row {
   double warm_ms = 0.0;          ///< per steady-state interval
   double speedup = 0.0;
   double structure_hit_rate_pct = 0.0;  ///< steady-state intervals
+  /// Most paths the warm cache held after a steady-state interval.
+  std::size_t max_warm_paths = 0;
   bool identical = true;
 };
 
@@ -306,6 +313,8 @@ Row run_sequence(std::size_t n, std::size_t threads, std::size_t intervals,
     } else {
       cold_total += cold_ms;
       warm_total += warm_ms;
+      row.max_warm_paths =
+          std::max(row.max_warm_paths, warm.social_cache().size());
     }
   }
   row.pairs = warm.last_report().pairs_total;
@@ -370,6 +379,8 @@ int main(int argc, char** argv) {
           // Identity and hit rate are deterministic per seed; only the
           // wall-clock varies, so keep the quietest rep of each side.
           best.identical = best.identical && row.identical;
+          best.max_warm_paths =
+              std::max(best.max_warm_paths, row.max_warm_paths);
           best.cold_ms = std::min(best.cold_ms, row.cold_ms);
           best.warm_ms = std::min(best.warm_ms, row.warm_ms);
           best.speedup =
@@ -381,31 +392,40 @@ int main(int argc, char** argv) {
   }
 
   st::util::Table table({"nodes", "pairs", "threads", "cold ms", "warm ms",
-                         "speedup", "struct hits", "identical"});
+                         "speedup", "struct hits", "max warm paths",
+                         "identical"});
   for (const Row& r : rows) {
     table.add_row({std::to_string(r.nodes), std::to_string(r.pairs),
                    std::to_string(r.threads), st::util::fmt(r.cold_ms, 2),
                    st::util::fmt(r.warm_ms, 2), st::util::fmt(r.speedup, 2),
                    st::util::fmt(r.structure_hit_rate_pct, 1) + "%",
+                   std::to_string(r.max_warm_paths),
                    r.identical ? "yes" : "NO (BUG)"});
   }
   std::cout << table.to_string() << "\n";
 
   bool all_identical = true;
+  bool warm_stored_nothing = true;
   bool hit_rate_ok = true;
   bool speedup_ok = true;
   for (const Row& r : rows) {
     all_identical = all_identical && r.identical;
+    warm_stored_nothing = warm_stored_nothing && r.max_warm_paths == 0;
     hit_rate_ok = hit_rate_ok && r.structure_hit_rate_pct >= 80.0;
     speedup_ok = speedup_ok && r.speedup >= 2.0;
   }
   // Topology churn deliberately defeats the path cache's
   // steady-state assumption, so under --rel-churn the performance gates
-  // become informational; bit-identity stays a hard gate regardless.
+  // become informational, and the gate is instead that the warm cache
+  // stored no path; bit-identity stays a hard gate regardless.
   const bool perf_gated = rel_churn_pct <= 0.0;
   if (!all_identical) {
     std::cout << "BIT-IDENTITY VIOLATION: warm cache changed the adjusted "
                  "ratings or reputations\n";
+  }
+  if (!perf_gated && !warm_stored_nothing) {
+    std::cout << "STORE VIOLATION: the warm cache held paths after an "
+                 "interval opened after a relationship change\n";
   }
   if (!hit_rate_ok) {
     std::cout << (perf_gated
@@ -449,7 +469,8 @@ int main(int argc, char** argv) {
           << ", \"warm_ms_per_interval\": " << st::util::fmt(r.warm_ms, 3)
           << ", \"speedup\": " << st::util::fmt(r.speedup, 3)
           << ", \"structure_hit_rate_pct\": "
-          << st::util::fmt(r.structure_hit_rate_pct, 2) << "}"
+          << st::util::fmt(r.structure_hit_rate_pct, 2)
+          << ", \"max_warm_paths\": " << r.max_warm_paths << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -457,6 +478,7 @@ int main(int argc, char** argv) {
   }
 
   if (!all_identical) return 1;
+  if (!perf_gated && !warm_stored_nothing) return 1;
   if (perf_gated && !hit_rate_ok) return 1;
   if (perf_gated && !quick && !speedup_ok) return 1;
   return 0;

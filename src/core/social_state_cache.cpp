@@ -4,6 +4,17 @@
 
 namespace st::core {
 
+namespace {
+
+/// shortest_path() at its default hop cap; empty = unreachable.
+std::vector<graph::NodeId> search(const graph::SocialGraph& g,
+                                  graph::NodeId i, graph::NodeId j) {
+  auto found = g.shortest_path(i, j);
+  return found ? std::move(*found) : std::vector<graph::NodeId>{};
+}
+
+}  // namespace
+
 SocialStateCache::SocialStateCache()
     : shards_(std::make_unique<Shard[]>(kShards)) {
   auto& registry = obs::Obs::instance().registry();
@@ -17,42 +28,44 @@ void SocialStateCache::count_hit() noexcept {
   obs_structure_hits_->add(1);
 }
 
-void SocialStateCache::count_miss(std::uint64_t dropped) noexcept {
-  if (dropped > 0) {
-    invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-    obs_invalidations_->add(dropped);
-  }
+void SocialStateCache::count_miss() noexcept {
   structure_misses_.fetch_add(1, std::memory_order_relaxed);
   obs_structure_misses_->add(1);
 }
 
+void SocialStateCache::open_interval(const graph::SocialGraph& g) {
+  const Revision epoch = g.structure_epoch();
+  storing_ = !epoch_ || *epoch_ == epoch;
+  epoch_ = epoch;
+  if (storing_) return;
+  // Some relationship changed since these paths were computed; any of
+  // them may now be longer, broken or no longer lex-min.
+  const std::uint64_t dropped = drop_all();
+  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
+  obs_invalidations_->add(dropped);
+}
+
 std::vector<SocialStateCache::NodeId> SocialStateCache::path_cached(
     const graph::SocialGraph& g, NodeId i, NodeId j) {
+  if (!storing_ || g.structure_epoch() != *epoch_) {
+    // No store this interval (the topology moved at its boundary, or no
+    // boundary was opened), or a relationship changed since the boundary.
+    count_miss();
+    return search(g, i, j);
+  }
   const std::uint64_t key = pack(i, j);
   Shard& shard = shards_[shard_of(key)];
-  const Revision epoch = g.structure_epoch();
-  std::uint64_t dropped = 0;
   {
     util::MutexLock lock(shard.mutex);
-    if (shard.epoch != epoch) {
-      // Some relationship changed since these paths were computed; any of
-      // them may now be longer, broken or no longer lex-min.
-      dropped = shard.paths.size();
-      shard.paths.clear();
-      shard.epoch = epoch;
-    }
     const auto it = shard.paths.find(key);
     if (it != shard.paths.end()) {
       count_hit();
       return it->second;
     }
   }
-  count_miss(dropped);
-  auto found = g.shortest_path(i, j);
-  std::vector<NodeId> path = found ? std::move(*found) : std::vector<NodeId>{};
+  count_miss();
+  std::vector<NodeId> path = search(g, i, j);
   {
-    // The graph is frozen while lookups run, so the shard is still at
-    // `epoch` here.
     util::MutexLock lock(shard.mutex);
     shard.paths.try_emplace(key, path);
   }
@@ -72,12 +85,21 @@ double SocialStateCache::closeness(const ClosenessModel& model,
   return model.bottleneck_closeness(g, path_cached(g, i, j));
 }
 
-void SocialStateCache::clear() {
+std::size_t SocialStateCache::drop_all() {
+  std::size_t dropped = 0;
   for (std::size_t s = 0; s < kShards; ++s) {
     Shard& shard = shards_[s];
     util::MutexLock lock(shard.mutex);
+    dropped += shard.paths.size();
     shard.paths.clear();
   }
+  return dropped;
+}
+
+void SocialStateCache::clear() {
+  drop_all();
+  epoch_.reset();
+  storing_ = false;
 }
 
 std::size_t SocialStateCache::size() const {

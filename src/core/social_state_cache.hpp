@@ -23,11 +23,19 @@
 //     "unreachable within shortest_path()'s default hop cap" — negative
 //     results are exactly as expensive to rediscover.
 //
-// One witness: each shard remembers the graph's structure_epoch() its
-// entries were computed under. A lookup that finds its shard at another
-// epoch first clears the shard, under that shard's own lock, so no entry
-// is ever served across a relationship change — in any call order,
-// including tests that mutate the graph between direct lookups.
+// One witness, checked at the interval boundary: open_interval() reads
+// the graph's structure_epoch() once. If it moved since the previous
+// call, the topology changed, every entry is dropped, and the interval
+// stores nothing: its searches go straight to shortest_path(), with no
+// lock and no hash probe. Otherwise the interval serves and stores paths.
+// The first call after construction or clear() stores too. Under
+// whitewashing the epoch moves before nearly every interval, so a path
+// stored there would never be read; on a graph whose topology holds, the
+// paths of one interval serve every later one (DESIGN.md §13). A lookup
+// also compares the graph's current epoch with the adopted one and
+// bypasses the map when they differ, so no entry is ever served across a
+// relationship change — in any call order, including tests that mutate
+// the graph between direct lookups with no open_interval() call.
 // Interactions, no-op mutators and CSR rebuilds leave the epoch alone, so
 // a path survives all of them.
 //
@@ -42,11 +50,12 @@
 // Concurrency: the key space is striped over kShards independently-locked
 // shards and paths are computed outside the shard lock ("compute
 // outside, publish inside"). A lookup takes at most one shard lock at a
-// time, so there is no lock ordering to get wrong.
+// time, so there is no lock ordering to get wrong. open_interval() and
+// clear() run serially, with the graph frozen and no lookup running; the
+// two fields open_interval() sets are only read by lookups.
 //
-// Lifetime: entries are dropped lazily, shard by shard, by the first
-// lookup after the epoch moves, or all at once by clear(); nothing sweeps
-// entries on an interval boundary, and there is no eviction.
+// Lifetime: entries are dropped all at once, by the open_interval() that
+// sees the epoch move or by clear(); there is no eviction.
 //
 // Observability: per-instance relaxed atomic counters (always on; the
 // bench reads them to prove the hit rate) plus process-wide obs counters
@@ -56,6 +65,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -73,23 +83,31 @@ class SocialStateCache {
 
   SocialStateCache();
 
+  /// Interval boundary: adopts g.structure_epoch(). If it moved since the
+  /// previous call, drops every entry (counted in `invalidations`) and
+  /// stores nothing until the next call; otherwise, and on the first call
+  /// after construction or clear(), this interval serves and stores
+  /// paths. Call it with the graph frozen and no lookup running.
+  void open_interval(const graph::SocialGraph& g);
+
   /// Omega_c(i,j), bit-identical to model.closeness(g, i, j) at its
-  /// default hop cap, with the shortest path served from (and memoised
-  /// in) the path layer.
+  /// default hop cap. The shortest path is served from (and memoised in)
+  /// the path layer while this interval stores and g's structure epoch
+  /// is the adopted one; otherwise it is searched afresh and not stored.
   double closeness(const ClosenessModel& model, const graph::SocialGraph& g,
                    NodeId i, NodeId j);
 
-  /// Drops everything (plugin reset, cold-cache tests).
+  /// Drops everything and forgets the adopted epoch: the cache is back in
+  /// its constructed state (plugin reset, cold-cache tests).
   void clear();
 
-  /// Path entries across shards, including those of shards whose epoch
-  /// has moved but that no lookup has cleared yet. Diagnostics and tests
-  /// only; takes every shard lock.
+  /// Path entries across shards. Diagnostics and tests only; takes every
+  /// shard lock.
   std::size_t size() const;
 
-  /// Monotone per-instance totals: structure_* count path lookups;
-  /// invalidations counts the entries dropped when a lookup found its
-  /// shard at an older structure epoch.
+  /// Monotone per-instance totals: structure_hits counts paths served,
+  /// structure_misses every search, stored or not; invalidations counts
+  /// the entries open_interval() dropped after the epoch moved.
   struct StatsSnapshot {
     /// Always 0: these counted the per-pair value memo, which is gone
     /// (every coefficient is evaluated once per interval). Kept only
@@ -113,12 +131,10 @@ class SocialStateCache {
     return (static_cast<std::uint64_t>(a) << 32U) | b;
   }
 
-  /// One stripe: its own mutex, the paths whose keys hash here (empty =
-  /// unreachable), and the structure epoch every one of them was
-  /// computed under.
+  /// One stripe: its own mutex and the paths whose keys hash here (empty
+  /// = unreachable).
   struct Shard {
     mutable util::Mutex mutex;
-    Revision epoch ST_GUARDED_BY(mutex) = 0;
     std::unordered_map<std::uint64_t, std::vector<NodeId>> paths
         ST_GUARDED_BY(mutex);
   };
@@ -136,13 +152,21 @@ class SocialStateCache {
   std::vector<NodeId> path_cached(const graph::SocialGraph& g, NodeId i,
                                   NodeId j);
 
+  /// Empties every shard; returns the number of entries dropped.
+  std::size_t drop_all();
+
   /// Counts a lookup served from the shard.
   void count_hit() noexcept;
-  /// Counts a lookup that re-derives its path, after `dropped` entries
-  /// of an older epoch were cleared from its shard.
-  void count_miss(std::uint64_t dropped) noexcept;
+  /// Counts a lookup that searches for its path.
+  void count_miss() noexcept;
 
   std::unique_ptr<Shard[]> shards_;
+
+  /// The structure epoch the last open_interval() adopted (none after
+  /// construction or clear()), and whether this interval stores paths.
+  /// Written only by open_interval() and clear(); lookups only read them.
+  std::optional<Revision> epoch_;
+  bool storing_ = false;
 
   // Per-instance totals (see StatsSnapshot). Relaxed: they order nothing;
   // observation-only, never fed back into cached values.

@@ -139,10 +139,12 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   double collect_us = 0.0, adjust_us = 0.0;
   double tally_us = 0.0, coeff_us = 0.0, baseline_us = 0.0;
 
-  // No cache wipe here: social_cache_ persists across intervals and
-  // drops a shard's paths only once the graph's structure epoch has
-  // moved, so while the topology holds still every path is served
-  // without redoing the bounded search.
+  // The cache's interval boundary, the one place its witness is checked:
+  // if a relationship changed since the previous update() (whitewash
+  // re-wiring, say), every stored path is dropped and this interval
+  // searches without storing; while the topology holds, the paths stored
+  // in earlier intervals are served without redoing the bounded search.
+  social_cache_.open_interval(graph_);
   adjusted_.assign(cycle_ratings.begin(), cycle_ratings.end());
   report_ = AdjustmentReport{};
 

@@ -33,10 +33,13 @@
 //
 // Social structure: closeness lookups go through a persistent
 // SocialStateCache that keeps only what survives an interval and is
-// expensive to recompute — the shortest paths Eq. 4 reads, valid while
-// the graph's structure epoch holds — so the bounded path search is only
-// redone after the topology actually changed (DESIGN.md §13). Each
-// coefficient itself is evaluated once per interval by the rater walk.
+// expensive to recompute — the shortest paths Eq. 4 reads. update()
+// opens the cache's interval first: if the graph's structure epoch moved
+// since the previous update(), the cache drops every path and this
+// interval stores none (under whitewashing no later interval would read
+// them); while the topology holds, paths are stored and served, so the
+// bounded path search is not redone (DESIGN.md §13). Each coefficient
+// itself is evaluated once per interval by the rater walk.
 // The cold-vs-warm gates in tests/incremental_state_test.cpp and
 // tests/warm_cold_property_test.cpp pin bit-identity with a cleared cache
 // at every interval and thread count, and a from-scratch oracle there
@@ -236,11 +239,12 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// the per-rater Gaussian statistics are computed.
   std::vector<std::vector<reputation::NodeId>> rated_history_;
 
-  /// Persistent shortest-path memo, valid while the graph's structure
-  /// epoch holds — NOT per-update scratch; it survives across intervals
-  /// (DESIGN.md §13). Mutable because closeness_of() is a logically-const
-  /// read shared by the concurrent rater walk; the sharded cache makes it
-  /// physically thread-safe.
+  /// Persistent shortest-path memo, opened at the start of every update()
+  /// and valid while the graph's structure epoch holds — NOT per-update
+  /// scratch; it survives across intervals (DESIGN.md §13). Mutable
+  /// because closeness_of() is a logically-const read shared by the
+  /// concurrent rater walk; the sharded cache makes it physically
+  /// thread-safe.
   mutable SocialStateCache social_cache_;
 
   // Per-update scratch (rebuilt each call).

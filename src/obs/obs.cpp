@@ -321,13 +321,14 @@ std::uint64_t Obs::emit_interval(std::string_view scope,
     *sink_ << to_jsonl(snap) << '\n';
     sink_->flush();  // one interval per line; keep the file tail-able
   }
+  if (snapshots_.size() == kMaxSnapshots) snapshots_.pop_front();
   snapshots_.push_back(std::move(snap));
   return sequence_;
 }
 
 std::vector<Snapshot> Obs::snapshots() const {
   std::lock_guard lock(mutex_);
-  return snapshots_;
+  return {snapshots_.begin(), snapshots_.end()};
 }
 
 std::size_t Obs::snapshot_count() const {

@@ -11,8 +11,9 @@
 //     the life of the process; increments never take the registry lock.
 //   * A per-update-interval event sink: emit_interval() snapshots the
 //     registry, appends caller-supplied per-interval fields, keeps the
-//     snapshot in memory, and (when configured) writes it as one JSON
-//     object per line to a JSONL file.
+//     snapshot in memory (the most recent Obs::kMaxSnapshots of them),
+//     and (when configured) writes it as one JSON object per line to a
+//     JSONL file.
 //
 // Cost contract. Every instrumentation site is gated on a single
 // process-global `std::atomic<bool>` loaded with memory_order_relaxed:
@@ -33,6 +34,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -53,8 +55,9 @@ struct StObsConfig {
   /// relaxed atomic load + branch, emit_interval() is a no-op, and no
   /// output file is created.
   bool enabled = false;
-  /// Path of the JSONL event file. Empty = no file; interval snapshots
-  /// are still retained in memory (tests / embedding applications).
+  /// Path of the JSONL event file. Empty = no file; the most recent
+  /// interval snapshots are still retained in memory (tests / embedding
+  /// applications).
   std::string jsonl_path;
 };
 
@@ -263,14 +266,21 @@ class Obs {
   Registry& registry() noexcept { return registry_; }
 
   /// Emits one interval event: snapshots the registry, attaches
-  /// scope/label/extras, retains the snapshot, and writes one JSONL line
-  /// when a sink is open. Returns the event's sequence number, or 0 when
-  /// disabled (no snapshot, no write).
+  /// scope/label/extras, retains the snapshot (dropping the oldest beyond
+  /// kMaxSnapshots), and writes one JSONL line when a sink is open.
+  /// Returns the event's sequence number, or 0 when disabled (no
+  /// snapshot, no write).
   std::uint64_t emit_interval(std::string_view scope,
                               std::string_view label = {},
                               std::span<const ExtraField> extras = {});
 
-  /// Retained snapshots since the last configure(), in emission order.
+  /// Most snapshots retained in memory. A long run keeps only the most
+  /// recent ones, so memory stays bounded however many events it emits;
+  /// the JSONL sink still receives every event.
+  static constexpr std::size_t kMaxSnapshots = 1024;
+
+  /// The most recent kMaxSnapshots snapshots since the last configure(),
+  /// in emission order.
   std::vector<Snapshot> snapshots() const;
   std::size_t snapshot_count() const;
 
@@ -285,7 +295,7 @@ class Obs {
   StObsConfig config_;
   Registry registry_;
   std::unique_ptr<std::ofstream> sink_;
-  std::vector<Snapshot> snapshots_;
+  std::deque<Snapshot> snapshots_;  // at most kMaxSnapshots, oldest first
   std::uint64_t sequence_ = 0;
 };
 

@@ -1,15 +1,19 @@
 // Incremental social-state correctness suite (DESIGN.md §13).
 //
 // The SocialStateCache persists lex-min shortest paths across update
-// intervals, each shard witnessed by the graph's one structure epoch;
-// the contract is that a warm cache is a pure performance optimisation.
-// Four layers of evidence:
+// intervals. Its one witness is checked at the interval boundary: an
+// open_interval() that finds the graph's structure epoch moved drops
+// every path and stores nothing until the next boundary. The contract is
+// that a warm cache is a pure performance optimisation. Four layers of
+// evidence:
 //   1. unit tests on the cache itself — every lookup bit-equals a direct
 //      ClosenessModel::closeness(); adjacent and friend-of-friend pairs
 //      store nothing; a path (or an unreachable record) is served across
 //      interaction churn and no-op mutations, and re-derived after any
-//      relationship change, however far from the path; path keys are
-//      directional;
+//      relationship change, however far from the path; an interval
+//      opened after a relationship change stores nothing, the next one
+//      with the epoch held stores again, and a change made mid-interval
+//      is never served; path keys are directional;
 //   2. a cold-vs-warm differential gate — full simulations where one
 //      plugin keeps its cache across intervals and a second has it wiped
 //      before every update() must produce bit-identical adjusted ratings,
@@ -20,8 +24,9 @@
 //      carried);
 //   3. a whitewashing regression — forget_node alone leaves the cache
 //      untouched and every path valid, and a warm plugin driven across a
-//      whitewash (forget_node, clear_node, a new tie) clears its stale
-//      shards and stays bit-identical to a cold one;
+//      whitewash (forget_node, clear_node, a new tie) drops every path at
+//      the next update(), stores none in that interval, stores again in
+//      the one after, and stays bit-identical to a cold one throughout;
 //   4. a from-scratch oracle — one interval recomputed without the cache
 //      or the rater walk, straight from the graph, the profiles and each
 //      rater's cumulative rated set, for every baseline source and
@@ -122,6 +127,7 @@ TEST(SocialStateCacheTest, AdjacentPairsReadTheGraphDirectly) {
   g.record_interaction(1, 0, 2.0);
   ClosenessModel model;
   SocialStateCache cache;
+  cache.open_interval(g);  // an interval that stores
 
   // Eq. 2 reads only the edge and the rater's interaction row: no
   // structure lookup, nothing stored.
@@ -151,6 +157,7 @@ TEST(SocialStateCacheTest, FofPairsReadTheGraphDirectly) {
   g.record_interaction(5, 1, 3.0);
   ClosenessModel model;
   SocialStateCache cache;
+  cache.open_interval(g);  // an interval that stores
 
   // Eq. 3 is one merge of two short rows: no structure lookup, nothing
   // stored, in either orientation.
@@ -172,6 +179,7 @@ TEST(SocialStateCacheTest, FofPairsReadTheGraphDirectly) {
   // 0 befriends 5, 1's friend, so 5 joins the common set; the next
   // lookup reads the new set off the graph.
   g.add_relationship(0, 5, Relationship::kFriendship);
+  cache.open_interval(g);
   d = checked_lookup(cache, model, g, 0, 1);
   EXPECT_EQ(d.structure_hits + d.structure_misses, 0U);
   EXPECT_EQ(cache.size(), 0U);
@@ -193,6 +201,7 @@ TEST(SocialStateCacheTest, PathEntriesSurviveInteractionChurnAndNoOps) {
   g.record_interaction(1, 7, 5.0);
   ClosenessModel model;
   SocialStateCache cache;
+  cache.open_interval(g);
 
   auto d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_misses, 1U);  // the path, and nothing else
@@ -201,12 +210,14 @@ TEST(SocialStateCacheTest, PathEntriesSurviveInteractionChurnAndNoOps) {
   EXPECT_EQ(d.structure_hits, 1U);
 
   // Interaction churn on the source, an interior node and the sink
-  // changes the Eq. 4 terms, never the path: the path is served and the
-  // value recomputed.
+  // changes the Eq. 4 terms, never the path: the next interval serves
+  // the path and recomputes the value.
   const double before_churn = cache.closeness(model, g, 0, 3);
   g.record_interaction(0, 6, 1.0);
   g.record_interaction(1, 0, 1.0);
   g.record_interaction(3, 0, 9.0);
+  d = stats_delta(cache, [&] { cache.open_interval(g); });
+  EXPECT_EQ(d.invalidations, 0U);
   d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_hits, 1U);
   EXPECT_EQ(d.structure_misses, 0U);
@@ -222,7 +233,10 @@ TEST(SocialStateCacheTest, PathEntriesSurviveInteractionChurnAndNoOps) {
   g.clear_node(7);
   g.begin_interval();
   EXPECT_EQ(g.structure_epoch(), epoch);
-  d = checked_lookup(cache, model, g, 0, 3);
+  d = stats_delta(cache, [&] {
+    cache.open_interval(g);
+    checked_lookup(cache, model, g, 0, 3);
+  });
   EXPECT_EQ(d.structure_hits, 1U);
   EXPECT_EQ(d.structure_misses, 0U);
   EXPECT_EQ(d.invalidations, 0U);
@@ -247,34 +261,44 @@ TEST(SocialStateCacheTest, EveryRelationshipChangeRederivesThePath) {
   g.record_interaction(7, 4, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
-  checked_lookup(cache, model, g, 0, 4);
-  ASSERT_EQ(cache.size(), 1U);
+  // An interval whose epoch held since the previous boundary stores the
+  // current path of 0 -> 4.
+  const auto store_path = [&] {
+    cache.open_interval(g);
+    checked_lookup(cache, model, g, 0, 4);
+    ASSERT_EQ(cache.size(), 1U);
+  };
+  // The boundary after a relationship change drops the stored path, and
+  // that interval's lookup re-derives it without storing it.
+  const auto rederive = [&] {
+    auto d = stats_delta(cache, [&] { cache.open_interval(g); });
+    EXPECT_EQ(d.invalidations, 1U);
+    d = checked_lookup(cache, model, g, 0, 4);
+    EXPECT_EQ(d.structure_misses, 1U);
+    EXPECT_EQ(cache.size(), 0U);
+  };
 
   // A type change on an unrelated edge alters no path, but it moves the
-  // one epoch every entry is witnessed by: the lookup clears the shard
-  // and re-derives the same path.
+  // one epoch every entry is witnessed by.
+  store_path();
   const double via_1234 = cache.closeness(model, g, 0, 4);
   g.add_relationship(8, 9, Relationship::kColleague);
-  auto d = checked_lookup(cache, model, g, 0, 4);
-  EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
+  rederive();
   EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 4), via_1234));
 
   // Removing an interior edge: the stale path would read the missing
   // edge 2-3 as closeness 0.
+  store_path();
   ASSERT_TRUE(g.remove_relationship(2, 3, Relationship::kFriendship));
-  d = checked_lookup(cache, model, g, 0, 4);
-  EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
+  rederive();
   EXPECT_GT(cache.closeness(model, g, 0, 4), 0.0);  // now via 0-5-6-7-4
 
   // A brand-new edge touching no node of the cached path 0-5-6-7-4 opens
   // the shorter 0-1-3-4 (bottleneck 1/4 again).
+  store_path();
   const double via_5674 = cache.closeness(model, g, 0, 4);
   g.add_relationship(1, 3, Relationship::kFriendship);
-  d = checked_lookup(cache, model, g, 0, 4);
-  EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
+  rederive();
   EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 4), via_5674));
 }
 
@@ -289,6 +313,7 @@ TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
   g.record_interaction(2, 0, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
+  cache.open_interval(g);
 
   auto d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_misses, 1U);
@@ -296,23 +321,28 @@ TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
   EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 3), 0.0));
 
   // Interaction churn and no-op mutations cannot create reachability,
-  // and leave the epoch alone: the unreachable record is served.
+  // and leave the epoch alone: the next interval serves the unreachable
+  // record.
   g.record_interaction(0, 1, 5.0);
   g.record_interaction(3, 4, 1.0);
   EXPECT_FALSE(g.add_relationship(0, 1, Relationship::kFriendship));
   EXPECT_FALSE(g.remove_relationship(1, 3, Relationship::kFriendship));
   g.clear_node(2);
   g.begin_interval();
+  cache.open_interval(g);
   d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_hits, 1U);
   EXPECT_EQ(d.structure_misses, 0U);
 
-  // A new edge can. 1-4 touches neither endpoint; the moved epoch clears
-  // the record, and the lookup finds the new path 0-1-4-3.
+  // A new edge can. 1-4 touches neither endpoint; the next boundary sees
+  // the moved epoch and drops the record, and the lookup finds the new
+  // path 0-1-4-3.
   g.add_relationship(1, 4, Relationship::kFriendship);
+  d = stats_delta(cache, [&] { cache.open_interval(g); });
+  EXPECT_EQ(d.invalidations, 1U);
   d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(d.invalidations, 1U);
+  EXPECT_EQ(cache.size(), 0U);
   EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);
 }
 
@@ -331,6 +361,7 @@ TEST(SocialStateCacheTest, ClosenessKeysAreDirectional) {
   g.record_interaction(3, 2, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
+  cache.open_interval(g);
 
   checked_lookup(cache, model, g, 0, 3);
   auto d = checked_lookup(cache, model, g, 3, 0);
@@ -341,6 +372,123 @@ TEST(SocialStateCacheTest, ClosenessKeysAreDirectional) {
                           cache.closeness(model, g, 3, 0)));
 
   cache.clear();
+  EXPECT_EQ(cache.size(), 0U);
+}
+
+/// The boundary decision across a sequence of intervals: an interval
+/// opened with the epoch held since the previous boundary stores and
+/// serves paths; one opened after a relationship change drops every
+/// entry and stores none.
+TEST(SocialStateCacheTest, OpenIntervalStoresOnlyWhileTheEpochHolds) {
+  // Chain 0-1-2-3 plus an edge 4-5 off it.
+  SocialGraph g(6);
+  befriend(g, {{0, 1}, {1, 2}, {2, 3}, {4, 5}});
+  g.record_interaction(0, 1, 1.0);
+  g.record_interaction(1, 2, 2.0);
+  g.record_interaction(2, 3, 1.0);
+  g.record_interaction(3, 2, 1.0);
+  g.record_interaction(2, 1, 3.0);
+  g.record_interaction(1, 0, 1.0);
+  ClosenessModel model;
+  SocialStateCache cache;
+  const auto open = [&] {
+    return stats_delta(cache, [&] { cache.open_interval(g); });
+  };
+
+  // The first boundary after construction stores.
+  EXPECT_EQ(open().invalidations, 0U);
+  auto d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_misses, 1U);
+  checked_lookup(cache, model, g, 3, 0);
+  ASSERT_EQ(cache.size(), 2U);
+
+  // The next interval, with the epoch held, serves both paths.
+  g.record_interaction(0, 1, 4.0);
+  EXPECT_EQ(open().invalidations, 0U);
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_hits, 1U);
+  EXPECT_EQ(d.structure_misses, 0U);
+  d = checked_lookup(cache, model, g, 3, 0);
+  EXPECT_EQ(d.structure_hits, 1U);
+
+  // A relationship change far from both paths moves the epoch: the next
+  // boundary drops every entry.
+  const std::size_t held = cache.size();
+  g.add_relationship(4, 5, Relationship::kBusiness);
+  EXPECT_EQ(open().invalidations, held);
+  EXPECT_EQ(cache.size(), 0U);
+
+  // That interval searches on every lookup, repeated ones included, and
+  // stores nothing.
+  for (int k = 0; k < 2; ++k) {
+    d = checked_lookup(cache, model, g, 0, 3);
+    EXPECT_EQ(d.structure_misses, 1U);
+    EXPECT_EQ(d.structure_hits, 0U);
+    d = checked_lookup(cache, model, g, 3, 0);
+    EXPECT_EQ(d.structure_misses, 1U);
+    EXPECT_EQ(d.structure_hits, 0U);
+  }
+  EXPECT_EQ(cache.size(), 0U);
+
+  // The next boundary finds the epoch held since the previous one and
+  // stores again; the interval after it is served.
+  EXPECT_EQ(open().invalidations, 0U);
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_misses, 1U);
+  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(open().invalidations, 0U);
+  d = checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(d.structure_hits, 1U);
+
+  // clear() forgets the adopted epoch too: the next boundary stores even
+  // after a relationship change, as on a freshly constructed cache.
+  cache.clear();
+  g.remove_relationship(4, 5, Relationship::kBusiness);
+  EXPECT_EQ(open().invalidations, 0U);
+  checked_lookup(cache, model, g, 0, 3);
+  EXPECT_EQ(cache.size(), 1U);
+}
+
+/// A relationship change with no boundary after it: the lookup compares
+/// the graph's epoch with the adopted one, re-derives the path and stores
+/// nothing, so the entry stored before the change is never served.
+TEST(SocialStateCacheTest, MidIntervalRelationshipChangeIsNeverServed) {
+  // 0 -> 4 has two shortest paths, 0-1-2-3-4 (lex-min) and 0-5-6-7-4.
+  SocialGraph g(8);
+  befriend(g, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}, {6, 7},
+               {7, 4}});
+  g.record_interaction(0, 1, 1.0);
+  g.record_interaction(0, 5, 3.0);
+  g.record_interaction(1, 2, 2.0);
+  g.record_interaction(2, 3, 3.0);
+  g.record_interaction(3, 4, 4.0);
+  g.record_interaction(5, 6, 1.0);
+  g.record_interaction(6, 7, 1.0);
+  g.record_interaction(7, 4, 1.0);
+  ClosenessModel model;
+  SocialStateCache cache;
+  cache.open_interval(g);
+  checked_lookup(cache, model, g, 0, 4);
+  ASSERT_EQ(cache.size(), 1U);
+  const double via_1234 = cache.closeness(model, g, 0, 4);
+
+  // Mid-interval, the stored path loses its interior edge 2-3; served, it
+  // would score that edge's closeness 0.
+  ASSERT_TRUE(g.remove_relationship(2, 3, Relationship::kFriendship));
+  for (int k = 0; k < 2; ++k) {
+    const auto d = checked_lookup(cache, model, g, 0, 4);
+    EXPECT_EQ(d.structure_hits, 0U);
+    EXPECT_EQ(d.structure_misses, 1U);
+  }
+  // A pair never looked up before is not stored either.
+  checked_lookup(cache, model, g, 4, 0);
+  EXPECT_EQ(cache.size(), 1U);  // only the entry stored before the change
+  EXPECT_GT(cache.closeness(model, g, 0, 4), 0.0);  // now via 0-5-6-7-4
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 4), via_1234));
+
+  // The next boundary drops the stale entry.
+  const auto d = stats_delta(cache, [&] { cache.open_interval(g); });
+  EXPECT_EQ(d.invalidations, 1U);
   EXPECT_EQ(cache.size(), 0U);
 }
 
@@ -648,8 +796,9 @@ struct WarmColdPair {
 };
 
 /// A whitewash as Simulator::whitewash does it (forget_node, clear_node),
-/// then the new identity re-wires: the next update() finds its shards at
-/// an older epoch and clears them, and warm still equals cold.
+/// then the new identity re-wires: the next update() finds the epoch
+/// moved, drops every path and stores none; the interval after it, with
+/// the topology held, stores again; warm equals cold throughout.
 TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   WarmColdPair p;
   p.run_interval(p.make_interval(1));
@@ -657,6 +806,8 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   ASSERT_GT(p.warm->social_cache().stats().structure_hits, 0U);
 
   const reputation::NodeId w = 7;
+  const std::size_t entries = p.warm->social_cache().size();
+  ASSERT_GT(entries, 0U);
   const auto inval_before = p.warm->social_cache().stats().invalidations;
   const SocialGraph::Revision epoch = p.g.structure_epoch();
   p.warm->forget_node(w);
@@ -670,8 +821,17 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   // The discarded identity re-joins and gets rated again: warm results
   // must match a from-scratch recompute, not the pre-whitewash state.
   p.run_interval(p.make_interval(3));
-  EXPECT_GT(p.warm->social_cache().stats().invalidations, inval_before);
+  EXPECT_EQ(p.warm->social_cache().stats().invalidations,
+            inval_before + entries);
+  EXPECT_EQ(p.warm->social_cache().size(), 0U);
+
+  // No relationship changes before the next interval, which stores again,
+  // and the one after it is served.
   p.run_interval(p.make_interval(4));
+  EXPECT_GT(p.warm->social_cache().size(), 0U);
+  const auto hits = p.warm->social_cache().stats().structure_hits;
+  p.run_interval(p.make_interval(5));
+  EXPECT_GT(p.warm->social_cache().stats().structure_hits, hits);
 }
 
 /// forget_node alone leaves the graph, and so every cached path, as it

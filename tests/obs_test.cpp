@@ -362,6 +362,34 @@ TEST_F(ObsTest, DisabledModeIsATrueNoOp) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+TEST_F(ObsTest, RetainsOnlyTheMostRecentSnapshots) {
+  Obs& obs = Obs::instance();
+  const std::string path = temp_path("obs_ring.jsonl");
+  StObsConfig cfg;
+  cfg.enabled = true;
+  cfg.jsonl_path = path;
+  obs.configure(cfg);
+  constexpr std::size_t kEmitted = Obs::kMaxSnapshots + 3;
+  for (std::size_t i = 0; i < kEmitted; ++i) obs.emit_interval("test.ring");
+  EXPECT_EQ(obs.snapshot_count(), Obs::kMaxSnapshots);
+
+  // The sink still received every event.
+  obs.flush();
+  std::ifstream in(path);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, kEmitted);
+
+  // The three oldest are gone; the rest run on without a gap.
+  const auto snaps = obs.snapshots();
+  ASSERT_EQ(snaps.size(), Obs::kMaxSnapshots);
+  EXPECT_EQ(snaps.front().sequence, 4U);
+  for (std::size_t i = 1; i < snaps.size(); ++i) {
+    ASSERT_EQ(snaps[i].sequence, snaps[i - 1].sequence + 1) << i;
+  }
+  EXPECT_EQ(snaps.back().sequence, kEmitted);
+}
+
 TEST_F(ObsTest, ReconfigureResetsValuesAndSequence) {
   Obs& obs = Obs::instance();
   Counter& c = obs.registry().counter("test.reset_counter");

@@ -8,9 +8,12 @@
 // bit-compared against a plugin whose cache is wiped before each update
 // (a cold full recompute — the strongest oracle). Any event sequence the
 // cache's structure-epoch witness mishandles — a relationship change
-// that does not move the epoch, a shard served across a moved epoch —
-// diverges the two within one interval and prints the seed that found
-// it. At threads=4 the pool's workers clear shards concurrently. Random
+// that does not move the epoch, a path served or stored across a moved
+// epoch — diverges the two within one interval and prints the seed that
+// found it. Structural churn and whitewashes land in many intervals, so
+// the warm cache alternates between intervals that store paths and
+// intervals opened after a change, which store none; at threads=4 the
+// pool's workers look paths up concurrently in both kinds. Random
 // traffic rarely clears the detector's frequency gate and rarely falls
 // along edges, so in the gated cases few outputs read a path at all; the
 // ungated case turns the gate off and gives every initial edge
@@ -251,7 +254,8 @@ void run_property(std::uint64_t seed, std::size_t threads, bool gated) {
 }
 
 /// Whitewash bursts: several structure changes land between two
-/// updates, so the next update finds shards several epochs behind. Every
+/// updates, so the next update finds the epoch several steps ahead of the
+/// one it adopted. Every
 /// shape a burst can take before the interval closes is driven here —
 /// several identities at once, the same identity twice, and an identity
 /// that is forgotten, re-rated (with fresh interactions and a new tie)
