@@ -58,61 +58,43 @@ double ClosenessModel::adjacent_closeness(const graph::SocialGraph& g,
                                           graph::NodeId i,
                                           graph::NodeId j) const {
   // One probe of i's sorted CSR row answers both "adjacent?" (mask != 0)
-  // and "which types?" — the pre-CSR version paid a separate adjacency
-  // search before fetching the mask.
+  // and "which types?".
   const std::uint8_t mask = g.relationship_mask(i, j);
   if (mask == 0) return 0.0;
-  const double total = g.total_interactions(i);
-  if (total <= 0.0) return 0.0;
-  return mass_table_[mask] * g.interaction(i, j) / total;
-}
-
-double ClosenessModel::fof_closeness(
-    const graph::SocialGraph& g, graph::NodeId i, graph::NodeId j,
-    std::span<const graph::NodeId> common) const {
-  // Eq. (3): friend-of-friend average over common friends, summed in the
-  // ascending order common_friends() returns — the accumulation order is
-  // part of the bit-identity contract.
-  double sum = 0.0;
-  for (graph::NodeId k : common) {
-    sum += (adjacent_closeness(g, i, k) + adjacent_closeness(g, k, j)) / 2.0;
-  }
-  return sum;
-}
-
-double ClosenessModel::bottleneck_closeness(
-    const graph::SocialGraph& g, std::span<const graph::NodeId> path) const {
-  // Eq. (4): bottleneck (minimum) adjacent closeness along one shortest
-  // social path.
-  if (path.size() < 2) return 0.0;
-  double bottleneck = std::numeric_limits<double>::infinity();
-  for (std::size_t step = 0; step + 1 < path.size(); ++step) {
-    bottleneck =
-        std::min(bottleneck, adjacent_closeness(g, path[step], path[step + 1]));
-  }
-  return std::isfinite(bottleneck) ? bottleneck : 0.0;
+  return edge_closeness(mask, g.interaction(i, j), g.total_interactions(i));
 }
 
 double ClosenessModel::closeness(const graph::SocialGraph& g,
                                  graph::NodeId i, graph::NodeId j,
                                  std::size_t max_hops) const {
   if (i == j) return 0.0;  // self-closeness is meaningless for rating pairs
-  // Adjacent fast path inlined so the pair costs one CSR row probe for
-  // adjacency + mask together (plus the interaction lookup), instead of
-  // a separate adjacent() search before adjacent_closeness() re-probes.
   const std::uint8_t mask = g.relationship_mask(i, j);
   if (mask != 0) {
-    const double total = g.total_interactions(i);
-    if (total <= 0.0) return 0.0;
-    return mass_table_[mask] * g.interaction(i, j) / total;
+    return edge_closeness(mask, g.interaction(i, j), g.total_interactions(i));
   }
 
-  std::vector<graph::NodeId> common = g.common_friends(i, j);
-  if (!common.empty()) return fof_closeness(g, i, j, common);
+  // Eq. (3): friend-of-friend average over common friends, summed in the
+  // ascending order common_friends() returns — the accumulation order is
+  // part of the bit-identity contract.
+  const std::vector<graph::NodeId> common = g.common_friends(i, j);
+  if (!common.empty()) {
+    double sum = 0.0;
+    for (graph::NodeId k : common) {
+      sum += (adjacent_closeness(g, i, k) + adjacent_closeness(g, k, j)) / 2.0;
+    }
+    return sum;
+  }
 
-  auto path = g.shortest_path(i, j, max_hops);
+  // Eq. (4): bottleneck (minimum) adjacent closeness along one shortest
+  // social path.
+  const auto path = g.shortest_path(i, j, max_hops);
   if (!path) return 0.0;
-  return bottleneck_closeness(g, *path);
+  double bottleneck = std::numeric_limits<double>::infinity();
+  for (std::size_t step = 0; step + 1 < path->size(); ++step) {
+    bottleneck = std::min(
+        bottleneck, adjacent_closeness(g, (*path)[step], (*path)[step + 1]));
+  }
+  return std::isfinite(bottleneck) ? bottleneck : 0.0;
 }
 
 }  // namespace st::core

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 
 #include "core/config.hpp"
 #include "graph/social_graph.hpp"
@@ -42,29 +41,26 @@ class ClosenessModel {
                           RelationshipWeightFn weight_fn = {});
 
   /// Full Omega_c(i,j) with the non-adjacent fallbacks. `max_hops` caps
-  /// the shortest-path search of the bottleneck case.
+  /// the shortest-path search of the bottleneck case. This is the
+  /// reference the rater walk's SocialStateCache::Row reproduces bit for
+  /// bit; tests and the from-scratch oracle compare against it.
   double closeness(const graph::SocialGraph& g, graph::NodeId i,
-                   graph::NodeId j, std::size_t max_hops = 6) const;
+                   graph::NodeId j,
+                   std::size_t max_hops = graph::kMaxPathHops) const;
 
   /// Adjacent-only Omega_c (Eq. 2 / Eq. 10); 0 when not adjacent or when
   /// i has no recorded interactions.
   double adjacent_closeness(const graph::SocialGraph& g, graph::NodeId i,
                             graph::NodeId j) const;
 
-  /// Eq. (3) given the common-friend set of (i, j): the friend-of-friend
-  /// sum over `common`, exactly as the non-adjacent branch of closeness()
-  /// evaluates it. Exposed so a caller that runs closeness()'s branches
-  /// itself (the incremental SocialStateCache, which memoises only the
-  /// path) reproduces closeness() bit-for-bit.
-  double fof_closeness(const graph::SocialGraph& g, graph::NodeId i,
-                       graph::NodeId j,
-                       std::span<const graph::NodeId> common) const;
-
-  /// Eq. (4) given one shortest path i -> ... -> j (inclusive): the
-  /// minimum adjacent closeness along its edges; 0 for paths shorter than
-  /// one edge. Same bit-identity contract as fof_closeness().
-  double bottleneck_closeness(const graph::SocialGraph& g,
-                              std::span<const graph::NodeId> path) const;
+  /// Eq. (2)/(10) of one edge i-j from its relationship mask (non-zero),
+  /// f(i,j) and i's total interactions: the one expression every Eq. 2
+  /// value is computed by, here and in SocialStateCache::Row, so the two
+  /// agree bit for bit.
+  double edge_closeness(std::uint8_t mask, double interaction,
+                        double total) const noexcept {
+    return total <= 0.0 ? 0.0 : mass_table_[mask] * interaction / total;
+  }
 
   bool weighted() const noexcept { return weighted_; }
   double lambda() const noexcept { return lambda_; }

@@ -1,97 +1,207 @@
 #include "core/social_state_cache.hpp"
 
-#include <utility>
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 namespace st::core {
 
 namespace {
 
-/// shortest_path() at its default hop cap; empty = unreachable.
-std::vector<graph::NodeId> search(const graph::SocialGraph& g,
-                                  graph::NodeId i, graph::NodeId j) {
-  auto found = g.shortest_path(i, j);
-  return found ? std::move(*found) : std::vector<graph::NodeId>{};
+/// shortest_path() at its default hop cap (graph::kMaxPathHops), as a
+/// path entry for `j`; hops == 0 = unreachable.
+SocialStateCache::PathEntry search(const graph::SocialGraph& g,
+                                   graph::NodeId i, graph::NodeId j) {
+  SocialStateCache::PathEntry entry;
+  entry.ratee = j;
+  const auto found = g.shortest_path(i, j);
+  if (found) {
+    const std::vector<graph::NodeId>& path = *found;
+    entry.hops = static_cast<std::uint8_t>(path.size() - 1);
+    std::copy(path.begin() + 1, path.end() - 1, entry.interior);
+    for (std::size_t s = 1; s < entry.hops; ++s) {
+      entry.masks[s - 1] = g.relationship_mask(path[s], path[s + 1]);
+    }
+  }
+  return entry;
+}
+
+/// Adds one to a per-instance total and its process-wide obs counter.
+void count(std::atomic<std::uint64_t>& total, obs::Counter& counter) noexcept {
+  total.fetch_add(1, std::memory_order_relaxed);
+  counter.add(1);
 }
 
 }  // namespace
 
-SocialStateCache::SocialStateCache()
-    : shards_(std::make_unique<Shard[]>(kShards)) {
+/// Per-thread row workspace, kept across rows and intervals. A slot is
+/// the open row's exactly when its stamp equals the row's, so opening a
+/// row never clears the O(n) array: it bumps the stamp and stamps the
+/// rater's neighbours. thread_local keeps concurrent rows (one per
+/// worker) disjoint; the scratch never leaks into results.
+struct SocialStateCache::Row::Scratch {
+  struct Slot {
+    std::uint32_t stamp = 0;  ///< the open row's stamp iff a neighbour
+    std::uint8_t mask = 0;    ///< relationship mask of the edge to it
+    bool known = false;       ///< `value` holds the edge's Eq. 2 value
+    double value = 0.0;
+  };
+  std::vector<Slot> slots;
+  std::uint32_t stamp = 0;
+
+  static Scratch& open(std::size_t n) {
+    thread_local Scratch scratch;
+    if (scratch.slots.size() < n) scratch.slots.resize(n);
+    if (++scratch.stamp == 0) {
+      // u32 stamp wrapped: stale slots could alias the fresh stamp, so
+      // clear once per 2^32 rows and restart above the zero-init.
+      std::fill(scratch.slots.begin(), scratch.slots.end(), Slot{});
+      scratch.stamp = 1;
+    }
+    return scratch;
+  }
+};
+
+SocialStateCache::SocialStateCache() {
   auto& registry = obs::Obs::instance().registry();
   obs_invalidations_ = &registry.counter("social_cache.invalidations");
   obs_structure_hits_ = &registry.counter("social_cache.structure_hits");
   obs_structure_misses_ = &registry.counter("social_cache.structure_misses");
 }
 
-void SocialStateCache::count_hit() noexcept {
-  structure_hits_.fetch_add(1, std::memory_order_relaxed);
-  obs_structure_hits_->add(1);
-}
-
-void SocialStateCache::count_miss() noexcept {
-  structure_misses_.fetch_add(1, std::memory_order_relaxed);
-  obs_structure_misses_->add(1);
-}
-
 void SocialStateCache::open_interval(const graph::SocialGraph& g) {
   const Revision epoch = g.structure_epoch();
   storing_ = !epoch_ || *epoch_ == epoch;
   epoch_ = epoch;
+  if (rows_.size() < g.size()) rows_.resize(g.size());
   if (storing_) return;
   // Some relationship changed since these paths were computed; any of
   // them may now be longer, broken or no longer lex-min.
-  const std::uint64_t dropped = drop_all();
+  const std::size_t dropped = drop_all();
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
   obs_invalidations_->add(dropped);
 }
 
-std::vector<SocialStateCache::NodeId> SocialStateCache::path_cached(
-    const graph::SocialGraph& g, NodeId i, NodeId j) {
-  if (!storing_ || g.structure_epoch() != *epoch_) {
+const SocialStateCache::PathEntry& SocialStateCache::path(
+    const graph::SocialGraph& g, NodeId i, NodeId j, PathEntry& fresh) {
+  if (!storing_ || g.structure_epoch() != *epoch_ || i >= rows_.size()) {
     // No store this interval (the topology moved at its boundary, or no
     // boundary was opened), or a relationship changed since the boundary.
-    count_miss();
-    return search(g, i, j);
+    count(structure_misses_, *obs_structure_misses_);
+    fresh = search(g, i, j);
+    return fresh;
   }
-  const std::uint64_t key = pack(i, j);
-  Shard& shard = shards_[shard_of(key)];
-  {
-    util::MutexLock lock(shard.mutex);
-    const auto it = shard.paths.find(key);
-    if (it != shard.paths.end()) {
-      count_hit();
-      return it->second;
-    }
+  std::vector<PathEntry>& row = rows_[i];
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), j,
+      [](const PathEntry& entry, NodeId ratee) { return entry.ratee < ratee; });
+  if (it != row.end() && it->ratee == j) {
+    count(structure_hits_, *obs_structure_hits_);
+    return *it;
   }
-  count_miss();
-  std::vector<NodeId> path = search(g, i, j);
-  {
-    util::MutexLock lock(shard.mutex);
-    shard.paths.try_emplace(key, path);
+  count(structure_misses_, *obs_structure_misses_);
+  return *row.insert(it, search(g, i, j));
+}
+
+SocialStateCache::Row::Row(SocialStateCache& cache,
+                           const ClosenessModel& model,
+                           const graph::SocialGraph& g, NodeId i)
+    : cache_(cache),
+      model_(model),
+      g_(g),
+      i_(i),
+      scratch_(Scratch::open(g.size())),
+      stamp_(scratch_.stamp),
+      total_(g.total_interactions(i)) {
+  // An out-of-range rater has an empty row, so nothing is stamped, and
+  // closeness() throws before it reads a stamp.
+  const graph::SocialGraph::AdjacencyRow row = g.adjacency(i);
+  for (std::size_t idx = 0; idx < row.targets.size(); ++idx) {
+    Scratch::Slot& slot = scratch_.slots[row.targets[idx]];
+    slot.stamp = stamp_;
+    slot.mask = row.masks[idx];
+    slot.known = false;
   }
-  return path;
+}
+
+double SocialStateCache::Row::edge_value(NodeId k) {
+  Scratch::Slot& slot = scratch_.slots[k];
+  if (!slot.known) {
+    slot.value = model_.edge_closeness(slot.mask, g_.interaction(i_, k), total_);
+    slot.known = true;
+  }
+  return slot.value;
+}
+
+double SocialStateCache::Row::closeness(NodeId j) {
+  if (j == i_) return 0.0;  // as ClosenessModel::closeness()
+  if (i_ >= g_.size() || j >= g_.size()) {
+    throw std::out_of_range("SocialStateCache: node out of range");
+  }
+  assert(scratch_.stamp == stamp_ && "another Row opened on this thread");
+  const std::vector<Scratch::Slot>& slots = scratch_.slots;
+
+  // Eq. 2: adjacency is a stamp check.
+  if (slots[j].stamp == stamp_) {
+    ++adjacent_;
+    return edge_value(j);
+  }
+
+  // Eq. 3: the stamped entries of j's ascending row are common_friends(i,
+  // j) in its order (i is not in the row: i and j are not adjacent), so
+  // each term and the sum from 0.0 are the reference's. The term
+  // Omega_c(k, j) reads the edge's mask off j's row: masks are symmetric.
+  const graph::SocialGraph::AdjacencyRow row = g_.adjacency(j);
+  double sum = 0.0;
+  bool common = false;
+  for (std::size_t idx = 0; idx < row.targets.size(); ++idx) {
+    const NodeId k = row.targets[idx];
+    if (slots[k].stamp != stamp_) continue;
+    common = true;
+    sum += (edge_value(k) +
+            model_.edge_closeness(row.masks[idx], g_.interaction(k, j),
+                                  g_.total_interactions(k))) /
+           2.0;
+  }
+  if (common) {
+    ++fof_;
+    return sum;
+  }
+
+  // Eq. 4: the bottleneck along the stored (or searched) lex-min path.
+  // Its first edge leaves i, so its value is the row's; min is exact and
+  // order-free, so starting from it is starting from +inf. Every later
+  // edge is Eq. 2 from the entry's mask, as adjacent_closeness() would
+  // compute it after probing the same mask.
+  const PathEntry& found = cache_.path(g_, i_, j, fresh_);
+  if (found.hops == 0) return 0.0;  // unreachable
+  NodeId from = found.hops > 1 ? found.interior[0] : j;
+  double bottleneck = edge_value(from);
+  for (std::size_t step = 1; step < found.hops; ++step) {
+    const NodeId to = step + 1 < found.hops ? found.interior[step] : j;
+    bottleneck = std::min(
+        bottleneck,
+        model_.edge_closeness(found.masks[step - 1], g_.interaction(from, to),
+                              g_.total_interactions(from)));
+    from = to;
+  }
+  return std::isfinite(bottleneck) ? bottleneck : 0.0;
 }
 
 double SocialStateCache::closeness(const ClosenessModel& model,
                                    const graph::SocialGraph& g, NodeId i,
                                    NodeId j) {
-  // Branch structure mirrors ClosenessModel::closeness() exactly; only the
-  // path comes from the cache.
-  if (i == j) return 0.0;
-  if (g.adjacent(i, j)) return model.adjacent_closeness(g, i, j);
-  const std::vector<NodeId> common = g.common_friends(i, j);
-  if (!common.empty()) return model.fof_closeness(g, i, j, common);
-  // An empty (unreachable) path scores 0, as closeness() does.
-  return model.bottleneck_closeness(g, path_cached(g, i, j));
+  return Row(*this, model, g, i).closeness(j);
 }
 
 std::size_t SocialStateCache::drop_all() {
   std::size_t dropped = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    Shard& shard = shards_[s];
-    util::MutexLock lock(shard.mutex);
-    dropped += shard.paths.size();
-    shard.paths.clear();
+  for (std::vector<PathEntry>& row : rows_) {
+    dropped += row.size();
+    // Release the storage too: after a topology change the next interval
+    // stores nothing, and under whitewashing none after it reads a row.
+    std::vector<PathEntry>().swap(row);
   }
   return dropped;
 }
@@ -104,10 +214,7 @@ void SocialStateCache::clear() {
 
 std::size_t SocialStateCache::size() const {
   std::size_t total = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    util::MutexLock lock(shards_[s].mutex);
-    total += shards_[s].paths.size();
-  }
+  for (const std::vector<PathEntry>& row : rows_) total += row.size();
   return total;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
-// SocialStateCache — persistent memoisation of the one piece of social
-// structure Omega_c reads that is expensive to re-derive: the shortest
-// path of Eq. 4.
+// SocialStateCache — the rater walk's view of Omega_c: persistent
+// memoisation of the one piece of social structure that is expensive to
+// re-derive (the shortest path of Eq. 4), and the per-rater row context
+// every coefficient is evaluated through.
 //
 // In the paper's simulator (Section 5.1) every rating records an
 // interaction, so every active rater's whole Omega_c row is new in each
@@ -11,51 +12,72 @@
 // interval (SocialTrustPlugin::update, DESIGN.md §11/§13). What does
 // survive is the structure those values are derived from: relationships
 // change only at setup and on whitewashing. Of that structure, only the
-// bounded shortest-path search of Eq. 4 costs more than a hashed lookup;
-// adjacency (Eq. 2) is one CSR row probe and the common-friend set
-// (Eq. 3) one merge of two short rows, so both are read off the graph.
+// bounded shortest-path search of Eq. 4 costs more than reading a row;
+// adjacency (Eq. 2) and the common friends (Eq. 3) are read off the
+// graph through the row context below.
 //
-//   * shortest paths — directional key (a path i->j is not a path j->i:
-//     the lex-min path from j need not be the reverse). A cached path is
+//   * path rows — rows_[i] holds source i's stored paths, sorted by
+//     ratee, each path inline in a PathEntry (the hop count, up to
+//     kMaxPathHops - 1 interior nodes and the masks of the edges after
+//     the first). A path i->j is not a path j->i:
+//     the lex-min path from j need not be the reverse. A stored path is
 //     the lexicographically smallest shortest path, which is
 //     SocialGraph::shortest_path()'s contract whatever traversal computes
-//     it, so it is a function of the graph alone. An empty path records
-//     "unreachable within shortest_path()'s default hop cap" — negative
-//     results are exactly as expensive to rediscover.
+//     it, so it is a function of the graph alone. A hop count of 0
+//     records "unreachable within kMaxPathHops" — negative results are
+//     exactly as expensive to rediscover. A lookup binary-searches row i
+//     and reads a served path in place; a miss runs shortest_path() and
+//     inserts the entry in sorted position.
+//
+//   * row context (Row) — one per active rater i. Opening it stamps i's
+//     neighbours, with their relationship masks, in per-thread scratch
+//     that is kept across intervals (stamp-gated, no O(n) clear), so
+//     opening costs O(deg(i)). Each neighbour's Eq. 2 value is computed at
+//     most once, on first use. A ratee j then costs only its own side:
+//     adjacency is a stamp check; Eq. 3 walks j's ascending adjacency row
+//     and keeps the stamped entries, which (i and j not being adjacent)
+//     are exactly common_friends(i, j) in the same order; Eq. 4 starts its
+//     min from the first edge's row value and folds the rest of the path
+//     with the entry's masks.
 //
 // One witness, checked at the interval boundary: open_interval() reads
 // the graph's structure_epoch() once. If it moved since the previous
 // call, the topology changed, every entry is dropped, and the interval
 // stores nothing: its searches go straight to shortest_path(), with no
-// lock and no hash probe. Otherwise the interval serves and stores paths.
-// The first call after construction or clear() stores too. Under
-// whitewashing the epoch moves before nearly every interval, so a path
-// stored there would never be read; on a graph whose topology holds, the
-// paths of one interval serve every later one (DESIGN.md §13). A lookup
-// also compares the graph's current epoch with the adopted one and
-// bypasses the map when they differ, so no entry is ever served across a
-// relationship change — in any call order, including tests that mutate
-// the graph between direct lookups with no open_interval() call.
-// Interactions, no-op mutators and CSR rebuilds leave the epoch alone, so
-// a path survives all of them.
+// row probe. Otherwise the interval serves and stores paths. The first
+// call after construction or clear() stores too. Under whitewashing the
+// epoch moves before nearly every interval, so a path stored there would
+// never be read; on a graph whose topology holds, the paths of one
+// interval serve every later one (DESIGN.md §13). A lookup also compares
+// the graph's current epoch with the adopted one and bypasses the rows
+// when they differ, so no entry is ever served across a relationship
+// change — in any call order, including tests that mutate the graph
+// between direct lookups with no open_interval() call. Interactions,
+// no-op mutators and CSR rebuilds leave the epoch alone, so a path
+// survives all of them.
 //
-// Bit-identity: closeness() runs ClosenessModel::closeness()'s branch
-// code (adjacent_closeness / fof_closeness / bottleneck_closeness, in the
-// order closeness() derives them), and a served path is exactly what
-// shortest_path() returns under the same epoch, so it returns the
-// identical double a direct ClosenessModel::closeness() call would — at
-// every thread count. Same-key races are benign: both racers compute the
-// same path from the frozen graph and the duplicate store is idempotent.
+// Bit-identity: every branch evaluates the same terms as
+// ClosenessModel::closeness(), in the same order, through the same Eq. 2
+// expression (ClosenessModel::edge_closeness); a served path is exactly
+// what shortest_path() returns under the same epoch; and Eq. 4's min is
+// exact and order-free, so starting it from the first edge's value
+// instead of +inf changes no bit. A Row therefore returns the identical
+// double a direct ClosenessModel::closeness() call would, at every
+// thread count.
 //
-// Concurrency: the key space is striped over kShards independently-locked
-// shards and paths are computed outside the shard lock ("compute
-// outside, publish inside"). A lookup takes at most one shard lock at a
-// time, so there is no lock ordering to get wrong. open_interval() and
-// clear() run serially, with the graph frozen and no lookup running; the
-// two fields open_interval() sets are only read by lookups.
+// Concurrency: no locks. Lookups with distinct sources may run
+// concurrently — each touches only its own source's row; lookups with
+// the same source may not. The rater walk guarantees this: each active
+// rater is walked by exactly one worker, which opens that rater's Row.
+// At most one Row is live per thread at a time (the scratch is per
+// thread), and the graph must not change while one is open.
+// open_interval() and clear() run serially, with the graph frozen and no
+// lookup running; the fields open_interval() sets are only read by
+// lookups.
 //
-// Lifetime: entries are dropped all at once, by the open_interval() that
-// sees the epoch move or by clear(); there is no eviction.
+// Lifetime: entries are dropped all at once, storage included, by the
+// open_interval() that sees the epoch move or by clear(); there is no
+// eviction.
 //
 // Observability: per-instance relaxed atomic counters (always on; the
 // bench reads them to prove the hit rate) plus process-wide obs counters
@@ -64,15 +86,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/closeness.hpp"
 #include "graph/social_graph.hpp"
 #include "obs/obs.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace st::core {
 
@@ -83,17 +102,78 @@ class SocialStateCache {
 
   SocialStateCache();
 
-  /// Interval boundary: adopts g.structure_epoch(). If it moved since the
-  /// previous call, drops every entry (counted in `invalidations`) and
-  /// stores nothing until the next call; otherwise, and on the first call
-  /// after construction or clear(), this interval serves and stores
-  /// paths. Call it with the graph frozen and no lookup running.
+  /// Interval boundary: adopts g.structure_epoch() and sizes the path
+  /// rows to g. If the epoch moved since the previous call, drops every
+  /// entry (counted in `invalidations`) and stores nothing until the next
+  /// call; otherwise, and on the first call after construction or
+  /// clear(), this interval serves and stores paths. Call it with the
+  /// graph frozen and no lookup running.
   void open_interval(const graph::SocialGraph& g);
 
-  /// Omega_c(i,j), bit-identical to model.closeness(g, i, j) at its
-  /// default hop cap. The shortest path is served from (and memoised in)
-  /// the path layer while this interval stores and g's structure epoch
-  /// is the adopted one; otherwise it is searched afresh and not stored.
+  /// One stored path from a row's source: the hop count (0 = unreachable
+  /// within graph::kMaxPathHops), the interior nodes (source and ratee
+  /// excluded), and the relationship masks of every edge but the first,
+  /// which the source's Row holds: masks[s - 1] is the mask of edge s.
+  /// Masks are structure, so the epoch that witnesses the path witnesses
+  /// them too, and Eq. 4's fold reads no adjacency row.
+  struct PathEntry {
+    NodeId ratee = 0;
+    std::uint8_t hops = 0;
+    std::uint8_t masks[graph::kMaxPathHops - 1] = {};
+    NodeId interior[graph::kMaxPathHops - 1] = {};
+  };
+  static_assert(graph::kMaxPathHops >= 2 && graph::kMaxPathHops <= 0xFF,
+                "PathEntry holds a capped path inline: its hop count in a "
+                "byte, up to kMaxPathHops - 1 masks and interior nodes");
+  static_assert(sizeof(PathEntry) <=
+                    sizeof(NodeId) * (graph::kMaxPathHops + 1) +
+                        graph::kMaxPathHops,
+                "PathEntry is packed: ratee, hop count and masks, interior "
+                "nodes");
+
+  /// Rater i's side of Omega_c, opened once per active rater; closeness(j)
+  /// then costs only j's side (see the header comment). Opening stamps
+  /// this thread's scratch, so at most one Row may be live per thread, and
+  /// the graph must not change while it is.
+  class Row {
+   public:
+    Row(SocialStateCache& cache, const ClosenessModel& model,
+        const graph::SocialGraph& g, NodeId i);
+    Row(const Row&) = delete;
+    Row& operator=(const Row&) = delete;
+
+    /// Omega_c(i, j), bit-identical to model.closeness(g, i, j) at its
+    /// default hop cap. Throws std::out_of_range when i != j and either
+    /// id is not a node of g, before any stamp is read.
+    double closeness(NodeId j);
+
+    /// How many closeness() calls took the Eq. 2 and the Eq. 3 branch.
+    /// Every other call with i != j took Eq. 4 and made exactly one path
+    /// lookup, counted in stats() as a structure hit or miss.
+    std::uint64_t adjacent() const noexcept { return adjacent_; }
+    std::uint64_t fof() const noexcept { return fof_; }
+
+   private:
+    struct Scratch;
+
+    /// Omega_c(i, k) of the stamped neighbour k (Eq. 2), computed on
+    /// first use.
+    double edge_value(NodeId k);
+
+    SocialStateCache& cache_;
+    const ClosenessModel& model_;
+    const graph::SocialGraph& g_;
+    NodeId i_;
+    Scratch& scratch_;
+    std::uint32_t stamp_;
+    double total_;  ///< i's total interactions, the Eq. 2 denominator
+    PathEntry fresh_;  ///< a path searched but not stored
+    std::uint64_t adjacent_ = 0;
+    std::uint64_t fof_ = 0;
+  };
+
+  /// Omega_c(i,j) through a Row opened for this one pair: the same code
+  /// the rater walk runs. Same contract as Row::closeness().
   double closeness(const ClosenessModel& model, const graph::SocialGraph& g,
                    NodeId i, NodeId j);
 
@@ -101,8 +181,8 @@ class SocialStateCache {
   /// its constructed state (plugin reset, cold-cache tests).
   void clear();
 
-  /// Path entries across shards. Diagnostics and tests only; takes every
-  /// shard lock.
+  /// Stored path entries over every row. Diagnostics and tests only; call
+  /// it with no lookup running.
   std::size_t size() const;
 
   /// Monotone per-instance totals: structure_hits counts paths served,
@@ -122,45 +202,19 @@ class SocialStateCache {
   };
   StatsSnapshot stats() const noexcept;
 
-  /// Shard count; a power of two (shard_of masks with kShards - 1).
-  static constexpr std::size_t kShards = 64;
-
  private:
-  /// Packed directional pair key.
-  static std::uint64_t pack(NodeId a, NodeId b) noexcept {
-    return (static_cast<std::uint64_t>(a) << 32U) | b;
-  }
+  /// Shortest path i -> j (i != j, both nodes of g): row i's entry, read
+  /// in place, while this interval stores and g's epoch is the adopted
+  /// one (inserted on a miss); otherwise searched into `fresh`.
+  const PathEntry& path(const graph::SocialGraph& g, NodeId i, NodeId j,
+                        PathEntry& fresh);
 
-  /// One stripe: its own mutex and the paths whose keys hash here (empty
-  /// = unreachable).
-  struct Shard {
-    mutable util::Mutex mutex;
-    std::unordered_map<std::uint64_t, std::vector<NodeId>> paths
-        ST_GUARDED_BY(mutex);
-  };
-
-  /// Fibonacci-hash mix before the mask so consecutive rater ids — the
-  /// common case, raters being walked in ascending order — spread across
-  /// shards.
-  static std::size_t shard_of(std::uint64_t key) noexcept {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32U) &
-           (kShards - 1);
-  }
-
-  /// Shortest path i -> j via the path layer (copied out of the shard so
-  /// no lock is held during downstream work); empty = unreachable.
-  std::vector<NodeId> path_cached(const graph::SocialGraph& g, NodeId i,
-                                  NodeId j);
-
-  /// Empties every shard; returns the number of entries dropped.
+  /// Empties every row and releases its storage; returns the number of
+  /// entries dropped.
   std::size_t drop_all();
 
-  /// Counts a lookup served from the shard.
-  void count_hit() noexcept;
-  /// Counts a lookup that searches for its path.
-  void count_miss() noexcept;
-
-  std::unique_ptr<Shard[]> shards_;
+  /// rows_[i]: source i's stored paths, sorted by ratee.
+  std::vector<std::vector<PathEntry>> rows_;
 
   /// The structure epoch the last open_interval() adopted (none after
   /// construction or clear()), and whether this interval stores paths.

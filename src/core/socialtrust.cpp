@@ -46,6 +46,8 @@ SocialTrustPlugin::SocialTrustPlugin(
   obs_.pairs_total = &registry.counter("socialtrust.pairs_total");
   obs_.pairs_flagged = &registry.counter("socialtrust.pairs_flagged");
   obs_.ratings_adjusted = &registry.counter("socialtrust.ratings_adjusted");
+  obs_.walk_adjacent = &registry.counter("socialtrust.walk.adjacent");
+  obs_.walk_fof = &registry.counter("socialtrust.walk.fof");
   obs_.cache_hit_rate = &registry.gauge("social_cache.hit_rate_pct");
 }
 
@@ -108,22 +110,6 @@ CoefficientStats SocialTrustPlugin::LooAggregate::full() const noexcept {
   out.max = max1;
   out.stddev = population_stddev(sum, sum_sq, n);
   return out;
-}
-
-// --- helpers ----------------------------------------------------------------
-
-double SocialTrustPlugin::closeness_of(NodeId i, NodeId j) const {
-  return social_cache_.closeness(closeness_model_, graph_, i, j);
-}
-
-double SocialTrustPlugin::similarity_of(NodeId i, NodeId j) const {
-  // Every similarity variant is symmetric term by term (ascending merge of
-  // the two interest sets, min()/count per term), so the canonical
-  // (min, max) orientation is bit-identical to either asked-for one.
-  const NodeId lo = std::min(i, j);
-  const NodeId hi = std::max(i, j);
-  return config_.weighted_interests ? profiles_.weighted_similarity(lo, hi)
-                                    : profiles_.similarity(lo, hi);
 }
 
 // --- update -----------------------------------------------------------------
@@ -223,25 +209,40 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   std::vector<LooAggregate> rater_s_agg(use_per_rater ? n_raters : 0);
   run_blocks(n_raters, [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
+      // The rater's side of Omega_c, opened once; each ratee below costs
+      // only its own side. Omega_s is one pass over two profile rows; both
+      // variants are symmetric term by term, so (rater, ratee) gives the
+      // bits of either orientation.
       const NodeId rater = work[runs[r]].key.rater;
+      SocialStateCache::Row closeness_row(social_cache_, closeness_model_,
+                                          graph_, rater);
+      const auto similarity = [&](NodeId ratee) {
+        return config_.weighted_interests
+                   ? profiles_.weighted_similarity(rater, ratee)
+                   : profiles_.similarity(rater, ratee);
+      };
       if (!use_per_rater) {
         for (std::size_t i = runs[r]; i < runs[r + 1]; ++i) {
-          pair_c[i] = closeness_of(rater, work[i].key.ratee);
-          pair_s[i] = similarity_of(rater, work[i].key.ratee);
+          pair_c[i] = closeness_row.closeness(work[i].key.ratee);
+          pair_s[i] = similarity(work[i].key.ratee);
         }
-        continue;
+      } else {
+        std::size_t next = runs[r];  // the rater's next active pair
+        for (NodeId ratee : rated_history_[rater]) {
+          const double c = closeness_row.closeness(ratee);
+          const double s = similarity(ratee);
+          rater_c_agg[r].add(c);
+          rater_s_agg[r].add(s);
+          if (next < runs[r + 1] && work[next].key.ratee == ratee) {
+            pair_c[next] = c;
+            pair_s[next] = s;
+            ++next;
+          }
+        }
       }
-      std::size_t next = runs[r];  // the rater's next active pair
-      for (NodeId ratee : rated_history_[rater]) {
-        const double c = closeness_of(rater, ratee);
-        const double s = similarity_of(rater, ratee);
-        rater_c_agg[r].add(c);
-        rater_s_agg[r].add(s);
-        if (next < runs[r + 1] && work[next].key.ratee == ratee) {
-          pair_c[next] = c;
-          pair_s[next] = s;
-          ++next;
-        }
+      if (obs::enabled()) {
+        obs_.walk_adjacent->add(closeness_row.adjacent());
+        obs_.walk_fof->add(closeness_row.fof());
       }
     }
   });

@@ -31,9 +31,12 @@
 // every `threads` value, serial included. See DESIGN.md, "Parallel update
 // interval".
 //
-// Social structure: closeness lookups go through a persistent
-// SocialStateCache that keeps only what survives an interval and is
-// expensive to recompute — the shortest paths Eq. 4 reads. update()
+// Social structure: the rater walk is rater-major, and so is its data.
+// For each active rater it opens one SocialStateCache::Row (the rater's
+// neighbours and their Eq. 2 values), so each ratee costs only its own
+// side of Omega_c; Omega_s is one pass over two dense profile rows. The cache
+// persists only what survives an interval and is expensive to recompute
+// — the shortest paths Eq. 4 reads, one sorted row per source. update()
 // opens the cache's interval first: if the graph's structure epoch moved
 // since the previous update(), the cache drops every path and this
 // interval stores none (under whitewashing no later interval would read
@@ -214,9 +217,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     std::vector<FlaggedPair> flagged;  ///< detector hits, pair-key order
   };
 
-  double closeness_of(reputation::NodeId i, reputation::NodeId j) const;
-  double similarity_of(reputation::NodeId i, reputation::NodeId j) const;
-
   /// Runs fn(begin, end) over kPairBlock-sized blocks of [0, n): serially
   /// in block order when the plugin is single-threaded, across the pool
   /// otherwise. fn must only touch per-index or per-block state.
@@ -241,10 +241,10 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
 
   /// Persistent shortest-path memo, opened at the start of every update()
   /// and valid while the graph's structure epoch holds — NOT per-update
-  /// scratch; it survives across intervals (DESIGN.md §13). Mutable
-  /// because closeness_of() is a logically-const read shared by the
-  /// concurrent rater walk; the sharded cache makes it physically
-  /// thread-safe.
+  /// scratch; it survives across intervals (DESIGN.md §13). The walk's
+  /// workers share it without locks: each opens the rows of the raters it
+  /// walks, and no rater is walked by two workers. Mutable because
+  /// social_cache() hands it out from a const accessor.
   mutable SocialStateCache social_cache_;
 
   // Per-update scratch (rebuilt each call).
@@ -273,6 +273,8 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     obs::Counter* pairs_total = nullptr;   ///< socialtrust.pairs_total
     obs::Counter* pairs_flagged = nullptr;  ///< socialtrust.pairs_flagged
     obs::Counter* ratings_adjusted = nullptr;  ///< socialtrust.ratings_adjusted
+    obs::Counter* walk_adjacent = nullptr;  ///< socialtrust.walk.adjacent
+    obs::Counter* walk_fof = nullptr;       ///< socialtrust.walk.fof
     obs::Gauge* cache_hit_rate = nullptr;  ///< social_cache.hit_rate_pct
   };
   ObsHandles obs_;

@@ -52,10 +52,10 @@ class ReferenceSocialGraph {
   double total_interactions(NodeId from) const noexcept;
 
   std::vector<NodeId> common_friends(NodeId a, NodeId b) const;
-  std::optional<std::size_t> distance(NodeId a, NodeId b,
-                                      std::size_t max_hops = 6) const;
+  std::optional<std::size_t> distance(
+      NodeId a, NodeId b, std::size_t max_hops = kMaxPathHops) const;
   std::optional<std::vector<NodeId>> shortest_path(
-      NodeId a, NodeId b, std::size_t max_hops = 6) const;
+      NodeId a, NodeId b, std::size_t max_hops = kMaxPathHops) const;
 
   std::size_t edge_count() const noexcept;
   void clear_node(NodeId node);

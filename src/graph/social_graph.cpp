@@ -323,6 +323,12 @@ std::size_t SocialGraph::degree(NodeId a) const noexcept {
   return a < node_count_ ? rel_row(a).size : 0;
 }
 
+SocialGraph::AdjacencyRow SocialGraph::adjacency(NodeId a) const noexcept {
+  if (a >= node_count_) return {};
+  const RelRow row = rel_row(a);
+  return {{row.targets, row.size}, {row.masks, row.size}};
+}
+
 // --- interactions ------------------------------------------------------------
 
 void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {

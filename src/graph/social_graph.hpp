@@ -71,6 +71,11 @@ enum class Relationship : std::uint8_t {
 
 inline constexpr std::size_t kRelationshipCount = 6;
 
+/// Default hop cap of the bounded shortest-path search, and so of Eq. 4's
+/// bottleneck fallback: a pair farther apart than this is unreachable.
+/// SocialStateCache sizes its inline path entries by it.
+inline constexpr std::size_t kMaxPathHops = 6;
+
 /// Default per-type weights used by Eq. (10). Kinship is strongest; a plain
 /// online friendship is the baseline (1.0). Callers may supply their own.
 double default_relationship_weight(Relationship r) noexcept;
@@ -126,6 +131,16 @@ class SocialGraph {
 
   std::size_t degree(NodeId a) const noexcept;
 
+  /// Adjacency row of `a`: parallel spans of neighbour ids (ascending, as
+  /// neighbors() returns them) and each edge's relationship mask (never
+  /// 0). Masks are symmetric: mask(a, b) == mask(b, a). Same
+  /// span-stability contract as neighbors().
+  struct AdjacencyRow {
+    std::span<const NodeId> targets;
+    std::span<const std::uint8_t> masks;
+  };
+  AdjacencyRow adjacency(NodeId a) const noexcept;
+
   /// Records `count` interactions from `from` to `to` — in the P2P mapping,
   /// "an interaction is an action that a peer requests a resource from
   /// another peer" (Section 4.1). Interactions are directed and need not be
@@ -155,8 +170,8 @@ class SocialGraph {
   /// Hop distance between a and b if it is at most `max_hops`, else
   /// nullopt. distance(a,a) == 0. Answered by the same search as
   /// shortest_path(), so it always equals shortest_path()->size() - 1.
-  std::optional<std::size_t> distance(NodeId a, NodeId b,
-                                      std::size_t max_hops = 6) const;
+  std::optional<std::size_t> distance(
+      NodeId a, NodeId b, std::size_t max_hops = kMaxPathHops) const;
 
   /// The lexicographically smallest of all shortest paths a -> ... -> b
   /// (both endpoints included; compared node id by node id from `a`), or
@@ -171,7 +186,7 @@ class SocialGraph {
   /// It is direction-dependent: shortest_path(b, a) need not be the
   /// reverse.
   std::optional<std::vector<NodeId>> shortest_path(
-      NodeId a, NodeId b, std::size_t max_hops = 6) const;
+      NodeId a, NodeId b, std::size_t max_hops = kMaxPathHops) const;
 
   /// Total number of undirected edges (distinct adjacent pairs).
   std::size_t edge_count() const noexcept { return half_edges_ / 2; }
@@ -196,7 +211,7 @@ class SocialGraph {
   /// a node with a relationship. Interactions, no-op mutator calls and
   /// rebuilds leave it alone. While it holds still, every structure-
   /// derived value (common-friend sets, distances, lex-min paths) is
-  /// unchanged; the structure cache keys its shards on it.
+  /// unchanged; the path cache's rows are witnessed by it.
   Revision structure_epoch() const noexcept { return structure_epoch_; }
 
   // --- CSR maintenance diagnostics (tests, bench, docs) ---------------------

@@ -5,8 +5,8 @@
 // The macros expand to clang's thread-safety attributes under clang and
 // to nothing elsewhere, so annotated code compiles identically under gcc
 // while the clang CI leg statically checks the locking discipline
-// (DESIGN.md §13: RAII-only, one shard at a time, compute outside /
-// publish under the lock).
+// (DESIGN.md §10: RAII-only, one lock at a time, compute outside /
+// publish under the lock). ThreadPool is the one annotated class.
 //
 // st::util::Mutex wraps std::mutex with the CAPABILITY attribute —
 // std::mutex itself carries no annotations, so GUARDED_BY on a plain

@@ -82,6 +82,19 @@ void expect_graphs_identical(const SocialGraph& csr,
     ASSERT_EQ(nc.size(), nr.size()) << "node " << a;
     EXPECT_TRUE(std::equal(nc.begin(), nc.end(), nr.begin()))
         << "node " << a;
+    // The adjacency row the walk's row context stamps: the neighbours,
+    // each with a non-zero mask that is the same from both ends.
+    const SocialGraph::AdjacencyRow row = csr.adjacency(a);
+    ASSERT_EQ(row.targets.size(), nr.size()) << "node " << a;
+    ASSERT_EQ(row.masks.size(), nr.size()) << "node " << a;
+    for (std::size_t k = 0; k < nr.size(); ++k) {
+      EXPECT_EQ(row.targets[k], nr[k]) << "node " << a;
+      EXPECT_NE(row.masks[k], 0) << "node " << a;
+      EXPECT_EQ(row.masks[k], ref.relationship_mask(a, nr[k]))
+          << "pair " << a << "," << nr[k];
+      EXPECT_EQ(row.masks[k], ref.relationship_mask(nr[k], a))
+          << "pair " << nr[k] << "," << a;
+    }
 
     for (NodeId b = 0; b < n; ++b) {
       EXPECT_EQ(csr.adjacent(a, b), ref.adjacent(a, b))

@@ -348,7 +348,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeedProperty,
                          ::testing::Values(1u, 7u, 42u, 31337u));
 
 // The structure epoch is the one witness of the SocialStateCache's path
-// shards (DESIGN.md §13): it must move on every relationship change that
+// rows (DESIGN.md §13): it must move on every relationship change that
 // changes something, and on nothing else. Interaction edits, no-op
 // mutator calls and CSR compactions carry no epoch.
 

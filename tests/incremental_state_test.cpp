@@ -1,19 +1,24 @@
 // Incremental social-state correctness suite (DESIGN.md §13).
 //
 // The SocialStateCache persists lex-min shortest paths across update
-// intervals. Its one witness is checked at the interval boundary: an
-// open_interval() that finds the graph's structure epoch moved drops
-// every path and stores nothing until the next boundary. The contract is
-// that a warm cache is a pure performance optimisation. Four layers of
-// evidence:
+// intervals, one sorted row per source, and evaluates Omega_c through a
+// per-rater row context (SocialStateCache::Row). Its one witness is
+// checked at the interval boundary: an open_interval() that finds the
+// graph's structure epoch moved drops every path and stores nothing
+// until the next boundary. The contract is that a warm cache is a pure
+// performance optimisation. Four layers of evidence:
 //   1. unit tests on the cache itself — every lookup bit-equals a direct
-//      ClosenessModel::closeness(); adjacent and friend-of-friend pairs
-//      store nothing; a path (or an unreachable record) is served across
-//      interaction churn and no-op mutations, and re-derived after any
-//      relationship change, however far from the path; an interval
-//      opened after a relationship change stores nothing, the next one
-//      with the epoch held stores again, and a change made mid-interval
-//      is never served; path keys are directional;
+//      ClosenessModel::closeness(), and so does every ordered pair of
+//      seeded BA and WS graphs through the walk's rows, on every branch,
+//      cold, warm and after a relationship change; adjacent and
+//      friend-of-friend pairs store nothing; a path (or an unreachable
+//      record) is served across interaction churn and no-op mutations,
+//      and re-derived after any relationship change, however far from
+//      the path; an interval opened after a relationship change stores
+//      nothing, the next one with the epoch held stores again, and a
+//      change made mid-interval is never served; path keys are
+//      directional; lookups with distinct sources run concurrently on
+//      pool workers, with no lock, and leave what a serial walk leaves;
 //   2. a cold-vs-warm differential gate — full simulations where one
 //      plugin keeps its cache across intervals and a second has it wiped
 //      before every update() must produce bit-identical adjusted ratings,
@@ -42,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,6 +62,7 @@
 #include "reputation/rating.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace st {
 namespace {
@@ -497,6 +504,213 @@ void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
   EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.structure_hits, b.structure_hits);
   EXPECT_EQ(a.structure_misses, b.structure_misses);
+}
+
+/// A seeded test graph that reaches every branch of Omega_c and its edge
+/// cases. On top of a BA or WS graph over nodes [0, kMain): extra
+/// relationship types (Eq. 10 masks), fractional interaction counts on
+/// and off the edges (so sums and mins differ in their last bits), node
+/// `kIsolated` with no relationship, node `kSilent` with relationships but
+/// no interaction of its own, and a chain kChain .. kChain + 7 hanging off
+/// node 0 whose far end lies beyond the hop cap from most of the graph.
+struct BranchGraph {
+  static constexpr graph::NodeId kMain = 40;
+  static constexpr graph::NodeId kIsolated = 5;
+  static constexpr graph::NodeId kSilent = 7;
+  static constexpr graph::NodeId kChain = kMain;
+  static constexpr graph::NodeId kChainLength = 8;
+  static constexpr std::size_t kNodes = kMain + kChainLength;
+
+  static SocialGraph make(bool small_world, std::uint64_t seed) {
+    stats::Rng rng(seed);
+    const SocialGraph base = small_world
+                                 ? graph::watts_strogatz(kMain, 4, 0.2, rng)
+                                 : graph::barabasi_albert(kMain, 2, rng);
+    SocialGraph g(kNodes);
+    for (graph::NodeId a = 0; a < kMain; ++a) {
+      for (const graph::NodeId b : base.neighbors(a)) {
+        if (a < b) g.add_relationship(a, b, Relationship::kFriendship);
+      }
+    }
+    g.clear_node(kIsolated);
+    g.add_relationship(0, kChain, Relationship::kFriendship);
+    for (graph::NodeId c = kChain; c + 1 < kNodes; ++c) {
+      g.add_relationship(c, c + 1, Relationship::kFriendship);
+    }
+    // Mutators may compact the graph and move its rows, so each loop
+    // walks a copy of the neighbour list.
+    const auto friends_of = [&g](graph::NodeId a) {
+      return std::vector<graph::NodeId>(g.neighbors(a).begin(),
+                                        g.neighbors(a).end());
+    };
+    for (graph::NodeId a = 0; a < kNodes; ++a) {
+      for (const graph::NodeId b : friends_of(a)) {
+        if (a < b && rng.bernoulli(0.3)) {
+          g.add_relationship(a, b,
+                             static_cast<Relationship>(1 + rng.index(5)));
+        }
+      }
+    }
+    for (graph::NodeId a = 0; a < kNodes; ++a) {
+      if (a == kIsolated || a == kSilent) continue;
+      for (const graph::NodeId b : friends_of(a)) {
+        if (rng.bernoulli(0.8)) {
+          g.record_interaction(a, b, rng.uniform(0.1, 5.0));
+        }
+      }
+      g.record_interaction(a, static_cast<graph::NodeId>(rng.index(kNodes)),
+                           rng.uniform(0.1, 5.0));
+    }
+    g.begin_interval();
+    return g;
+  }
+};
+
+/// Eq. 2 and Eq. 3 tallies of a whole pass over every ordered pair. The
+/// pass's Eq. 4 evaluations are its path lookups: the structure hits plus
+/// misses it adds to stats().
+struct BranchTally {
+  std::uint64_t adjacent = 0;
+  std::uint64_t fof = 0;
+};
+
+/// Opens one Row per rater, as the walk does, and checks every ordered
+/// (i, j), i == j included, bit for bit against model.closeness().
+BranchTally check_every_pair(SocialStateCache& cache,
+                             const ClosenessModel& model,
+                             const SocialGraph& g) {
+  BranchTally tally;
+  for (graph::NodeId i = 0; i < g.size(); ++i) {
+    SocialStateCache::Row row(cache, model, g, i);
+    for (graph::NodeId j = 0; j < g.size(); ++j) {
+      EXPECT_TRUE(bits_equal(row.closeness(j), model.closeness(g, i, j)))
+          << "Omega_c(" << i << "," << j << ")";
+    }
+    tally.adjacent += row.adjacent();
+    tally.fof += row.fof();
+  }
+  return tally;
+}
+
+/// The walk's row context against the reference model on every branch, in
+/// a storing interval that starts cold, the next one served warm, and one
+/// opened after a relationship change.
+TEST(SocialStateCacheTest, RowsMatchTheModelOnEveryBranch) {
+  using B = BranchGraph;
+  for (const bool small_world : {false, true}) {
+    for (const std::uint64_t seed : {11U, 12U}) {
+      SocialGraph g = B::make(small_world, seed);
+      ASSERT_EQ(g.degree(B::kIsolated), 0U);
+      ASSERT_GT(g.degree(B::kSilent), 0U);
+      ASSERT_EQ(g.total_interactions(B::kSilent), 0.0);
+      // The chain's far end is 8 hops from node 0: connected, but beyond
+      // the hop cap, so the pair takes Eq. 4 and finds no path.
+      const graph::NodeId far_end = B::kChain + B::kChainLength - 1;
+      ASSERT_FALSE(g.shortest_path(far_end, 0).has_value());
+      ASSERT_TRUE(g.shortest_path(far_end, 0, 2 * graph::kMaxPathHops));
+      for (const ClosenessModel& model :
+           {ClosenessModel(true, 0.7), ClosenessModel(false)}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (small_world ? "WS" : "BA") << " seed " << seed
+                     << (model.weighted() ? " weighted" : " unweighted"));
+        SocialGraph h = g;
+        SocialStateCache cache;
+
+        // A storing interval that starts cold: every path is searched.
+        cache.open_interval(h);
+        BranchTally cold;
+        auto d = stats_delta(cache,
+                             [&] { cold = check_every_pair(cache, model, h); });
+        const std::uint64_t cold_paths = d.structure_misses;
+        EXPECT_GT(cold.adjacent, 0U);
+        EXPECT_GT(cold.fof, 0U);
+        EXPECT_GT(cold_paths, 0U);
+        EXPECT_EQ(d.structure_hits, 0U);
+        EXPECT_EQ(cache.size(), cold_paths);
+
+        // The next interval, the epoch held: every path is served.
+        cache.open_interval(h);
+        BranchTally warm;
+        d = stats_delta(cache,
+                        [&] { warm = check_every_pair(cache, model, h); });
+        EXPECT_EQ(d.structure_hits, cold_paths);
+        EXPECT_EQ(d.structure_misses, 0U);
+        EXPECT_EQ(warm.adjacent, cold.adjacent);
+        EXPECT_EQ(warm.fof, cold.fof);
+
+        // A relationship change: the boundary drops every path and the
+        // interval searches them all again, storing none.
+        ASSERT_TRUE(h.add_relationship(B::kSilent, B::kChain + 4,
+                                       Relationship::kKinship));
+        h.record_interaction(B::kChain + 4, B::kSilent, 2.5);
+        d = stats_delta(cache, [&] { cache.open_interval(h); });
+        EXPECT_EQ(d.invalidations, cold_paths);
+        d = stats_delta(cache, [&] { check_every_pair(cache, model, h); });
+        EXPECT_GT(d.structure_misses, 0U);
+        EXPECT_EQ(d.structure_hits, 0U);
+        EXPECT_EQ(cache.size(), 0U);
+      }
+    }
+  }
+
+  // Out-of-range ids throw as the reference does, before any stamp is
+  // read; i == j is 0 first, in range or not.
+  const SocialGraph g = B::make(false, 11);
+  const ClosenessModel model;
+  SocialStateCache cache;
+  cache.open_interval(g);
+  const auto n = static_cast<graph::NodeId>(g.size());
+  EXPECT_THROW(model.closeness(g, 0, n), std::out_of_range);
+  EXPECT_THROW(cache.closeness(model, g, 0, n), std::out_of_range);
+  EXPECT_THROW(cache.closeness(model, g, n, 0), std::out_of_range);
+  EXPECT_TRUE(bits_equal(cache.closeness(model, g, n, n),
+                         model.closeness(g, n, n)));
+}
+
+/// The cache's lock-free contract: lookups with distinct sources run
+/// concurrently. Pool workers each walk their own sources' rows, first in
+/// a storing interval and then in a served one, and must leave exactly
+/// what a serial walk leaves: every value, size() and stats().
+TEST(SocialStateCacheTest, DistinctSourcesLookUpConcurrently) {
+  const SocialGraph g = BranchGraph::make(false, 21);
+  const ClosenessModel model;
+  const std::size_t n = g.size();
+  const auto walk = [&](SocialStateCache& cache, util::ThreadPool* pool) {
+    std::vector<double> values(n * n);
+    const auto rows = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        SocialStateCache::Row row(cache, model, g,
+                                  static_cast<graph::NodeId>(i));
+        for (std::size_t j = 0; j < n; ++j) {
+          values[i * n + j] = row.closeness(static_cast<graph::NodeId>(j));
+        }
+      }
+    };
+    if (pool != nullptr) {
+      pool->parallel_for(n, 3, rows);
+    } else {
+      rows(0, n);
+    }
+    return values;
+  };
+  SocialStateCache serial;
+  SocialStateCache parallel;
+  util::ThreadPool pool(4);
+  for (int interval = 0; interval < 2; ++interval) {
+    serial.open_interval(g);
+    parallel.open_interval(g);
+    const std::vector<double> expected = walk(serial, nullptr);
+    const std::vector<double> got = walk(parallel, &pool);
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_TRUE(bits_equal(got[k], expected[k]))
+          << "Omega_c(" << k / n << "," << k % n << ")";
+    }
+    EXPECT_EQ(parallel.size(), serial.size());
+    expect_stats_equal(parallel.stats(), serial.stats());
+  }
+  // The first interval stored paths and the second served them.
+  EXPECT_GT(serial.size(), 0U);
+  EXPECT_EQ(serial.stats().structure_hits, serial.size());
 }
 
 // --- 2. cold-vs-warm differential gate ---------------------------------------

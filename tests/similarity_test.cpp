@@ -247,11 +247,22 @@ TEST(WeightedSimilarityEq11, SelfSimilarityBelowOne) {
 
 // --- property sweeps -----------------------------------------------------------
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Both variants give (a, b) and (b, a) the same bits.
+void expect_bit_symmetric(const InterestProfiles& p, NodeId a, NodeId b) {
+  EXPECT_EQ(bits(p.similarity(a, b)), bits(p.similarity(b, a)))
+      << "similarity " << a << ", " << b;
+  EXPECT_EQ(bits(p.weighted_similarity(a, b)),
+            bits(p.weighted_similarity(b, a)))
+      << "weighted_similarity " << a << ", " << b;
+}
+
 class SimilarityRangeProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimilarityRangeProperty, AllMeasuresStayInUnitInterval) {
   // Randomised profiles: every similarity variant must stay in [0, 1]
-  // and be symmetric.
+  // and be symmetric to the last bit.
   InterestProfiles p(6, 12);
   unsigned seed = static_cast<unsigned>(GetParam());
   for (NodeId u = 0; u < 6; ++u) {
@@ -263,7 +274,7 @@ TEST_P(SimilarityRangeProperty, AllMeasuresStayInUnitInterval) {
     p.set_interests(u, set);
     for (InterestId c : set) {
       seed = seed * 1103515245U + 12345U;
-      p.record_request(0, c, static_cast<double>(seed % 7 + 1));
+      p.record_request(u, c, static_cast<double>(seed % 7 + 1));
     }
   }
   for (NodeId a = 0; a < 6; ++a) {
@@ -273,9 +284,7 @@ TEST_P(SimilarityRangeProperty, AllMeasuresStayInUnitInterval) {
         EXPECT_GE(s, 0.0);
         EXPECT_LE(s, 1.0 + 1e-12);
       }
-      EXPECT_DOUBLE_EQ(p.similarity(a, b), p.similarity(b, a));
-      EXPECT_DOUBLE_EQ(p.weighted_similarity(a, b),
-                       p.weighted_similarity(b, a));
+      expect_bit_symmetric(p, a, b);
     }
   }
 }
@@ -284,10 +293,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityRangeProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(Similarity, SymmetricBitForBitInBothVariants) {
-  // SocialTrustPlugin evaluates Omega_s in the canonical (min, max)
-  // orientation whichever way the pair was rated, so both variants must be
-  // symmetric to the last bit, not just to EXPECT_DOUBLE_EQ's 4 ulps.
-  InterestProfiles p(3, 8);
+  // SocialTrustPlugin evaluates Omega_s in (rater, ratee) orientation,
+  // whichever node is smaller, so both variants must be symmetric to the
+  // last bit, not just to EXPECT_DOUBLE_EQ's 4 ulps.
+  InterestProfiles p(4, 8);
   p.set_interests(0, ids({1, 2, 5}));
   p.set_interests(1, ids({2, 5, 7}));
   p.record_request(0, 2, 3.0);
@@ -295,11 +304,15 @@ TEST(Similarity, SymmetricBitForBitInBothVariants) {
   p.record_request(1, 2, 1.0);
   p.record_request(1, 5, 2.0);
   p.record_request(1, 6, 7.0);
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  EXPECT_EQ(bits(p.similarity(0, 1)), bits(p.similarity(1, 0)));
-  EXPECT_EQ(bits(p.weighted_similarity(0, 1)),
-            bits(p.weighted_similarity(1, 0)));
+  // Node 2 declares nothing and has no requests. Node 3 requests only
+  // from category 6, so Omega_s(1, 3) is node 1's weight there, 7 / 10:
+  // a weight taken as 7 * (1 / 10) is one ulp off.
+  p.record_request(3, 6, 4.0);
+  for (NodeId a = 0; a < 4; ++a) {
+    for (NodeId b = 0; b < 4; ++b) expect_bit_symmetric(p, a, b);
+  }
   EXPECT_GT(p.weighted_similarity(0, 1), 0.0);
+  EXPECT_EQ(bits(p.weighted_similarity(1, 3)), bits(7.0 / 10.0));
 }
 
 }  // namespace

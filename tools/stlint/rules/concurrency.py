@@ -33,8 +33,9 @@ LOCK_GUARD_TYPES = {"lock_guard", "unique_lock", "scoped_lock",
                     "shared_lock", "MutexLock"}
 MANUAL_LOCK_CALLS = {"lock", "unlock", "try_lock", "try_lock_for",
                      "try_lock_until"}
-# The recompute/BFS surface that must never run under a shard lock
-# (SocialStateCache computes these between its two lock windows).
+# The recompute/BFS surface that must never run under a lock. No lock
+# guards it today: SocialStateCache partitions its path rows by source
+# instead, so the set only keeps a future lock from growing around it.
 EXPENSIVE_CALLS = {"shortest_path", "common_friends",
                    "fof_closeness", "bottleneck_closeness",
                    "adjacent_closeness", "weighted_similarity",
