@@ -47,9 +47,9 @@
 #include "common.hpp"
 #include "core/closeness.hpp"
 #include "graph/generators.hpp"
-#include "graph/reference_graph.hpp"
 #include "graph/social_graph.hpp"
 #include "stats/rng.hpp"
+#include "support/reference_graph.hpp"
 #include "util/cli.hpp"
 
 namespace {

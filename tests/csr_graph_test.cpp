@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,11 +31,11 @@
 #include "core/socialtrust.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/reference_graph.hpp"
 #include "graph/social_graph.hpp"
 #include "reputation/paper_eigentrust.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+#include "support/reference_graph.hpp"
 
 namespace st {
 namespace {
@@ -170,6 +171,46 @@ void random_op(SocialGraph& csr, ReferenceSocialGraph& ref, NodeId n,
   }
 }
 
+/// One mutator call with an out-of-range id, issued to both layouts,
+/// which must both reject it. The call is picked by `step` and draws
+/// nothing from the rng, so the random op sequence is unchanged; the
+/// periodic expect_graphs_identical catches any trace a rejected call
+/// leaves in either layout.
+void rejected_op(SocialGraph& csr, ReferenceSocialGraph& ref, NodeId n,
+                 int step) {
+  const auto valid = static_cast<NodeId>(step % static_cast<int>(n));
+  const NodeId bad = n + static_cast<NodeId>(step % 3);
+  const auto rel = static_cast<Relationship>(
+      static_cast<std::size_t>(step) % graph::kRelationshipCount);
+  auto both = [&](auto call) {
+    EXPECT_THROW(call(csr), std::out_of_range) << "step " << step;
+    EXPECT_THROW(call(ref), std::out_of_range) << "step " << step;
+  };
+  switch (step % 7) {
+    case 0:
+      both([&](auto& g) { g.add_relationship(valid, bad, rel); });
+      break;
+    case 1:
+      both([&](auto& g) { g.add_relationship(bad, valid, rel); });
+      break;
+    case 2:
+      both([&](auto& g) { g.remove_relationship(valid, bad, rel); });
+      break;
+    case 3:
+      both([&](auto& g) { g.remove_relationship(bad, valid, rel); });
+      break;
+    case 4:
+      both([&](auto& g) { g.record_interaction(valid, bad, 1.0); });
+      break;
+    case 5:
+      both([&](auto& g) { g.record_interaction(bad, valid, 1.0); });
+      break;
+    default:
+      both([&](auto& g) { g.clear_node(bad); });
+      break;
+  }
+}
+
 TEST(CsrEquivalence, RandomizedMutationSequencesMatchReference) {
   constexpr NodeId kNodes = 24;
   for (std::uint64_t seed : {11u, 23u, 47u}) {
@@ -178,6 +219,7 @@ TEST(CsrEquivalence, RandomizedMutationSequencesMatchReference) {
     stats::Rng rng(seed);
     for (int step = 0; step < 600; ++step) {
       random_op(csr, ref, kNodes, rng);
+      rejected_op(csr, ref, kNodes, step);
       if (step % 150 == 149) {
         expect_graphs_identical(
             csr, ref, "seed " + std::to_string(seed) + " step " +

@@ -66,11 +66,48 @@ TEST(SocialGraph, SelfRelationshipRejected) {
 }
 
 TEST(SocialGraph, OutOfRangeThrows) {
+  // A rejected call leaves no trace: every mutator validates both ids
+  // before it writes, so a throw moves neither the structure epoch nor
+  // the edge count nor any adjacency or interaction row.
   SocialGraph g(3);
-  EXPECT_THROW(g.add_relationship(0, 7, Relationship::kFriendship),
-               std::out_of_range);
+  g.add_relationship(0, 1, Relationship::kFriendship);
+  g.add_relationship(1, 2, Relationship::kColleague);
+  g.record_interaction(0, 1, 2.0);
+  g.record_interaction(2, 0, 3.0);
+  auto snapshot = [&g] {
+    std::vector<double> out{static_cast<double>(g.structure_epoch()),
+                            static_cast<double>(g.edge_count())};
+    for (NodeId v = 0; v < 3; ++v) {
+      const auto adj = g.adjacency(v);
+      out.push_back(static_cast<double>(adj.targets.size()));
+      out.insert(out.end(), adj.targets.begin(), adj.targets.end());
+      out.insert(out.end(), adj.masks.begin(), adj.masks.end());
+      const auto row = g.interactions(v);
+      out.push_back(g.total_interactions(v));
+      out.push_back(static_cast<double>(row.targets.size()));
+      out.insert(out.end(), row.targets.begin(), row.targets.end());
+      out.insert(out.end(), row.counts.begin(), row.counts.end());
+    }
+    return out;
+  };
+  const auto before = snapshot();
+  constexpr NodeId kBad = 7;
+  const auto rel = Relationship::kKinship;
+  EXPECT_THROW(g.add_relationship(0, kBad, rel), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "add_relationship(0, bad)";
+  EXPECT_THROW(g.add_relationship(kBad, 0, rel), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "add_relationship(bad, 0)";
+  EXPECT_THROW(g.remove_relationship(1, kBad, rel), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "remove_relationship(1, bad)";
+  EXPECT_THROW(g.remove_relationship(kBad, 1, rel), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "remove_relationship(bad, 1)";
+  EXPECT_THROW(g.record_interaction(0, kBad), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "record_interaction(0, bad)";
+  EXPECT_THROW(g.record_interaction(kBad, 0), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "record_interaction(bad, 0)";
+  EXPECT_THROW(g.clear_node(kBad), std::out_of_range);
+  EXPECT_EQ(snapshot(), before) << "clear_node(bad)";
   EXPECT_THROW(g.distance(0, 9), std::out_of_range);
-  EXPECT_THROW(g.record_interaction(9, 0), std::out_of_range);
 }
 
 TEST(SocialGraph, RemoveRelationship) {

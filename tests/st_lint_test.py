@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Unit suite for tools/st_lint.py.
 
-Runs the linter as a subprocess (the same way ctest and CI invoke it)
-against fixture snippets written to a temp tree that mirrors the repo
-layout (src/core/..., src/stats/..., tests/...), asserting that:
+Runs the linter in-process through ``stlint.cli.main`` (the function
+tools/st_lint.py hands its arguments to) against fixture snippets
+written to a temp tree that mirrors the repo layout (src/core/...,
+src/stats/..., tests/...). ``OutputAndCliTests`` and ``SeededTreeTest``
+run tools/st_lint.py itself as a subprocess, the way ctest and CI
+invoke it, so the entry point stays covered. The suite asserts that:
 
   * every rule fires on its known-bad snippet and names its rule ID,
   * a seeded fixture tree with one violation per rule exits non-zero,
@@ -19,6 +22,8 @@ runs under plain ``python3 tests/st_lint_test.py`` or pytest.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -38,12 +43,28 @@ LINTER = REPO_ROOT / "tools" / "st_lint.py"
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from stlint.callgraph import CallGraph  # noqa: E402
+from stlint.cli import main  # noqa: E402
 from stlint.core import RULES, load_file  # noqa: E402
 from stlint.index import ProjectIndex, build_facts  # noqa: E402
 from stlint.scopes import collect_aliases  # noqa: E402
 
 
 def run_lint(*args: str) -> subprocess.CompletedProcess:
+    """Lint in-process: stdout, stderr and the exit status come back as
+    from a subprocess run, without an interpreter start per call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse exits on usage errors
+            code = exc.code if isinstance(exc.code, int) \
+                else int(exc.code is not None)
+    return subprocess.CompletedProcess(["st_lint.py", *args], code,
+                                       out.getvalue(), err.getvalue())
+
+
+def run_entry_point(*args: str) -> subprocess.CompletedProcess:
+    """Lint through tools/st_lint.py in a subprocess."""
     return subprocess.run(
         [sys.executable, str(LINTER), *args],
         capture_output=True, text=True, check=False)
@@ -51,6 +72,8 @@ def run_lint(*args: str) -> subprocess.CompletedProcess:
 
 class LintFixtureCase(unittest.TestCase):
     """Base: a temp tree mirroring the repo layout, one file per test."""
+
+    runner = staticmethod(run_lint)
 
     def setUp(self) -> None:
         self._tmp = tempfile.TemporaryDirectory(prefix="st_lint_test_")
@@ -71,7 +94,7 @@ class LintFixtureCase(unittest.TestCase):
         if as_json:
             args.append("--json")
         args += [str(p) for p in paths]
-        return run_lint(*args)
+        return self.runner(*args)
 
     def assert_fires(self, proc: subprocess.CompletedProcess,
                      rule: str) -> None:
@@ -449,6 +472,8 @@ double sum() {
 
 class SeededTreeTest(LintFixtureCase):
     """Acceptance: one violation per rule, all named, non-zero exit."""
+
+    runner = staticmethod(run_entry_point)
 
     def test_one_violation_per_rule(self) -> None:
         self.write("src/core/det.hpp", "#pragma once\n")
@@ -905,38 +930,9 @@ void wire(Registry& r) {{
 
 
 class BudgetTests(LintFixtureCase):
-    """SUP-2: the checked-in allow() budget."""
-
-    def seeded(self) -> Path:
-        self.write("src/core/f.cpp", """
-#include <unordered_map>
-double reduce() {
-  std::unordered_map<int, double> m;
-  double t = 0.0;
-  for (const auto& [k, v] : m) t += v;  // st-lint: allow(DET-2 integer sum)
-  return t;
-}
-""")
-        return self.write("budget.json", '{"max_allow_sites": 0}\n')
-
-    def test_over_budget_fires_sup2_in_strict(self) -> None:
-        budget = self.seeded()
-        proc = run_lint("--strict", "--budget", str(budget),
-                        str(self.root / "src"))
-        self.assertEqual(proc.returncode, 1, proc.stderr)
-        self.assertIn("SUP-2", proc.stderr)
-
-    def test_within_budget_passes(self) -> None:
-        self.seeded()
-        budget = self.write("budget_ok.json", '{"max_allow_sites": 1}\n')
-        proc = run_lint("--strict", "--budget", str(budget),
-                        str(self.root / "src"))
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-
-    def test_budget_not_enforced_without_strict(self) -> None:
-        budget = self.seeded()
-        proc = run_lint("--budget", str(budget), str(self.root / "src"))
-        self.assertEqual(proc.returncode, 0, proc.stderr)
+    """The checked-in allow() budget: the tree carries exactly
+    max_allow_sites allow() sites, so adding or removing a suppression
+    means editing tools/lint_budget.json in the same change."""
 
     def test_real_budget_matches_tree(self) -> None:
         # The repo's own budget file must stay in sync with the tree:
@@ -1040,6 +1036,8 @@ using namespace std;
 
 
 class OutputAndCliTests(LintFixtureCase):
+    runner = staticmethod(run_entry_point)
+
     def test_json_output(self) -> None:
         f = self.write("src/core/bad.cpp", "int f() { return rand(); }\n")
         proc = self.lint(f, as_json=True)
@@ -1051,22 +1049,22 @@ class OutputAndCliTests(LintFixtureCase):
         self.assertIn("line", payload["findings"][0])
 
     def test_list_rules(self) -> None:
-        proc = run_lint("--list-rules")
+        proc = run_entry_point("--list-rules")
         self.assertEqual(proc.returncode, 0)
         for rule in ("DET-1", "DET-2", "CON-1", "CON-2",
                      "HYG-1", "HYG-2", "SUP-1"):
             self.assertIn(rule, proc.stdout)
 
     def test_missing_path_is_usage_error(self) -> None:
-        proc = run_lint(str(self.root / "no_such_dir"))
+        proc = run_entry_point(str(self.root / "no_such_dir"))
         self.assertEqual(proc.returncode, 2)
 
     def test_real_tree_is_clean_under_strict(self) -> None:
-        proc = run_lint("--strict",
-                        str(REPO_ROOT / "src"),
-                        str(REPO_ROOT / "bench"),
-                        str(REPO_ROOT / "tests"),
-                        str(REPO_ROOT / "examples"))
+        proc = run_entry_point("--strict",
+                               str(REPO_ROOT / "src"),
+                               str(REPO_ROOT / "bench"),
+                               str(REPO_ROOT / "tests"),
+                               str(REPO_ROOT / "examples"))
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
 
@@ -1614,665 +1612,13 @@ class SarifOutputTests(LintFixtureCase):
         self.assertEqual(doc["version"], "2.1.0")
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        for rule in ("DET-4", "CON-3", "LOCK-4", "REV-1"):
+        for rule in ("DET-4", "CON-3", "LOCK-4"):
             self.assertIn(rule, rule_ids)
         result = run["results"][0]
         self.assertEqual(result["ruleId"], "DET-1")
         self.assertEqual(
             result["locations"][0]["physicalLocation"]["region"]
             ["startLine"], 1)
-
-
-class CfgCase(CallGraphCase):
-    """Base for in-process assertions against the v4 per-function CFGs
-    serialised into the fact records."""
-
-    def cfg_of(self, src: str, qname: str) -> tuple[dict, list[dict]]:
-        index, _ = self.build_graph({"src/core/cfg_fix.cpp": src})
-        fn = self.fn_by_qname(index, qname)
-        blocks = fn["cfg"]["blocks"]
-        self.assertGreaterEqual(len(blocks), 3)  # entry/exit/raise
-        return fn, blocks
-
-    @staticmethod
-    def kinds(blocks: list[dict]) -> list[str]:
-        return [b["k"] for b in blocks]
-
-    @staticmethod
-    def by_kind(blocks: list[dict], kind: str) -> list[int]:
-        return [i for i, b in enumerate(blocks) if b["k"] == kind]
-
-
-class CfgBuilderTests(CfgCase):
-    """Shape of the basic-block graphs build_cfg produces."""
-
-    def test_if_else_splits_then_else_join(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int x) {
-    if (x) { a_ = 1; } else { a_ = 2; }
-    a_ = 3;
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        ks = self.kinds(blocks)
-        self.assertIn("then", ks)
-        self.assertIn("else", ks)
-        self.assertIn("join", ks)
-        # both arms carry exactly one write event and meet at the join
-        then_b = blocks[self.by_kind(blocks, "then")[0]]
-        else_b = blocks[self.by_kind(blocks, "else")[0]]
-        self.assertEqual(len(then_b["ev"]), 1)
-        self.assertEqual(len(else_b["ev"]), 1)
-        self.assertEqual(then_b["s"], else_b["s"])
-
-    def test_early_return_records_line_and_exits(self) -> None:
-        from stlint.cfg import EXIT
-        _, blocks = self.cfg_of("""
-struct C {
-  int f(int x) {
-    if (x) return 0;
-    a_ = 1;
-    return a_;
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        then_id = self.by_kind(blocks, "then")[0]
-        self.assertIn(EXIT, blocks[then_id]["s"])
-        self.assertIn("r", blocks[then_id])
-
-    def test_while_loop_has_back_edge(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int n) {
-    while (n > 0) { a_ = a_ + 1; n = n - 1; }
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        hdr = self.by_kind(blocks, "loop")[0]
-        # some block downstream of the body points back at the header
-        self.assertTrue(any(hdr in b["s"] and i != hdr
-                            for i, b in enumerate(blocks) if i > hdr),
-                        f"no back edge to loop header in {blocks}")
-
-    def test_classic_for_gets_step_block(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int n) {
-    for (int i = 0; i < n; i = i + 1) { a_ = a_ + i; }
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        steps = self.by_kind(blocks, "step")
-        self.assertEqual(len(steps), 1)
-        hdr = self.by_kind(blocks, "loop")[0]
-        self.assertIn(hdr, blocks[steps[0]]["s"])
-
-    def test_range_for_has_no_step_block(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f() {
-    for (int v : items_) { a_ = a_ + v; }
-  }
-  int a_ = 0;
-  int items_[4] = {0, 1, 2, 3};
-};
-""", "C::f")
-        self.assertEqual(self.by_kind(blocks, "step"), [])
-        self.assertTrue(self.by_kind(blocks, "loop"))
-
-    def test_do_while_body_precedes_condition(self) -> None:
-        from stlint.cfg import ENTRY
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int n) {
-    do { a_ = a_ + 1; } while (n > a_);
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        body = self.by_kind(blocks, "body")[0]
-        loop = self.by_kind(blocks, "loop")[0]
-        self.assertIn(body, blocks[ENTRY]["s"])  # body runs first
-        self.assertIn(body, blocks[loop]["s"])   # and again on true
-
-    def test_switch_fallthrough_edges_between_arms(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int x) {
-    switch (x) {
-      case 0:
-        a_ = 1;          // falls through
-      case 1:
-        a_ = 2;
-        break;
-      default:
-        a_ = 3;
-    }
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        cases = self.by_kind(blocks, "case")
-        self.assertEqual(len(cases), 3)
-        self.assertIn(cases[1], blocks[cases[0]]["s"],
-                      "case 0 must fall through into case 1")
-        self.assertNotIn(cases[2], blocks[cases[1]]["s"],
-                         "break must stop the case-1 arm falling through")
-
-    def test_switch_without_default_may_skip_all_arms(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int x) {
-    switch (x) {
-      case 0: a_ = 1; break;
-    }
-    a_ = 2;
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        case_b = self.by_kind(blocks, "case")[0]
-        dispatch = next(i for i, b in enumerate(blocks)
-                        if case_b in b["s"])
-        # the dispatching block also jumps straight past the arms
-        self.assertGreaterEqual(len(blocks[dispatch]["s"]), 2)
-
-    def test_break_leaves_loop_not_function(self) -> None:
-        from stlint.cfg import EXIT
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int n) {
-    while (n > 0) {
-      if (n == 3) break;
-      n = n - 1;
-    }
-    a_ = 1;
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        then_b = blocks[self.by_kind(blocks, "then")[0]]
-        self.assertNotIn(EXIT, then_b["s"])
-        hdr = self.by_kind(blocks, "loop")[0]
-        # break target is also a successor of the loop header (its exit)
-        self.assertTrue(set(then_b["s"]) & set(blocks[hdr]["s"]))
-
-    def test_continue_jumps_to_step_block(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int n) {
-    for (int i = 0; i < n; i = i + 1) {
-      if (i == 2) continue;
-      a_ = a_ + i;
-    }
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        step = self.by_kind(blocks, "step")[0]
-        then_b = blocks[self.by_kind(blocks, "then")[0]]
-        self.assertIn(step, then_b["s"])
-
-    def test_try_blocks_point_at_catch_head(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f() {
-    try {
-      a_ = 1;
-    } catch (...) {
-      a_ = 0;
-    }
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        catches = self.by_kind(blocks, "catch")
-        self.assertEqual(len(catches), 1)
-        try_bodies = [b for b in blocks
-                      if b["k"] == "body" and catches[0] in b["s"]]
-        self.assertTrue(try_bodies, "try body must edge into the handler")
-        self.assertEqual(try_bodies[0].get("c"), catches)
-
-    def test_uncaught_throw_edges_to_raise_sink(self) -> None:
-        from stlint.cfg import RAISE
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(int x) {
-    if (x < 0) throw x;
-    a_ = x;
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        self.assertTrue(any(RAISE in b["s"] for b in blocks))
-
-    def test_ternary_with_writes_splits_arms(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(bool c) {
-    c ? (a_ = 1) : (a_ = 2);
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        self.assertIn("then", self.kinds(blocks))
-        self.assertIn("else", self.kinds(blocks))
-
-    def test_guard_idents_recorded_on_branch(self) -> None:
-        _, blocks = self.cfg_of("""
-struct C {
-  void f(bool added) {
-    if (added) a_ = 1;
-  }
-  int a_ = 0;
-};
-""", "C::f")
-        then_b = blocks[self.by_kind(blocks, "then")[0]]
-        self.assertEqual(then_b.get("g"), ["added"])
-
-
-class DataflowTests(unittest.TestCase):
-    """The worklist framework itself, over hand-built graphs."""
-
-    #      0 -> 3 -> {4, 5} -> 6 -> 1      (2 = raise, unused)
-    DIAMOND = [
-        {"s": [3], "ev": []}, {"s": [], "ev": []}, {"s": [], "ev": []},
-        {"s": [4, 5], "ev": []}, {"s": [6], "ev": []},
-        {"s": [6], "ev": []}, {"s": [1], "ev": []},
-    ]
-
-    @staticmethod
-    def _transfer(gen: dict[int, str]):
-        from stlint import dataflow
-
-        def transfer(bid: int, state: dataflow.State) -> dataflow.State:
-            if bid in gen:
-                return state | {gen[bid]}
-            return state
-        return transfer
-
-    def test_union_meet_keeps_one_path_facts(self) -> None:
-        from stlint import dataflow
-        ins = dataflow.solve(self.DIAMOND, 0, dataflow.EMPTY,
-                             self._transfer({4: "x"}))
-        self.assertEqual(ins[6], frozenset({"x"}))
-
-    def test_intersect_meet_requires_every_path(self) -> None:
-        from stlint import dataflow
-        ins = dataflow.solve(self.DIAMOND, 0, dataflow.EMPTY,
-                             self._transfer({4: "x"}), meet="intersect")
-        self.assertEqual(ins[6], frozenset())
-        ins = dataflow.solve(self.DIAMOND, 0, dataflow.EMPTY,
-                             self._transfer({4: "x", 5: "x"}),
-                             meet="intersect")
-        self.assertEqual(ins[6], frozenset({"x"}))
-
-    def test_find_trace_returns_shortest_witness(self) -> None:
-        from stlint import dataflow
-        transfer = self._transfer({4: "x"})
-        path = dataflow.find_trace(
-            self.DIAMOND, 0, dataflow.EMPTY, transfer,
-            lambda bid, state: bid == 6 and "x" in state)
-        self.assertEqual(path, [0, 3, 4, 6])
-        clean = dataflow.find_trace(
-            self.DIAMOND, 0, dataflow.EMPTY, transfer,
-            lambda bid, state: bid == 6 and "y" in state)
-        self.assertEqual(clean, [])
-
-
-class Rev1PathSensitivityTests(LintFixtureCase):
-    """REV-1: per-path revision-protocol enforcement — a mutator with no
-    bump at all, and the seeded early-return bug that skips a bump the
-    other branch reaches."""
-
-    def test_mutation_without_bump_fires(self) -> None:
-        f = self.write("src/graph/sg.cpp", """
-class SocialGraph {
- public:
-  void add_edge(unsigned a, unsigned b) { edges_ = edges_ + 1; }
-  void remove_edge(unsigned a, unsigned b) {
-    edges_ = edges_ - 1;
-    bump();
-  }
-  unsigned revision() const { return rev_; }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned edges_ = 0;
-  unsigned rev_ = 0;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-1")
-        self.assertIn("add_edge", proc.stderr)
-        self.assertNotIn("remove_edge", proc.stderr)
-
-    def test_bump_reached_through_helper_is_clean(self) -> None:
-        f = self.write("src/graph/sg2.cpp", """
-class SocialGraph {
- public:
-  void remove_edge(unsigned a, unsigned b) {
-    edges_ = edges_ - 1;
-    note();
-  }
- private:
-  void note() { bump(); }
-  void bump() { rev_ = rev_ + 1; }
-  unsigned edges_ = 0;
-  unsigned rev_ = 0;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    def test_interaction_writes_need_no_bump(self) -> None:
-        """Interaction state carries no revision, so a write to it is
-        clean without a bump; an adjacency write still needs one."""
-        f = self.write("src/graph/sg_int.cpp", """
-#include <vector>
-class SocialGraph {
- public:
-  void record_interaction(unsigned from, double count) {
-    interaction_totals_[from] += count;
-    int_counts_[from] += count;
-  }
-  void add_edge(unsigned a, unsigned b) { rel_targets_[a] = b; }
- private:
-  std::vector<double> interaction_totals_;
-  std::vector<double> int_counts_;
-  std::vector<unsigned> rel_targets_;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-1")
-        self.assertIn("add_edge", proc.stderr)
-        self.assertIn("rel_targets_", proc.stderr)
-        self.assertNotIn("record_interaction", proc.stderr)
-
-    EARLY_RETURN = """
-class SocialGraph {
- public:
-  bool set_weight(unsigned a, unsigned w) {
-    weight_ = w;
-    if (w == 0) return false;
-    bump_value(a);
-    return true;
-  }
- private:
-  void bump_value(unsigned a) { rev_ = rev_ + 1; }
-  unsigned weight_ = 0;
-  unsigned rev_ = 0;
-};
-"""
-
-    def test_early_return_skipping_bump_fires_with_witness(self) -> None:
-        f = self.write("src/graph/sg_rev.cpp", self.EARLY_RETURN)
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-1")
-        self.assertIn("set_weight", proc.stderr)
-        # the offending path is printed as a block-level chain ending in
-        # the early return
-        self.assertIn("entry@L", proc.stderr)
-        self.assertIn("return@L", proc.stderr)
-
-    def test_bump_on_every_path_is_clean(self) -> None:
-        f = self.write("src/graph/sg_ok.cpp", """
-class SocialGraph {
- public:
-  void set_weight(unsigned a, unsigned w) {
-    if (w == 0) {
-      weight_ = 0;
-      bump_value(a);
-      return;
-    }
-    weight_ = w;
-    bump_value(a);
-  }
- private:
-  void bump_value(unsigned a) { rev_ = rev_ + 1; }
-  unsigned weight_ = 0;
-  unsigned rev_ = 0;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    GUARDED = """
-class SocialGraph {
- public:
-  bool link(unsigned a, unsigned b) {
-    const bool added = insert_half(a, b);
-    const bool added_rev = insert_half(b, a);
-    if (added || added_rev) bump_structure(a, b);
-    return added;
-  }
- private:
-  bool insert_half(unsigned f, unsigned t) {
-    edges_ = edges_ + 1;
-    return true;
-  }
-  void bump_structure(unsigned a, unsigned b) { rev_ = rev_ + 1; }
-  unsigned edges_ = 0;
-  unsigned rev_ = 0;
-};
-"""
-
-    def test_guarded_commit_idiom_is_clean(self) -> None:
-        f = self.write("src/graph/sg_guard.cpp", self.GUARDED)
-        self.assert_clean(self.lint(f))
-
-    def test_discarded_helper_result_fires(self) -> None:
-        """The real-tree bug shape: the second half-edge insert's result
-        is dropped, so that commit is not covered by the guarded bump."""
-        f = self.write("src/graph/sg_drop.cpp", self.GUARDED.replace(
-            "const bool added_rev = insert_half(b, a);",
-            "insert_half(b, a);").replace(
-            "if (added || added_rev)", "if (added)"))
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-1")
-        self.assertIn("insert_half", proc.stderr)
-
-    def test_representation_fields_are_not_observable(self) -> None:
-        f = self.write("src/graph/sg_repr.cpp", """
-class SocialGraph {
- public:
-  void compact(unsigned n) {
-    overlay_count_ = n;
-    tombstones_ = 0;
-  }
- private:
-  unsigned overlay_count_ = 0;
-  unsigned tombstones_ = 0;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    def test_epoch_counter_write_counts_as_bump(self) -> None:
-        f = self.write("src/graph/sg_epoch.cpp", """
-class SocialGraph {
- public:
-  void grow(unsigned n) {
-    nodes_ = n;
-    epoch_ = epoch_ + 1;
-  }
- private:
-  unsigned nodes_ = 0;
-  unsigned epoch_ = 0;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-
-class Rev2RepresentationTests(LintFixtureCase):
-    """REV-2: representation-only entry points must not advance
-    revision witnesses."""
-
-    def test_rebuild_reaching_bump_fires(self) -> None:
-        f = self.write("src/graph/sg_rb.cpp", """
-class SocialGraph {
- public:
-  void rebuild() { compact(); }
- private:
-  void compact() {
-    packed_ = 1;
-    bump();
-  }
-  void bump() { rev_ = rev_ + 1; }
-  unsigned packed_ = 0;
-  unsigned rev_ = 0;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-2")
-        self.assertIn("rebuild", proc.stderr)
-
-    def test_rebuild_calling_public_accessor_fires(self) -> None:
-        f = self.write("src/graph/sg3.cpp", """
-class SocialGraph {
- public:
-  void rebuild() {
-    bump();
-    cached_ = revision();
-  }
-  unsigned revision() const { return rev_; }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned rev_ = 0;
-  unsigned cached_ = 0;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "REV-2")
-        self.assertIn("calls public const accessor SocialGraph::revision()",
-                      proc.stderr)
-        self.assertIn("rebuild", proc.stderr)
-
-    def test_rebuild_without_bump_is_clean(self) -> None:
-        f = self.write("src/graph/sg_rb_ok.cpp", """
-class SocialGraph {
- public:
-  void rebuild() { packed_ = 1; }
- private:
-  unsigned packed_ = 0;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-
-class Exc1ExceptionSafetyTests(LintFixtureCase):
-    """EXC-1: committed writes may not precede throwing work unless
-    rolled back or the method is noexcept."""
-
-    def test_write_before_allocating_call_fires(self) -> None:
-        f = self.write("src/graph/sg_exc.cpp", """
-#include <vector>
-class SocialGraph {
- public:
-  void add(unsigned v) {
-    count_ = count_ + 1;
-    log_.push_back(v);
-    bump();
-  }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned count_ = 0;
-  unsigned rev_ = 0;
-  std::vector<unsigned> log_;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "EXC-1")
-        self.assertIn("push_back", proc.stderr)
-
-    def test_noexcept_method_is_exempt(self) -> None:
-        f = self.write("src/graph/sg_noexc.cpp", """
-#include <vector>
-class SocialGraph {
- public:
-  void add(unsigned v) noexcept {
-    count_ = count_ + 1;
-    log_.push_back(v);
-    bump();
-  }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned count_ = 0;
-  unsigned rev_ = 0;
-  std::vector<unsigned> log_;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    def test_validate_before_mutate_is_clean(self) -> None:
-        f = self.write("src/graph/sg_val.cpp", """
-#include <vector>
-class SocialGraph {
- public:
-  void add(unsigned v) {
-    log_.push_back(v);
-    count_ = count_ + 1;
-    bump();
-  }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned count_ = 0;
-  unsigned rev_ = 0;
-  std::vector<unsigned> log_;
-};
-""")
-        self.assert_clean(self.lint(f))
-
-    def test_catch_rollback_discharges(self) -> None:
-        f = self.write("src/graph/sg_rb2.cpp", """
-#include <vector>
-class SocialGraph {
- public:
-  void add(unsigned v) {
-    count_ = count_ + 1;
-    try {
-      log_.push_back(v);
-    } catch (...) {
-      count_ = count_ - 1;
-      throw;
-    }
-    bump();
-  }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned count_ = 0;
-  unsigned rev_ = 0;
-  std::vector<unsigned> log_;
-};
-""")
-        proc = self.lint(f)
-        self.assertNotIn("EXC-1", proc.stderr + proc.stdout)
-
-    def test_catch_without_rollback_fires(self) -> None:
-        f = self.write("src/graph/sg_norb.cpp", """
-#include <vector>
-class SocialGraph {
- public:
-  void add(unsigned v) {
-    count_ = count_ + 1;
-    try {
-      log_.push_back(v);
-    } catch (...) {
-      dropped_ = dropped_ + 1;
-    }
-    bump();
-  }
- private:
-  void bump() { rev_ = rev_ + 1; }
-  unsigned count_ = 0;
-  unsigned rev_ = 0;
-  unsigned dropped_ = 0;
-  std::vector<unsigned> log_;
-};
-""")
-        proc = self.lint(f)
-        self.assert_fires(proc, "EXC-1")
 
 
 class ChangedOnlyRenameTests(LintFixtureCase):

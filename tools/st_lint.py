@@ -6,7 +6,7 @@ promise hard contracts — bit-identical results at every thread count,
 obs-on/off identity, exception-safe pool shutdown. Those contracts are
 easy to break silently: one hash-order iteration feeding a reduction,
 one ``rand()`` seeded from the wall clock, one naked ``std::thread`` in
-a new bench, one BFS recompute inside a shard lock. This linter rejects
+a new bench, one BFS recompute inside a lock. This linter rejects
 the known-dangerous source patterns before they compile.
 
 Since v2 the engine is a real lexing front end (tools/stlint/): a C++
@@ -49,16 +49,9 @@ etiquette in docs/STATIC_ANALYSIS.md):
   OBS-1   metric names: snake_case, globally unique, documented in
           docs/OBSERVABILITY.md
   OBS-2   documented metrics that no longer exist in code
-  REV-1   (per-path) every path through a SocialGraph mutator that
-          commits an adjacency write must bump a structure revision
-  REV-2   representation-only entry points must not bump; rebuild()
-          must not call public const accessors
-  EXC-1   (per-path) no committed write before a potentially-throwing
-          call in a mutator, unless rolled back or noexcept
   HYG-1   every src/ .cpp includes its own header first
   HYG-2   no using namespace at namespace scope in headers
   SUP-1   (--strict) every suppression names its rule and a reason
-  SUP-2   (--strict) allow() sites may not exceed tools/lint_budget.json
 
 Suppressions: append ``// st-lint: allow(RULE-ID reason)`` to the
 offending line, or place the comment alone on the line directly above
@@ -76,7 +69,7 @@ whole-program rule — still sees the full tree (tools/pre-commit wires
 this into a git hook).
 
 Exit status: 0 when the tree is clean, 1 when findings (or, under
-``--strict``, suppression-hygiene/budget violations) were reported, 2 on
+``--strict``, suppression-hygiene violations) were reported, 2 on
 usage errors.
 """
 

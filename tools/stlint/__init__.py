@@ -11,8 +11,8 @@ Package layout (see docs/STATIC_ANALYSIS.md for the rule catalogue):
              scopes + raw lines), suppression parsing, path scoping.
   rules/     one module per rule family (determinism, concurrency,
              hygiene, obs_docs), each registering into rules.ALL_RULES.
-  cli.py     driver: file gathering, rule dispatch, budget enforcement,
-             --strict/--json/--list-rules, exit codes.
+  cli.py     driver: file gathering, rule dispatch, --strict/--json/
+             --sarif/--list-rules, exit codes.
 
 tools/st_lint.py is the stable CLI entry point; everything here is an
 implementation detail behind it.

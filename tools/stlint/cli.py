@@ -1,22 +1,20 @@
-"""Driver: file gathering, rule dispatch, budget enforcement, CLI.
+"""Driver: file gathering, rule dispatch, CLI.
 
 tools/st_lint.py execs ``main`` from here; the flags, exit codes, and
 output formats are the stable interface (docs/STATIC_ANALYSIS.md):
 
   exit 0  clean tree
-  exit 1  findings (or, under --strict, suppression/budget violations)
+  exit 1  findings (or, under --strict, suppression-hygiene violations)
   exit 2  usage errors (missing paths)
 
-v3 adds the whole-program layer: every run builds the project index
-(symbols + call-graph facts) over *all* scanned files and runs the
-inter-procedural families (CON-3/LOCK-4/DET-4) and the flow-sensitive
-protocol families (REV-1/REV-2/EXC-1) on it. With
-``--index-cache PATH`` the facts and per-file findings are served from a
-content-hash-keyed JSON cache, so a warm re-lint after touching one file
-re-lexes only that file. ``--changed-only`` narrows the per-file rules
-to files changed vs the merge base while the index (and therefore the
-cross-file rules) stays whole-program. ``--sarif`` emits SARIF 2.1.0
-for CI upload.
+Every run builds the project index (symbols + call-graph facts) over
+*all* scanned files and runs the inter-procedural families
+(CON-3/LOCK-4/DET-4) on it. With ``--index-cache PATH`` the facts and
+per-file findings are served from a content-hash-keyed JSON cache, so a
+warm re-lint after touching one file re-lexes only that file.
+``--changed-only`` narrows the per-file rules to files changed vs the
+merge base while the index (and therefore the cross-file rules) stays
+whole-program. ``--sarif`` emits SARIF 2.1.0 for CI upload.
 """
 
 from __future__ import annotations
@@ -33,13 +31,10 @@ from .core import (CXX_SUFFIXES, DEFAULT_PATHS, EXCLUDED_DIR_NAMES,
                    SourceFile, load_file, rel_path)
 from .index import (IndexCache, ProjectIndex, alias_fingerprint,
                     build_facts, content_hash)
-from .rules import (concurrency, determinism, hygiene, interproc, obs_docs,
-                    protocol)
+from .rules import concurrency, determinism, hygiene, interproc, obs_docs
 from .scopes import collect_aliases
 
-DEFAULT_BUDGET = REPO_ROOT / "tools" / "lint_budget.json"
 DEFAULT_OBS_DOC = REPO_ROOT / "docs" / "OBSERVABILITY.md"
-DEFAULT_INDEX_CACHE = REPO_ROOT / "build" / "stlint_index.json"
 
 
 def gather_files(paths: list[Path]) -> list[Path]:
@@ -57,28 +52,6 @@ def gather_files(paths: list[Path]) -> list[Path]:
     return files
 
 
-def check_budget(budget_path: Path, allow_sites: int,
-                 findings: list[Finding]) -> None:
-    """SUP-2: the checked-in allow() budget. Growing the count without a
-    deliberate budget bump fails --strict lint."""
-    if not budget_path.exists():
-        return
-    try:
-        budget = int(json.loads(budget_path.read_text(encoding="utf-8"))
-                     ["max_allow_sites"])
-    except (ValueError, KeyError, TypeError) as err:
-        findings.append(Finding(rel_path(budget_path), 1, "SUP-2",
-                                f"unreadable budget file: {err}"))
-        return
-    if allow_sites > budget:
-        findings.append(Finding(
-            rel_path(budget_path), 1, "SUP-2",
-            f"{allow_sites} st-lint allow() site(s) in the scanned tree "
-            f"exceed the budget of {budget}; remove a suppression, or bump "
-            f"max_allow_sites in the same change that justifies the new "
-            f"one"))
-
-
 def _own_header_text(path: Path) -> str | None:
     if path.suffix not in {".cpp", ".cc", ".cxx"}:
         return None
@@ -90,7 +63,7 @@ def _own_header_text(path: Path) -> str | None:
 
 
 def run(paths: list[Path], strict: bool, obs_doc: Path | None = None,
-        budget: Path | None = None, index_cache: Path | None = None,
+        index_cache: Path | None = None,
         changed_only: set[str] | None = None,
         ) -> tuple[list[Finding], int, int]:
     """Lint ``paths``. ``changed_only``: repo-relative posix paths whose
@@ -166,17 +139,13 @@ def run(paths: list[Path], strict: bool, obs_doc: Path | None = None,
 
     # Stage D: whole-program rules from facts (cheap, never cached).
     interproc.check(index, graph, findings)
-    protocol.check(index, graph, findings)
     obs_docs.check_tree_facts(index, obs_doc, findings)
     allow_sites = sum(index.files[rel].get("allow_sites", 0)
                       for rel in rels)
-    if strict and budget is not None:
-        check_budget(budget, allow_sites, findings)
 
     if changed_only is not None:
         findings = [f for f in findings
-                    if f.path in changed_only or f.rule == "SUP-2"
-                    or f.rule == "OBS-2"]
+                    if f.path in changed_only or f.rule == "OBS-2"]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     cache.prune(set(rels))
     cache.save()
@@ -261,8 +230,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories (default: src bench tests)")
     parser.add_argument("--strict", action="store_true",
-                        help="also enforce suppression hygiene (SUP-1) and "
-                             "the allow() budget (SUP-2)")
+                        help="also enforce suppression hygiene (SUP-1)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit findings as JSON on stdout")
     parser.add_argument("--sarif", action="store_true",
@@ -273,9 +241,6 @@ def main(argv: list[str]) -> int:
                         help="metric-reference doc for OBS-1/OBS-2 "
                              "(default: docs/OBSERVABILITY.md, enabled only "
                              "when the scan covers the repo's src/ tree)")
-    parser.add_argument("--budget", metavar="PATH", default=None,
-                        help="allow() budget file for SUP-2 "
-                             "(default: tools/lint_budget.json)")
     parser.add_argument("--index-cache", metavar="PATH", default=None,
                         help="persist the whole-program symbol index to "
                              "PATH (default: off; CI and the ctest "
@@ -304,13 +269,12 @@ def main(argv: list[str]) -> int:
                          for p in input_paths)
         obs_doc = DEFAULT_OBS_DOC if covers_src else None
 
-    budget = Path(args.budget) if args.budget is not None else DEFAULT_BUDGET
     index_cache = Path(args.index_cache) if args.index_cache else None
     changed = changed_files() if args.changed_only else None
 
     try:
         findings, file_count, allow_sites = run(
-            input_paths, args.strict, obs_doc=obs_doc, budget=budget,
+            input_paths, args.strict, obs_doc=obs_doc,
             index_cache=index_cache, changed_only=changed)
     except FileNotFoundError as err:
         print(err, file=sys.stderr)

@@ -42,16 +42,6 @@ RULES = {
               "inside a lock scope",
     "LOCK-4": "lock-order cycle in the whole-program acquisition graph "
               "(lifted across function boundaries)",
-    "REV-1": "path-sensitive revision protocol: a path through a public "
-             "mutator commits an observable member write but returns "
-             "without reaching bump()/bump_structure()/bump_value()",
-    "REV-2": "representation-only entry point (rebuild/materialize/"
-             "begin_interval) reaches a revision bump, spuriously "
-             "invalidating O(changed) reuse, or rebuild() calls a public "
-             "const accessor",
-    "EXC-1": "committed member write in a mutator precedes a potentially-"
-             "throwing call without rollback or noexcept; an exception "
-             "strands un-bumped state",
     "OBS-1": "metric name not snake_case, not unique, or missing from "
              "docs/OBSERVABILITY.md",
     "OBS-2": "metric documented in docs/OBSERVABILITY.md but registered "
@@ -59,7 +49,6 @@ RULES = {
     "HYG-1": ".cpp does not include its own header first",
     "HYG-2": "using namespace at namespace scope in a header",
     "SUP-1": "suppression without a rule id or reason",
-    "SUP-2": "allow() sites exceed the budget in tools/lint_budget.json",
 }
 
 # Per-rule path scoping. Prefixes are matched against the file's
@@ -75,21 +64,6 @@ CON2_ALLOWED_PREFIXES: tuple[str, ...] = ()
 # necessarily spell .lock()/.unlock(); everything else stays RAII-only.
 LOCK2_ALLOWED_PREFIXES = ("src/util/thread_annotations.",)
 OBS_SCOPE_PREFIXES = ("src/",)
-
-# What the REV family (rules/protocol.py) counts as protocol-observable.
-# Entry points that reorganise storage without changing observable values
-# need no bump (REV-2 *forbids* one); writes to representation buffers
-# are maintenance, not mutation; writing an epoch/revision counter IS the
-# protocol.
-REPRESENTATION_ONLY = {"begin_interval", "rebuild", "maybe_rebuild",
-                       "materialize", "materialize_rel", "materialize_int"}
-REPR_FIELD_MARKERS = ("overlay", "tombstone", "scratch", "rebuilds_")
-# Interaction state carries no revision (DESIGN.md §13): the plugin
-# re-reads every Eq. (2) row each interval, so REV-1/EXC-1 skip writes to
-# SocialGraph's int_* rows and interaction_totals_ and the reference
-# graph's interactions_. Matched as field-name prefixes.
-INTERACTION_FIELD_MARKERS = ("int_", "interaction")
-BUMP_FIELD_MARKERS = ("epoch_", "revision")
 
 ALLOW_RE = re.compile(r"//\s*st-lint:\s*allow\(\s*([A-Za-z]+-?\d*)\s*([^)]*)\)")
 NOLINT_RE = re.compile(r"//\s*NOLINT(NEXTLINE)?\b(\(([^)]*)\))?(.*)")

@@ -1,13 +1,13 @@
-"""Project-wide symbol index for the v3 whole-program rules.
+"""Project-wide symbol index for the whole-program rules.
 
 ``build_facts`` distils one SourceFile's token stream into a small,
 JSON-serialisable fact record: function definitions (with their calls,
 writes, lock acquisitions, and unordered-iteration sites), class fields
-and method declarations (visibility, constness, mutex-typed members),
-unordered aliases and accessors, metric registrations, and suppression
-lines. The whole-program rules (CON-3/LOCK-4/DET-4/REV-*/EXC-1) consume
-facts only — never tokens — so they stay whole-program even when most
-files are served from the cache.
+(atomic, mutex and unordered flags) and base classes, unordered aliases
+and accessors, metric registrations, and suppression lines. The
+whole-program rules (CON-3/LOCK-4/DET-4) consume facts only — never
+tokens — so they stay whole-program even when most files are served
+from the cache.
 
 ``IndexCache`` persists the facts to ``build/stlint_index.json`` keyed
 by per-file content hashes. A warm re-lint after touching one file
@@ -25,12 +25,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .cfg import build_cfg
 from .core import SourceFile
 from .lexer import Token
 from .scopes import (Scope, _match_backward, match_forward, skip_template)
 
-FACTS_VERSION = 8  # bump when the fact schema changes (invalidates caches)
+FACTS_VERSION = 9  # bump when the fact schema changes (invalidates caches)
 
 ACCESS_SPECIFIERS = {"public", "private", "protected"}
 CALL_KEYWORDS = {"if", "for", "while", "switch", "catch", "sizeof",
@@ -117,20 +116,12 @@ def _param_list(code: list[Token], open_paren: int,
     return params
 
 
-def _function_head(code: list[Token],
-                   scope: Scope) -> tuple[int, int, bool, bool]:
-    """(open_paren, close_paren, const, noexcept) of the function scope's
-    signature; open_paren == -1 when no parameter list was found
-    (e.g. `] {`)."""
+def _function_head(code: list[Token], scope: Scope) -> tuple[int, int]:
+    """(open_paren, close_paren) of the function scope's parameter list;
+    (-1, -1) when none was found (e.g. `] {`)."""
     k = scope.start - 1
-    is_const = False
-    is_noexcept = False
     while k >= 0 and ((code[k].kind == "ident") or
                       code[k].text in ("&", "&&", "->", "::", ">", "*")):
-        if code[k].kind == "ident" and code[k].text == "const":
-            is_const = True
-        if code[k].kind == "ident" and code[k].text == "noexcept":
-            is_noexcept = True
         if code[k].text == ">":  # trailing return `-> T<..>`: keep walking
             k = _match_backward(code, k, "<", ">")
         k -= 1
@@ -139,21 +130,16 @@ def _function_head(code: list[Token],
         if open_paren - 1 >= 0 and \
                 code[open_paren - 1].kind == "ident" and \
                 code[open_paren - 1].text == "noexcept":
-            # the parens we found were `noexcept(cond)`: treat a bare
-            # `noexcept(true)` as noexcept, anything else as throwing
-            cond = " ".join(t.text for t in code[open_paren + 1:k])
-            is_noexcept = cond == "true"
+            # the parens we found were `noexcept(cond)`: the parameter
+            # list sits before the `noexcept` and any qualifiers
             k = open_paren - 1
             while k >= 0 and code[k].kind == "ident":
-                if code[k].text == "const":
-                    is_const = True
                 k -= 1
             if k >= 0 and code[k].text == ")":
-                open_paren = _match_backward(code, k, "(", ")")
-                return open_paren, k, is_const, is_noexcept
-            return -1, -1, is_const, is_noexcept
-        return open_paren, k, is_const, is_noexcept
-    return -1, -1, is_const, is_noexcept
+                return _match_backward(code, k, "(", ")"), k
+            return -1, -1
+        return open_paren, k
+    return -1, -1
 
 
 def _collect_locals(code: list[Token], lo: int, hi: int,
@@ -331,33 +317,19 @@ def _class_bases(code: list[Token], scope: Scope) -> list[str]:
     return bases
 
 
-def _default_access(code: list[Token], scope: Scope) -> str:
-    k = scope.start - 1
-    limit = max(0, scope.start - 40)
-    while k >= limit:
-        if code[k].kind == "ident" and code[k].text in ("class", "struct",
-                                                        "union"):
-            return "private" if code[k].text == "class" else "public"
-        if code[k].text in (";", "}"):
-            break
-        k -= 1
-    return "public"
-
-
 def _scan_class_body(code: list[Token], scope: Scope,
                      scope_ends: dict[int, int]) -> dict:
-    """Fields and method declarations at class-body depth."""
+    """Field declarations at class-body depth."""
     fields: dict[str, dict] = {}
-    methods: dict[str, dict] = {}
-    access = _default_access(code, scope)
     j = scope.start + 1
     end = scope.end if scope.end >= 0 else len(code)
     stmt: list[tuple[int, Token]] = []
 
-    def flush(stmt_toks: list[tuple[int, Token]], had_body: bool) -> None:
+    def flush(stmt_toks: list[tuple[int, Token]]) -> None:
         if not stmt_toks:
             return
-        # locate a top-level `(` → method; otherwise a field declaration
+        # a top-level `(` makes a method declaration, which is skipped;
+        # anything else declares fields
         depth = 0
         paren = -1
         for pos, (idx, tok) in enumerate(stmt_toks):
@@ -373,19 +345,6 @@ def _scan_class_body(code: list[Token], scope: Scope,
             elif tok.text == ")":
                 depth -= 1
         if paren > 0:
-            name_tok = stmt_toks[paren - 1][1]
-            if name_tok.kind != "ident" or name_tok.text in CALL_KEYWORDS:
-                return
-            close_idx = match_forward(code, stmt_toks[paren][0], "(", ")")
-            is_const = False
-            k = close_idx + 1
-            while k < end and code[k].kind == "ident":
-                if code[k].text == "const":
-                    is_const = True
-                k += 1
-            methods.setdefault(name_tok.text, {
-                "visibility": access, "const": is_const,
-                "line": name_tok.line, "defined": had_body})
             return
         # field(s): split `T a_, b_;` on top-level commas (template and
         # paren/brace commas don't separate declarators)
@@ -431,24 +390,23 @@ def _scan_class_body(code: list[Token], scope: Scope,
                 "mutex": "mutex" in type_str.lower(),
                 "unordered": any(w in UNORDERED_WORDS
                                  for w in type_words),
-                "visibility": access, "line": line}
+                "line": line}
 
     while j < end:
         t = code[j]
         if t.kind == "ident" and t.text in ACCESS_SPECIFIERS and \
                 j + 1 < end and code[j + 1].text == ":":
-            flush(stmt, False)
+            flush(stmt)
             stmt = []
-            access = t.text
             j += 2
             continue
         if t.text == "{":
-            flush(stmt, True)
+            flush(stmt)
             stmt = []
             j = scope_ends.get(j, j) + 1
             continue
         if t.text == ";":
-            flush(stmt, False)
+            flush(stmt)
             stmt = []
             j += 1
             continue
@@ -459,9 +417,8 @@ def _scan_class_body(code: list[Token], scope: Scope,
             continue
         stmt.append((j, t))
         j += 1
-    flush(stmt, False)
-    return {"fields": fields, "methods": methods,
-            "bases": _class_bases(code, scope)}
+    flush(stmt)
+    return {"fields": fields, "bases": _class_bases(code, scope)}
 
 
 # --- function facts ---------------------------------------------------------
@@ -492,7 +449,7 @@ def _scan_function(code: list[Token], scope: Scope, fn_id: int,
         cls, name = _split_qname(scope.name or f"<anon@{code[scope.start].line}>",
                                  scope)
         qname = f"{cls}::{name}" if cls else name
-    open_p, close_p, is_const, is_noexcept = _function_head(code, scope)
+    open_p, close_p = _function_head(code, scope)
     params = _param_list(code, open_p, close_p) if open_p >= 0 else []
     lo = scope.start + 1
     hi = scope.end if scope.end >= 0 else len(code)
@@ -509,70 +466,13 @@ def _scan_function(code: list[Token], scope: Scope, fn_id: int,
     rec: dict = {
         "id": fn_id, "qname": qname, "name": name, "cls": cls,
         "kind": scope.kind, "line": code[scope.start].line,
-        "const": is_const, "noexcept": is_noexcept, "parent": parent_id,
-        "params": params,
+        "parent": parent_id, "params": params,
         "locals": sorted(locals_map),
         "local_types": locals_map,
         "calls": [], "writes": [], "locks": [], "iters": [],
-        "start": scope.start, "end": hi,
     }
     _scan_body(code, lo, hi, rec, scope_ends, scope, scope_ids)
-    rec["ref_aliases"] = _collect_ref_aliases(code, lo, hi, rec)
-    events = [(w["tok"], "w", wi) for wi, w in enumerate(rec["writes"])]
-    events += [(c["tok"], "c", ci) for ci, c in enumerate(rec["calls"])]
-    rec["cfg"] = build_cfg(code, lo, hi, events)
     return rec
-
-
-def _collect_ref_aliases(code: list[Token], lo: int, hi: int,
-                         rec: dict) -> dict[str, list[str]]:
-    """`[const] T& name = chain;` declarations: name -> [root, member]
-    of the aliased object, so writes through the reference resolve to the
-    underlying (possibly member) field. `auto& st = *shards_[s];` maps
-    st -> ["shards_", ""]; `Summary& sum = st.summary;` maps
-    sum -> ["st", "summary"]."""
-    out: dict[str, list[str]] = {}
-    n = min(hi, len(code))
-    for j in range(lo, n - 2):
-        if code[j].text not in ("&", "&&") or code[j + 2].text != "=":
-            continue
-        name_t = code[j + 1]
-        if name_t.kind != "ident" or name_t.text in CALL_KEYWORDS:
-            continue
-        before = code[j - 1] if j > 0 else None
-        if before is None or not (before.kind == "ident" or
-                                  before.text == ">"):
-            continue  # not `Type&` — e.g. `a && b`, `x & y =` unlikely
-        if before.kind == "ident" and before.text in CALL_KEYWORDS:
-            continue
-        # forward-walk the initialiser chain: root [. member | [..] | *]
-        k = j + 3
-        while k < n and code[k].text in ("*", "(", "&"):
-            k += 1
-        if k >= n or code[k].kind != "ident":
-            continue
-        root = code[k].text
-        member = ""
-        if k + 1 < n and code[k + 1].text == "(":
-            continue  # call result; unknown target
-        m = k + 1
-        while m < n - 1 and code[m].text not in (";",):
-            if code[m].text == "[":
-                m = match_forward(code, m, "[", "]") + 1
-                continue
-            if code[m].text in (".", "->", "::") and \
-                    code[m + 1].kind == "ident":
-                nxt2 = code[m + 2].text if m + 2 < n else ""
-                if nxt2 == "(":
-                    break  # `root.back()` — alias into root itself
-                member = code[m + 1].text  # first hop is the field written
-            break
-        if root == "this":
-            root, member = member, ""
-            if not root:
-                continue
-        out[name_t.text] = [root, member]
-    return out
 
 
 def _scan_body(code: list[Token], lo: int, hi: int, rec: dict,
@@ -644,12 +544,6 @@ def _scan_body(code: list[Token], lo: int, hi: int, rec: dict,
                         "recv": recv, "qual": qual, "args": args,
                         "lambdas": [scope_ids[s.start] for s in lambdas
                                     if s.start in scope_ids]}
-                    # `x = call(...)` — remember the local the result
-                    # lands in (guarded-commit discharge keys on it)
-                    if prev_txt == "=" and j >= 2 and \
-                            code[j - 2].kind == "ident" and \
-                            (j < 3 or code[j - 3].text not in (".", "->")):
-                        call_rec["asg"] = code[j - 2].text
                     rec["calls"].append(call_rec)
                     # mutating container calls double as writes
                     if t.text in MUTATING_METHODS and prev_txt in (".", "->"):
@@ -908,7 +802,6 @@ def build_facts(sf: SourceFile, aliases: set[str]) -> dict:
                           for sc in all_scopes})
             if s.name in classes:  # merge re-opened/duplicate names
                 classes[s.name]["fields"].update(body["fields"])
-                classes[s.name]["methods"].update(body["methods"])
                 classes[s.name]["bases"] = sorted(
                     set(classes[s.name]["bases"]) | set(body["bases"]))
             else:
@@ -1052,13 +945,11 @@ class ProjectIndex:
                 if cname in self.classes:
                     merged = self.classes[cname]
                     merged["fields"].update(cfacts.get("fields", {}))
-                    merged["methods"].update(cfacts.get("methods", {}))
                     merged["bases"] = sorted(set(merged["bases"]) |
                                              set(cfacts.get("bases", [])))
                 else:
                     self.classes[cname] = {
                         "fields": dict(cfacts.get("fields", {})),
-                        "methods": dict(cfacts.get("methods", {})),
                         "bases": list(cfacts.get("bases", []))}
             for name, line in facts.get("accessor_sites", []):
                 self.accessors.setdefault(name, []).append((rel, line))

@@ -4,19 +4,23 @@ CON-1/CON-2 carry over from the v1 engine (naked threads, raw
 allocation), now matched on tokens so a `new` in a comment or string can
 never fire.
 
-The LOCK family encodes the project's locking discipline (DESIGN.md §13:
-one shard lock at a time, values computed outside the critical section):
+The LOCK family encodes the project's locking discipline (DESIGN.md §10).
+The tree takes four locks: the Obs and Registry mutexes (src/obs/), the
+ThreadPool queue mutex and the log mutex (src/util/). Each function
+holds at most one of them, values are computed outside the critical
+section, and the only cross-call nesting (Obs::configure resetting the
+registry) always runs Obs before Registry:
 
   LOCK-1  a second RAII guard acquired while one is still held in the
-          same function — the deadlock shape the sharded cache avoids by
-          design; take both with a single std::scoped_lock if two are
-          truly needed.
+          same function — the deadlock shape; take both with a single
+          std::scoped_lock if two are truly needed.
   LOCK-2  manual .lock()/.unlock()/try_lock() or bare std::lock() — the
           unlock must survive early returns and exceptions, so locking
           is RAII-only.
   LOCK-3  expensive work inside a lock scope: calls into the known
-          recompute/BFS surface, or a loop that allocates. The hot-path
-          pattern is compute-outside, publish-under-lock.
+          recompute/BFS surface, or a loop that allocates. Critical
+          sections publish what was computed outside them; the registry
+          snapshot's three copy loops are the reviewed exception.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ MANUAL_LOCK_CALLS = {"lock", "unlock", "try_lock", "try_lock_for",
 # guards it today: SocialStateCache partitions its path rows by source
 # instead, so the set only keeps a future lock from growing around it.
 EXPENSIVE_CALLS = {"shortest_path", "common_friends",
-                   "fof_closeness", "bottleneck_closeness",
                    "adjacent_closeness", "weighted_similarity",
                    "parallel_for"}
 ALLOC_IDENTS = {"push_back", "emplace_back", "emplace", "insert", "new",
@@ -141,7 +144,7 @@ def _check_lock1(sf: SourceFile, sites, findings: list[Finding]) -> None:
             emit(findings, sf, code[b_name].line, "LOCK-1",
                  f"'{code[b_type].text} {code[b_name].text}' acquired "
                  f"while '{code[a_name].text}' is still held in this "
-                 f"scope; the locking discipline is one shard at a time — "
+                 f"scope; the locking discipline is one lock at a time — "
                  f"release the first guard, or take both up front with a "
                  f"single std::scoped_lock")
 

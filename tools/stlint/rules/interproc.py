@@ -16,9 +16,6 @@ never raw tokens — so they run whole-program on every lint, including
          defined in *another* TU (invisible to per-file DET-3) into a
          float accumulation or an ordered sink, and iteration over
          pointer-keyed ordered containers (address order).
-
-The revision protocol is the flow-sensitive REV family's
-(rules/protocol.py).
 """
 
 from __future__ import annotations
