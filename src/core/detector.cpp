@@ -15,19 +15,19 @@ BehaviorDetector::BehaviorDetector(const SocialTrustConfig& config) noexcept
 }
 
 double BehaviorDetector::positive_threshold(
-    double average_pair_frequency) const noexcept {
+    double mean_pair_frequency) const noexcept {
   return std::max(config_.positive_count_floor,
-                  config_.theta * average_pair_frequency);
+                  config_.theta * mean_pair_frequency);
 }
 
 double BehaviorDetector::negative_threshold(
-    double average_pair_frequency) const noexcept {
+    double mean_pair_frequency) const noexcept {
   return std::max(config_.negative_count_floor,
-                  config_.theta * average_pair_frequency);
+                  config_.theta * mean_pair_frequency);
 }
 
 Behavior BehaviorDetector::classify(
-    const PairEvidence& e, double average_pair_frequency) const noexcept {
+    const PairEvidence& e, double mean_pair_frequency) const noexcept {
   Behavior result = Behavior::kNone;
 
   // Adaptive closeness cut points: closeness is not normalised across
@@ -37,7 +37,7 @@ Behavior BehaviorDetector::classify(
   const double high_c = mean_c * config_.closeness_high_factor;
   const double low_c = mean_c * config_.closeness_low_factor;
 
-  if (e.positive_count > positive_threshold(average_pair_frequency)) {
+  if (e.positive_count > positive_threshold(mean_pair_frequency)) {
     // B1: frequent positive ratings across a weak social tie.
     if (e.closeness < low_c) result = result | Behavior::kB1;
     // B2: frequent positive ratings toward a low-reputed, very close node.
@@ -47,7 +47,7 @@ Behavior BehaviorDetector::classify(
     if (e.similarity < config_.similarity_low) result = result | Behavior::kB3;
   }
 
-  if (e.negative_count > negative_threshold(average_pair_frequency)) {
+  if (e.negative_count > negative_threshold(mean_pair_frequency)) {
     // B4: frequent negative ratings despite many shared interests —
     // the competitor-suppression pattern.
     if (e.similarity > config_.similarity_high)

@@ -66,12 +66,12 @@ class BehaviorDetector {
 
   /// Effective high-frequency threshold for this interval given the
   /// system-average pair frequency F.
-  double positive_threshold(double average_pair_frequency) const noexcept;
-  double negative_threshold(double average_pair_frequency) const noexcept;
+  double positive_threshold(double mean_pair_frequency) const noexcept;
+  double negative_threshold(double mean_pair_frequency) const noexcept;
 
-  /// Classifies one pair. `average_pair_frequency` is the interval's F.
+  /// Classifies one pair. `mean_pair_frequency` is the interval's F.
   Behavior classify(const PairEvidence& evidence,
-                    double average_pair_frequency) const noexcept;
+                    double mean_pair_frequency) const noexcept;
 
  private:
   SocialTrustConfig config_;

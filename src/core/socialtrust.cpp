@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "reputation/ledger.hpp"
+
 namespace st::core {
 
 using reputation::NodeId;
@@ -116,7 +118,7 @@ CoefficientStats SocialTrustPlugin::LooAggregate::full() const noexcept {
 
 void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // Stage timers (no-ops when st::obs is disabled). The two stage spans
-  // cover: collect = pair tally + sort + rater walk + system baseline;
+  // cover: collect = pair grouping and tally + rater walk + system baseline;
   // adjust = detect-and-adjust + ordered reduction. Inside collect, tally
   // (pass 1), coeff (the rater walk, pass 3) and baseline (pass 4) time
   // its sub-stages.
@@ -134,54 +136,41 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   adjusted_.assign(cycle_ratings.begin(), cycle_ratings.end());
   report_ = AdjustmentReport{};
 
-  // 1. Tally pairs and extend per-rater rating history (serial: mutates
-  // rated_history_, which every later pass reads concurrently).
+  // 1. Group the interval's ratings by pair, count each pair's t+/t-, and
+  // extend per-rater rating history (serial: mutates rated_history_,
+  // which every later pass reads concurrently). The pairs come in the
+  // canonical (rater, ratee) order every pass iterates in, the order
+  // blocks partition, and the order report_.flagged keeps, so "pair i"
+  // means the same pair on every thread count. A rating index belongs to
+  // exactly one pair's run, which makes the rescaling writes to adjusted_
+  // in pass 5 disjoint.
   obs::ScopedTimer tally_timer(*obs_.tally_us);
-  std::vector<PairWork> work;
-  {
-    PairMap pairs;
-    for (std::size_t idx = 0; idx < adjusted_.size(); ++idx) {
-      const Rating& r = adjusted_[idx];
-      if (!reputation::valid_rating(r, inner_->size())) continue;
-      PairTally& tally = pairs[PairKey{r.rater, r.ratee}];
-      if (r.value > 0.0) {
-        tally.positive += 1.0;
-      } else if (r.value < 0.0) {
-        tally.negative += 1.0;
-      }
-      tally.rating_indices.push_back(idx);
-
-      auto& hist = rated_history_[r.rater];
-      auto it = std::lower_bound(hist.begin(), hist.end(), r.ratee);
-      if (it == hist.end() || *it != r.ratee) {
-        hist.insert(it, r.ratee);
-      }
-    }
-
-    // Flatten to the canonical (rater, ratee) order. Hash-map iteration
-    // order is an implementation accident; sorting pins down every
-    // floating-point accumulation below and keeps report_.flagged
-    // ordered by pair key, independent of the worker count.
-    work.reserve(pairs.size());
-    // st-lint recognises this flatten-then-sort shape (the std::sort
-    // below pins the order), so no suppression is needed.
-    for (auto& [key, tally] : pairs) {
-      work.push_back(PairWork{key, std::move(tally)});
-    }
-  }
-  std::sort(work.begin(), work.end(),
-            [](const PairWork& a, const PairWork& b) {
-              return a.key.rater != b.key.rater ? a.key.rater < b.key.rater
-                                                : a.key.ratee < b.key.ratee;
-            });
-  const std::size_t n_pairs = work.size();
+  const reputation::PairRuns pairs =
+      reputation::group_pairs(cycle_ratings, inner_->size());
+  const std::size_t n_pairs = pairs.size();
   report_.pairs_total = n_pairs;
+  // t+/t-: the detector's frequency inputs, kept as doubles because its
+  // thresholds are fractional multiples of the system average F.
+  std::vector<double> pair_pos(n_pairs, 0.0), pair_neg(n_pairs, 0.0);
+  for (std::size_t i = 0; i < n_pairs; ++i) {
+    for (std::uint32_t idx : pairs.run(i)) {
+      if (cycle_ratings[idx].value > 0.0) {
+        pair_pos[i] += 1.0;
+      } else if (cycle_ratings[idx].value < 0.0) {
+        pair_neg[i] += 1.0;
+      }
+    }
+    const PairKey key = pairs.keys[i];
+    auto& hist = rated_history_[key.rater];
+    auto it = std::lower_bound(hist.begin(), hist.end(), key.ratee);
+    if (it == hist.end() || *it != key.ratee) hist.insert(it, key.ratee);
+  }
   tally_us = tally_timer.stop();
 
   // 2. System-average per-pair frequency F for this interval.
   double total_count = 0.0;
-  for (const PairWork& w : work)
-    total_count += w.tally.positive + w.tally.negative;
+  for (std::size_t i = 0; i < n_pairs; ++i)
+    total_count += pair_pos[i] + pair_neg[i];
   double avg_freq =
       n_pairs == 0 ? 0.0 : total_count / static_cast<double>(n_pairs);
 
@@ -191,19 +180,21 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // every write is scheduling-free). Each (rater, ratee) coefficient is
   // evaluated once. It enters the rater's leave-one-out aggregates in
   // rated_history_ order, and a merge against the rater's sorted run of
-  // `work` stores it in the pair's slot when the ratee is active this
+  // pairs stores it in the pair's slot when the ratee is active this
   // interval (pass 1 put every active ratee in the history).
   // kSystemWide reads no per-rater aggregate, so its walk visits only the
   // active ratees.
   obs::ScopedTimer coeff_timer(*obs_.coeff_us);
   const bool use_per_rater = config_.baseline != BaselineSource::kSystemWide;
-  // runs[r] .. runs[r + 1] is the r-th active rater's run of `work`.
-  std::vector<std::size_t> runs;
+  // rater_runs[r] .. rater_runs[r + 1] are the r-th active rater's pairs.
+  std::vector<std::size_t> rater_runs;
   for (std::size_t i = 0; i < n_pairs; ++i) {
-    if (i == 0 || work[i].key.rater != work[i - 1].key.rater) runs.push_back(i);
+    if (i == 0 || pairs.keys[i].rater != pairs.keys[i - 1].rater) {
+      rater_runs.push_back(i);
+    }
   }
-  const std::size_t n_raters = runs.size();
-  runs.push_back(n_pairs);
+  const std::size_t n_raters = rater_runs.size();
+  rater_runs.push_back(n_pairs);
   std::vector<double> pair_c(n_pairs), pair_s(n_pairs);
   std::vector<LooAggregate> rater_c_agg(use_per_rater ? n_raters : 0);
   std::vector<LooAggregate> rater_s_agg(use_per_rater ? n_raters : 0);
@@ -213,7 +204,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
       // only its own side. Omega_s is one pass over two profile rows; both
       // variants are symmetric term by term, so (rater, ratee) gives the
       // bits of either orientation.
-      const NodeId rater = work[runs[r]].key.rater;
+      const NodeId rater = pairs.keys[rater_runs[r]].rater;
       SocialStateCache::Row closeness_row(social_cache_, closeness_model_,
                                           graph_, rater);
       const auto similarity = [&](NodeId ratee) {
@@ -222,18 +213,18 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
                    : profiles_.similarity(rater, ratee);
       };
       if (!use_per_rater) {
-        for (std::size_t i = runs[r]; i < runs[r + 1]; ++i) {
-          pair_c[i] = closeness_row.closeness(work[i].key.ratee);
-          pair_s[i] = similarity(work[i].key.ratee);
+        for (std::size_t i = rater_runs[r]; i < rater_runs[r + 1]; ++i) {
+          pair_c[i] = closeness_row.closeness(pairs.keys[i].ratee);
+          pair_s[i] = similarity(pairs.keys[i].ratee);
         }
       } else {
-        std::size_t next = runs[r];  // the rater's next active pair
+        std::size_t next = rater_runs[r];  // the rater's next active pair
         for (NodeId ratee : rated_history_[rater]) {
           const double c = closeness_row.closeness(ratee);
           const double s = similarity(ratee);
           rater_c_agg[r].add(c);
           rater_s_agg[r].add(s);
-          if (next < runs[r + 1] && work[next].key.ratee == ratee) {
+          if (next < rater_runs[r + 1] && pairs.keys[next].ratee == ratee) {
             pair_c[next] = c;
             pair_s[next] = s;
             ++next;
@@ -274,7 +265,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   run_blocks(n_pairs, [&](std::size_t begin, std::size_t end) {
     BlockPartial& part = partials[begin / kPairBlock];
     for (std::size_t i = begin; i < end; ++i) {
-      const PairKey key = work[i].key;
+      const PairKey key = pairs.keys[i];
 
       // Leave-one-out per-rater stats (Section 4.1's "other nodes it has
       // rated"), falling back to the system-wide empirical baseline.
@@ -282,14 +273,15 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
       CoefficientStats s_stats = system_s;
       if (use_per_rater) {
         const std::size_t r = static_cast<std::size_t>(
-            std::upper_bound(runs.begin(), runs.end(), i) - runs.begin() - 1);
+            std::upper_bound(rater_runs.begin(), rater_runs.end(), i) -
+            rater_runs.begin() - 1);
         rater_c_agg[r].without(pair_c[i], c_stats);
         rater_s_agg[r].without(pair_s[i], s_stats);
       }
 
       PairEvidence evidence;
-      evidence.positive_count = work[i].tally.positive;
-      evidence.negative_count = work[i].tally.negative;
+      evidence.positive_count = pair_pos[i];
+      evidence.negative_count = pair_neg[i];
       evidence.closeness = pair_c[i];
       evidence.similarity = pair_s[i];
       evidence.ratee_reputation = inner_->reputation(key.ratee);
@@ -321,7 +313,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         part.flagged.push_back(
             FlaggedPair{key.rater, key.ratee, behavior, weight});
       }
-      for (std::size_t idx : work[i].tally.rating_indices) {
+      for (std::uint32_t idx : pairs.run(i)) {
         adjusted_[idx].value *= weight;
         ++part.ratings_adjusted;
         part.weight_sum += weight;

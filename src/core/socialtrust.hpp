@@ -3,7 +3,8 @@
 // ReputationSystem (Section 4).
 //
 // On every reputation-update interval the plugin:
-//   1. tallies per-pair positive/negative rating counts (t+, t-),
+//   1. groups the interval's ratings by pair (reputation::group_pairs) and
+//      counts each pair's positive/negative ratings (t+, t-),
 //   2. computes each active rater's social closeness Omega_c and interest
 //      similarity Omega_s to the nodes it has rated (cumulative history),
 //   3. runs the B1-B4 detector on every high-frequency pair,
@@ -24,12 +25,12 @@
 // passes of update() fan across a ThreadPool in fixed-size blocks: the
 // rater walk (each active rater's Omega_c/Omega_s row and leave-one-out
 // aggregates) over the sorted list of active raters, and detect-and-adjust
-// over the pair list sorted by (rater, ratee). Per-block partial results
-// (report counters, weight sum, flagged pairs) are reduced in block-index
-// order, and block boundaries depend only on the rater and pair counts —
-// never on the worker count — so the outcome is bit-for-bit identical for
-// every `threads` value, serial included. See DESIGN.md, "Parallel update
-// interval".
+// over the pair list in group_pairs' canonical (rater, ratee) order.
+// Per-block partial results (report counters, weight sum, flagged pairs)
+// are reduced in block-index order, and block boundaries depend only on
+// the rater and pair counts — never on the worker count — so the outcome
+// is bit-for-bit identical for every `threads` value, serial included.
+// See DESIGN.md, "Parallel update interval".
 //
 // Social structure: the rater walk is rater-major, and so is its data.
 // For each active rater it opens one SocialStateCache::Row (the rater's
@@ -58,7 +59,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/closeness.hpp"
@@ -67,7 +67,6 @@
 #include "core/similarity.hpp"
 #include "core/social_state_cache.hpp"
 #include "obs/obs.hpp"
-#include "reputation/ledger.hpp"
 #include "reputation/reputation_system.hpp"
 #include "util/thread_pool.hpp"
 
@@ -177,32 +176,6 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   };
 
  private:
-  /// Per-pair evidence accumulated in pass 1: the interval's positive and
-  /// negative rating counts t+/t- (the detector's frequency inputs, kept
-  /// as doubles because thresholds are fractional multiples of the system
-  /// average F), plus the indices of this pair's ratings in the
-  /// interval's stream, in stream order. The index list is what makes the
-  /// parallel detect-and-adjust pass race-free: a rating index appears in
-  /// exactly one pair's list, so rescaling writes to adjusted_ are
-  /// disjoint.
-  struct PairTally {
-    double positive = 0.0;
-    double negative = 0.0;
-    std::vector<std::size_t> rating_indices;  // into the interval's stream
-  };
-  /// One active pair of the interval: its directed (rater, ratee) key and
-  /// the tally above. update() flattens the PairMap into a
-  /// std::vector<PairWork> sorted by (rater, ratee) — the canonical order
-  /// every pass iterates in, the order blocks partition, and the order
-  /// report_.flagged keeps. Both parallel passes index this vector by
-  /// position, so "pair i" means the same pair on every thread count.
-  struct PairWork {
-    reputation::PairKey key;
-    PairTally tally;
-  };
-  using PairMap = std::unordered_map<reputation::PairKey, PairTally,
-                                     reputation::PairKeyHash>;
-
   /// Per-block partial of the detect-and-adjust pass — the private
   /// accumulator of one kPairBlock-sized block. Each worker writes only
   /// its own block's partial (no sharing, no atomics); after the join the

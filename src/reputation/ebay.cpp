@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "reputation/ledger.hpp"
 
@@ -17,32 +14,19 @@ EbayReputation::EbayReputation(std::size_t node_count)
 }
 
 void EbayReputation::update(std::span<const Rating> cycle_ratings) {
-  // Collapse each (rater, ratee) pair's ratings to one signed vote.
-  std::unordered_map<PairKey, double, PairKeyHash> pair_sums;
-  pair_sums.reserve(cycle_ratings.size());
-  for (const Rating& r : cycle_ratings) {
-    if (!valid_rating(r, raw_.size())) continue;
-    pair_sums[PairKey{r.rater, r.ratee}] += r.value;
-  }
-  // Reduce in canonical (rater, ratee) order, not hash order: the
-  // per-ratee accumulation is a floating-point sum, and iterating the
-  // unordered_map would tie the result bits to the standard library's
-  // bucket layout (DET-2 — the determinism contract of DESIGN.md §11).
-  std::vector<std::pair<PairKey, double>> ordered(pair_sums.begin(),
-                                                  pair_sums.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.rater != b.first.rater
-                         ? a.first.rater < b.first.rater
-                         : a.first.ratee < b.first.ratee;
-            });
-  for (const auto& [key, sum] : ordered) {
+  // Collapse each (rater, ratee) pair's ratings to one signed vote. Pairs
+  // come in canonical (rater, ratee) order, so each ratee's floating-point
+  // sum runs in an order fixed by the stream alone (DESIGN.md §11).
+  const PairRuns pairs = group_pairs(cycle_ratings, raw_.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    double sum = 0.0;
+    for (std::uint32_t i : pairs.run(p)) sum += cycle_ratings[i].value;
     // "Counts as one rating": the pair's cycle contribution saturates at
     // +/-1. For raw +/-1 ratings this is the sign; when a plugin has
     // rescaled the values, the fractional magnitude survives — otherwise a
     // down-weighted colluder pair (e.g. 600 ratings x 1e-4) would still
     // round back up to a full +1 vote.
-    raw_[key.ratee] += std::clamp(sum, -1.0, 1.0);
+    raw_[pairs.keys[p].ratee] += std::clamp(sum, -1.0, 1.0);
   }
   renormalize();
 }

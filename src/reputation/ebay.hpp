@@ -4,8 +4,10 @@
 // Semantics reproduced from Section 5 of the paper:
 //   * "no matter how frequently a node rates the other node in a simulation
 //     cycle, eBay only counts all the ratings as one rating" — per
-//     (rater, ratee) pair the cycle's ratings collapse to the sign of their
-//     sum (+1 / 0 / -1);
+//     (rater, ratee) pair the cycle's ratings collapse to their sum
+//     clamped to [-1, +1]: the sign (+1 / 0 / -1) for raw +/-1 ratings,
+//     while a fractional magnitude left by the SocialTrust plugin's
+//     rescaling survives;
 //   * "a node's reputation increase is only determined by whether the node
 //     offers more authentic files than inauthentic files in each simulation
 //     cycle" — slow, coarse updates;

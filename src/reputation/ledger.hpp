@@ -1,16 +1,18 @@
 #pragma once
-// Rating ledger: the per-cycle event store feeding reputation updates.
+// Rating ledger: the per-cycle event store feeding reputation updates,
+// and the one grouping of an interval's ratings by directed pair.
 //
 // The paper's resource managers "keep track of the rating frequencies and
 // values of other nodes for the nodes [they] manage" (Section 4.3); the
 // ledger is that record, centralised here and sliced per manager by
-// st::core::ResourceManager. It answers the two queries SocialTrust's
-// detector needs: per-pair positive/negative counts within the current
-// update interval (t+ / t-), and the system-wide average rating frequency F.
+// st::core::ResourceManager. It stores each cycle's rating stream.
+// group_pairs() turns a stream into its active pairs: the SocialTrust
+// plugin reads each pair's t+ / t- and the interval's average pair
+// frequency F off them (Section 4.1), and the eBay and paper-EigenTrust
+// baselines collapse each pair's ratings into one contribution.
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "reputation/rating.hpp"
@@ -24,18 +26,30 @@ struct PairKey {
   bool operator==(const PairKey&) const = default;
 };
 
-struct PairKeyHash {
-  std::size_t operator()(const PairKey& k) const noexcept {
-    return (static_cast<std::size_t>(k.rater) << 32U) ^ k.ratee;
+/// An interval's ratings grouped by directed pair (group_pairs()).
+struct PairRuns {
+  /// The active pairs in canonical (rater, ratee) order.
+  std::vector<PairKey> keys;
+  /// Stream indices of the grouped ratings: pair by pair in `keys` order,
+  /// and in stream order within each pair.
+  std::vector<std::uint32_t> indices;
+  /// Pair p's ratings are indices[starts[p]] .. indices[starts[p + 1]];
+  /// one entry more than `keys`.
+  std::vector<std::uint32_t> starts;
+
+  std::size_t size() const noexcept { return keys.size(); }
+  std::span<const std::uint32_t> run(std::size_t p) const noexcept {
+    return std::span<const std::uint32_t>(indices).subspan(
+        starts[p], starts[p + 1] - starts[p]);
   }
 };
 
-/// Per-pair tallies within one update interval.
-struct PairCounts {
-  std::uint32_t positive = 0;  ///< t+(i,j): ratings with value > 0
-  std::uint32_t negative = 0;  ///< t-(i,j): ratings with value < 0
-  double value_sum = 0.0;      ///< sum of raw values
-};
+/// Groups the ratings of `ratings` that pass valid_rating(r, n) by
+/// directed pair: a stable counting sort, first by ratee and then by
+/// rater, so O(ratings + n) with no hashing and no comparison sort.
+/// Invalid ratings appear in no run. Throws std::length_error when the
+/// stream has more ratings than a 32-bit index can name.
+PairRuns group_pairs(std::span<const Rating> ratings, std::size_t n);
 
 class RatingLedger {
  public:
@@ -55,17 +69,6 @@ class RatingLedger {
 
   std::uint32_t current_cycle() const noexcept { return cycle_; }
 
-  /// Per-pair tallies over the most recently closed cycle.
-  const std::unordered_map<PairKey, PairCounts, PairKeyHash>& last_counts()
-      const noexcept {
-    return last_counts_;
-  }
-
-  /// Mean number of ratings per *active* directed pair in the last closed
-  /// cycle — the empirical F of Section 4.1 that the frequency threshold
-  /// theta*F scales. Zero when the cycle had no ratings.
-  double average_pair_frequency() const noexcept;
-
   /// Lifetime number of ratings recorded.
   std::uint64_t total_ratings() const noexcept { return total_; }
 
@@ -74,7 +77,6 @@ class RatingLedger {
  private:
   std::vector<Rating> open_;
   std::vector<Rating> last_;
-  std::unordered_map<PairKey, PairCounts, PairKeyHash> last_counts_;
   std::uint32_t cycle_ = 0;
   std::uint64_t total_ = 0;
 };

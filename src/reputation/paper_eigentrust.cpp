@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "reputation/ledger.hpp"
@@ -68,27 +66,16 @@ void PaperEigenTrust::update(std::span<const Rating> cycle_ratings) {
   // matters up to the cap — enough for MMM's multi-rater 80-ratings-per-
   // query-cycle boost to beat PCM's 20 (Section 5.6), but not enough for
   // a two-node pair to amplify without earned reputation (Fig. 9(a)).
-  std::unordered_map<PairKey, double, PairKeyHash> pair_sums;
-  pair_sums.reserve(cycle_ratings.size());
-  for (const Rating& r : cycle_ratings) {
-    if (!valid_rating(r, raw_.size())) continue;
-    pair_sums[PairKey{r.rater, r.ratee}] += r.value;
-  }
+  // Pairs come in canonical (rater, ratee) order, so each ratee's raw
+  // score is a floating-point sum in an order fixed by the stream alone
+  // (DESIGN.md §11).
   const double cap = config_.pair_contribution_cap;
-  // Reduce in canonical (rater, ratee) order, not hash order: each
-  // ratee's raw score is a floating-point sum over its raters, and
-  // iterating the unordered_map would tie the result bits to the
-  // standard library's bucket layout (DET-2, DESIGN.md §11).
-  std::vector<std::pair<PairKey, double>> ordered(pair_sums.begin(),
-                                                  pair_sums.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.rater != b.first.rater
-                         ? a.first.rater < b.first.rater
-                         : a.first.ratee < b.first.ratee;
-            });
-  for (const auto& [key, sum] : ordered) {
-    raw_[key.ratee] += weight[key.rater] * std::clamp(sum, -cap, cap);
+  const PairRuns pairs = group_pairs(cycle_ratings, raw_.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    double sum = 0.0;
+    for (std::uint32_t i : pairs.run(p)) sum += cycle_ratings[i].value;
+    raw_[pairs.keys[p].ratee] +=
+        weight[pairs.keys[p].rater] * std::clamp(sum, -cap, cap);
   }
   renormalize();
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -92,10 +93,11 @@ struct Snapshot {
 
 Snapshot run_once(const std::string& model, std::uint64_t seed,
                   std::size_t threads,
-                  core::SocialTrustConfig cfg = core::SocialTrustConfig{}) {
+                  core::SocialTrustConfig cfg = core::SocialTrustConfig{},
+                  const sim::SimConfig& sim_config = small_config()) {
   cfg.threads = threads;
   PluginCapture capture;
-  sim::Simulator simulator(small_config(), capture_factory(cfg, capture),
+  sim::Simulator simulator(sim_config, capture_factory(cfg, capture),
                            make_strategy(model), seed);
   simulator.run();
   Snapshot snap;
@@ -190,6 +192,26 @@ TEST(ParallelEquivalenceConfig, HoldsAcrossBaselineAndComponentVariants) {
                            " components=" + std::to_string(int(components)));
     }
   }
+}
+
+TEST(ParallelEquivalenceConfig, BitIdenticalOverSeveralBlocksAtOnce) {
+  // small_config()'s intervals fit in one kPairBlock of raters, so the
+  // rater walk never runs two blocks at once there. This network's last
+  // interval has more than two blocks of active raters and of pairs, so
+  // both parallel passes run blocks concurrently; the CI TSan leg runs
+  // this binary, which makes a race in either pass visible to it.
+  sim::SimConfig sim_config = small_config();
+  sim_config.node_count = 600;
+  sim_config.colluder_count = 30;
+  Snapshot serial = run_once("MMM", 66, 1, {}, sim_config);
+  Snapshot parallel = run_once("MMM", 66, 4, {}, sim_config);
+  std::vector<bool> active(sim_config.node_count, false);
+  for (const Rating& r : serial.adjusted) active[r.rater] = true;
+  const auto raters = static_cast<std::size_t>(
+      std::count(active.begin(), active.end(), true));
+  EXPECT_GT(raters, 2 * SocialTrustPlugin::kPairBlock);
+  EXPECT_GT(serial.report.pairs_total, 2 * SocialTrustPlugin::kPairBlock);
+  expect_identical(serial, parallel, "600 nodes, threads=4");
 }
 
 TEST(ParallelEquivalenceConfig, FlaggedPairsOrderedByPairKey) {

@@ -1,11 +1,18 @@
-// Unit tests for st::reputation — the rating ledger, faithful EigenTrust
-// (against a dense power-iteration oracle and hand-worked cases), the
-// paper's EigenTrust variant, and the eBay baseline's dedup semantics.
+// Unit tests for st::reputation — the rating ledger and its pair grouping,
+// faithful EigenTrust (against a dense power-iteration oracle and
+// hand-worked cases), the paper's EigenTrust variant, and the eBay
+// baseline's dedup semantics.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "reputation/ebay.hpp"
 #include "reputation/eigentrust.hpp"
@@ -41,32 +48,6 @@ TEST(Ledger, CycleLifecycle) {
   EXPECT_EQ(ledger.total_ratings(), 2u);
 }
 
-TEST(Ledger, PairCountsSplitBySign) {
-  RatingLedger ledger;
-  ledger.record(make(0, 1, 1.0));
-  ledger.record(make(0, 1, 1.0));
-  ledger.record(make(0, 1, -1.0));
-  ledger.record(make(2, 1, 0.0));  // zero ratings count as neither
-  ledger.close_cycle();
-  const auto& counts = ledger.last_counts();
-  ASSERT_EQ(counts.size(), 2u);
-  const auto& pc = counts.at(PairKey{0, 1});
-  EXPECT_EQ(pc.positive, 2u);
-  EXPECT_EQ(pc.negative, 1u);
-  EXPECT_DOUBLE_EQ(pc.value_sum, 1.0);
-  const auto& zero = counts.at(PairKey{2, 1});
-  EXPECT_EQ(zero.positive, 0u);
-  EXPECT_EQ(zero.negative, 0u);
-}
-
-TEST(Ledger, AveragePairFrequency) {
-  RatingLedger ledger;
-  for (int i = 0; i < 6; ++i) ledger.record(make(0, 1, 1.0));
-  for (int i = 0; i < 2; ++i) ledger.record(make(2, 3, 1.0));
-  ledger.close_cycle();
-  EXPECT_DOUBLE_EQ(ledger.average_pair_frequency(), 4.0);
-}
-
 TEST(Ledger, StampsCycleOnRecord) {
   RatingLedger ledger;
   ledger.record(make(0, 1, 1.0));
@@ -84,6 +65,84 @@ TEST(Ledger, ClearResetsEverything) {
   EXPECT_EQ(ledger.current_cycle(), 0u);
   EXPECT_EQ(ledger.total_ratings(), 0u);
   EXPECT_TRUE(ledger.last_cycle().empty());
+}
+
+// --- group_pairs -------------------------------------------------------------
+
+/// One pair's run: its key and its ratings' stream indices.
+using PairRun = std::pair<PairKey, std::vector<std::uint32_t>>;
+
+/// Every run of `pairs`, in run order.
+std::vector<PairRun> runs_of(const PairRuns& pairs) {
+  std::vector<PairRun> out;
+  EXPECT_EQ(pairs.starts.size(), pairs.size() + 1);
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    auto run = pairs.run(p);
+    out.emplace_back(pairs.keys[p],
+                     std::vector<std::uint32_t>(run.begin(), run.end()));
+  }
+  return out;
+}
+
+TEST(GroupPairs, CanonicalPairOrderStreamOrderWithin) {
+  const std::vector<Rating> stream{
+      make(2, 1, 1.0),  make(0, 3, -1.0), make(2, 0, 1.0), make(0, 1, 1.0),
+      make(2, 1, -1.0), make(0, 3, 1.0),  make(1, 0, 0.0), make(0, 1, 1.0),
+      make(2, 1, 1.0)};
+  const PairRuns pairs = group_pairs(stream, 4);
+  const std::vector<PairRun> expected{
+      {PairKey{0, 1}, {3, 7}}, {PairKey{0, 3}, {1, 5}}, {PairKey{1, 0}, {6}},
+      {PairKey{2, 0}, {2}},    {PairKey{2, 1}, {0, 4, 8}}};
+  EXPECT_EQ(runs_of(pairs), expected);
+  EXPECT_EQ(pairs.indices.size(), stream.size());
+}
+
+TEST(GroupPairs, InvalidRatingsBelongToNoRun) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Rating> stream{
+      make(0, 1, std::numeric_limits<double>::quiet_NaN()),
+      make(0, 1, kInf),
+      make(0, 1, -kInf),
+      make(2, 2, 1.0),   // self-rating
+      make(5, 1, 1.0),   // rater out of range
+      make(1, 5, 1.0),   // ratee out of range
+      make(0, 1, 1.0),
+      make(4, 3, -1.0),  // rater and ratee out of range
+      make(1, 0, 1.0)};
+  const PairRuns pairs = group_pairs(stream, 3);
+  const std::vector<PairRun> expected{{PairKey{0, 1}, {6}},
+                                      {PairKey{1, 0}, {8}}};
+  EXPECT_EQ(runs_of(pairs), expected);
+  EXPECT_EQ(pairs.indices.size(), 2u);
+}
+
+TEST(GroupPairs, EmptyAndAllInvalidStreamsHaveNoPairs) {
+  for (const std::vector<Rating>& stream :
+       {std::vector<Rating>{}, std::vector<Rating>{make(1, 1, 1.0)}}) {
+    const PairRuns pairs = group_pairs(stream, 4);
+    EXPECT_EQ(pairs.size(), 0u);
+    EXPECT_TRUE(pairs.indices.empty());
+    EXPECT_EQ(pairs.starts, std::vector<std::uint32_t>{0});
+  }
+}
+
+TEST(GroupPairs, LastNodeAtEitherEnd) {
+  // Node n - 1 is the last slot of both count arrays.
+  const std::vector<Rating> stream{make(6, 0, 1.0), make(0, 6, 1.0),
+                                   make(6, 0, -1.0), make(5, 6, 1.0)};
+  const PairRuns pairs = group_pairs(stream, 7);
+  const std::vector<PairRun> expected{
+      {PairKey{0, 6}, {1}}, {PairKey{5, 6}, {3}}, {PairKey{6, 0}, {0, 2}}};
+  EXPECT_EQ(runs_of(pairs), expected);
+}
+
+TEST(GroupPairs, RejectsStreamsBeyondThirtyTwoBitIndices) {
+  // The guard throws before any rating is read, so one rating viewed with
+  // a longer length never dereferences past it.
+  const Rating one = make(0, 1, 1.0);
+  const std::span<const Rating> oversized(
+      &one, std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1);
+  EXPECT_THROW(group_pairs(oversized, 2), std::length_error);
 }
 
 // --- EigenTrust (faithful) ----------------------------------------------------

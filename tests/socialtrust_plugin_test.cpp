@@ -201,6 +201,38 @@ TEST(Plugin, SelfAndOutOfRangeRatingsIgnored) {
   EXPECT_EQ(plugin.last_report().pairs_total, 0u);
 }
 
+TEST(Plugin, ZeroOnlyPairIsActiveButCountsAsNeitherSign) {
+  // 0 -> 1 rates +1 once; 2 -> 1 rates 0.0 once. With no floors and
+  // theta = 1.5, 0 -> 1 is high-frequency (t+ = 1 > 1.5 * F) only while
+  // F = 1 / 2, i.e. only if the zero rating adds to neither t+ nor t-; no
+  // shared interests make it a B3 hit.
+  graph::SocialGraph graph(4);
+  InterestProfiles profiles(4, 3);
+  SocialTrustConfig cfg;
+  cfg.positive_count_floor = 0.0;
+  cfg.negative_count_floor = 0.0;
+  cfg.theta = 1.5;
+  const std::vector<Rating> ratings{make(0, 1, 1.0), make(2, 1, 0.0)};
+  SocialTrustPlugin plugin(
+      std::make_unique<reputation::EbayReputation>(4), graph, profiles, cfg);
+  plugin.update(ratings);
+  const AdjustmentReport& report = plugin.last_report();
+  EXPECT_EQ(report.pairs_total, 2u);
+  ASSERT_EQ(report.flagged.size(), 1u);
+  EXPECT_EQ(report.flagged[0].rater, 0u);
+  EXPECT_EQ(report.flagged[0].ratee, 1u);
+  EXPECT_TRUE(any(report.flagged[0].behavior & Behavior::kB3));
+
+  // Ungated, the zero rating's index is rescaled like any other.
+  cfg.gate_on_detector = false;
+  SocialTrustPlugin ungated(
+      std::make_unique<reputation::EbayReputation>(4), graph, profiles, cfg);
+  ungated.update(ratings);
+  EXPECT_EQ(ungated.last_report().pairs_total, 2u);
+  EXPECT_EQ(ungated.last_report().ratings_adjusted, 2u);
+  EXPECT_EQ(ungated.last_adjusted()[1].value, 0.0);
+}
+
 TEST(Plugin, ComponentVariantsAllSuppress) {
   for (auto components : {AdjustmentComponents::kClosenessOnly,
                           AdjustmentComponents::kSimilarityOnly,
