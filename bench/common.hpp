@@ -37,7 +37,7 @@ namespace st::bench {
 
 /// The flag vocabulary every bench binary shares, parsed in one place so
 /// the figure drivers (via Context) and the standalone perf benches
-/// (bench_parallel_update, bench_incremental_closeness, bench_csr_graph)
+/// (bench_parallel_update, bench_csr_graph)
 /// agree on spelling and defaults:
 ///   --seed <u64>      base RNG seed                        (default 42)
 ///   --quick           reduced scale for smoke runs

@@ -3,22 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
 namespace st::core {
 
-ClosenessModel::ClosenessModel(bool weighted, double lambda,
-                               RelationshipWeightFn weight_fn)
-    : weighted_(weighted),
-      lambda_(lambda),
-      weight_fn_(weight_fn ? std::move(weight_fn)
-                           : RelationshipWeightFn(
-                                 graph::default_relationship_weight)) {
-  // Tabulate the mass of every possible relationship-type set up front
-  // (the weight_fn is evaluated here, once per type per mask, instead of
-  // lazily per edge — it must be a pure weight mapping, per the class
-  // contract). relationship_mass then reduces to one table read.
+ClosenessModel::ClosenessModel(bool weighted, double lambda)
+    : weighted_(weighted), lambda_(lambda) {
+  // Tabulate the mass of every possible relationship-type set up front,
+  // so relationship_mass reduces to one table read.
   for (std::size_t mask = 0; mask < (1U << graph::kRelationshipCount);
        ++mask) {
     mass_table_[mask] = mass_of_mask(static_cast<std::uint8_t>(mask));
@@ -35,7 +29,8 @@ double ClosenessModel::mass_of_mask(std::uint8_t mask) const {
   std::vector<double> weights;
   for (std::size_t i = 0; i < graph::kRelationshipCount; ++i) {
     if (mask & (1U << i)) {
-      weights.push_back(weight_fn_(static_cast<graph::Relationship>(i)));
+      weights.push_back(graph::default_relationship_weight(
+          static_cast<graph::Relationship>(i)));
     }
   }
   std::sort(weights.begin(), weights.end(), std::greater<>());

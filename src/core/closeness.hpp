@@ -14,7 +14,6 @@
 // Unreachable pairs have closeness 0.
 
 #include <cstdint>
-#include <functional>
 
 #include "core/config.hpp"
 #include "graph/social_graph.hpp"
@@ -27,18 +26,13 @@ namespace st::core {
 /// Thread safety: every method is a pure read of the model's immutable
 /// configuration and of the (caller-owned) graph, so concurrent closeness()
 /// calls are safe as long as nobody mutates the graph underneath them —
-/// the contract the parallel update interval relies on. The weight_fn must
-/// itself be safe to invoke concurrently (the default is).
+/// the contract the parallel update interval relies on.
 class ClosenessModel {
  public:
-  using RelationshipWeightFn = std::function<double(graph::Relationship)>;
-
   /// `weighted` selects Eq. (10) vs Eq. (2) for the adjacent case;
-  /// `lambda` is the relationship decay of Eq. (10); `weight_fn` maps
-  /// relationship types to weights (defaults to
-  /// graph::default_relationship_weight).
-  explicit ClosenessModel(bool weighted = true, double lambda = 0.8,
-                          RelationshipWeightFn weight_fn = {});
+  /// `lambda` is the relationship decay of Eq. (10), which weighs each
+  /// relationship type by graph::default_relationship_weight.
+  explicit ClosenessModel(bool weighted = true, double lambda = 0.8);
 
   /// Full Omega_c(i,j) with the non-adjacent fallbacks. `max_hops` caps
   /// the shortest-path search of the bottleneck case. This is the
@@ -80,7 +74,6 @@ class ClosenessModel {
 
   bool weighted_;
   double lambda_;
-  RelationshipWeightFn weight_fn_;
   double mass_table_[1U << graph::kRelationshipCount];
 };
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "reputation/rating.hpp"
+
 namespace st::core {
 
 ResourceManagerNetwork::ResourceManagerNetwork(
@@ -23,9 +25,10 @@ void ResourceManagerNetwork::update(
   traffic_ = ManagerTrafficReport{};
   std::fill(manager_load_.begin(), manager_load_.end(), 0);
 
-  // Route each rating to the ratee's manager (one message per rating).
+  // Route each rating the plugin accepts to the ratee's manager (one
+  // message per rating).
   for (const reputation::Rating& r : cycle_ratings) {
-    if (r.ratee >= plugin_->size()) continue;
+    if (!reputation::valid_rating(r, size())) continue;
     ++traffic_.ratings_routed;
     ++manager_load_[manager_of(r.ratee)];
   }

@@ -132,6 +132,7 @@ SocialGraph read_edge_list(std::istream& in) {
                                "'");
     }
   }
+  graph.begin_interval();  // hand out pure CSR rows, no overlay
   return graph;
 }
 

@@ -29,10 +29,8 @@ double default_relationship_weight(Relationship r) noexcept {
 
 SocialGraph::SocialGraph(std::size_t node_count)
     : node_count_(node_count),
-      rel_offsets_(node_count + 1, 0),
-      rel_overlay_slot_(node_count, kNoOverlay),
-      int_offsets_(node_count + 1, 0),
-      int_overlay_slot_(node_count, kNoOverlay),
+      rel_(node_count),
+      int_(node_count),
       interaction_totals_(node_count, 0.0) {
   auto& registry = obs::Obs::instance().registry();
   obs_rebuilds_ = &registry.counter("social_graph.csr_rebuilds");
@@ -44,178 +42,24 @@ void SocialGraph::check_node(NodeId a) const {
     throw std::out_of_range("SocialGraph: node id out of range");
 }
 
-// --- row views ---------------------------------------------------------------
-
-SocialGraph::RelRow SocialGraph::rel_row(NodeId a) const noexcept {
-  const std::uint32_t slot = rel_overlay_slot_[a];
-  if (slot != kNoOverlay) {
-    const RelOverlayRow& row = rel_overlay_[slot];
-    return {row.targets.data(), row.masks.data(), row.targets.size()};
+void SocialGraph::begin_interval() {
+  const bool relationships = rel_.overlay_rows() > 0;
+  const bool interactions = int_.overlay_rows() > 0 || int_tombstones_ > 0;
+  if (!relationships && !interactions) return;
+  std::uint64_t absorbed = int_tombstones_;
+  if (relationships) {
+    absorbed += rel_.compact([](std::uint8_t) { return true; });
   }
-  const std::uint64_t begin = rel_offsets_[a];
-  return {rel_targets_.data() + begin, rel_masks_.data() + begin,
-          static_cast<std::size_t>(rel_offsets_[a + 1] - begin)};
-}
-
-SocialGraph::RelRowMut SocialGraph::rel_row_mut(NodeId a) noexcept {
-  const std::uint32_t slot = rel_overlay_slot_[a];
-  if (slot != kNoOverlay) {
-    RelOverlayRow& row = rel_overlay_[slot];
-    return {row.targets.data(), row.masks.data(), row.targets.size()};
+  // Zero-count tombstones (cleared targets) are dropped: interaction()
+  // treats missing and zero identically, so this is invisible to every
+  // accessor.
+  if (interactions) {
+    absorbed += int_.compact([](double count) { return count > 0.0; });
   }
-  const std::uint64_t begin = rel_offsets_[a];
-  return {rel_targets_.data() + begin, rel_masks_.data() + begin,
-          static_cast<std::size_t>(rel_offsets_[a + 1] - begin)};
-}
-
-SocialGraph::IntRow SocialGraph::int_row(NodeId a) const noexcept {
-  const std::uint32_t slot = int_overlay_slot_[a];
-  if (slot != kNoOverlay) {
-    const IntOverlayRow& row = int_overlay_[slot];
-    return {row.targets.data(), row.counts.data(), row.targets.size()};
-  }
-  const std::uint64_t begin = int_offsets_[a];
-  return {int_targets_.data() + begin, int_counts_.data() + begin,
-          static_cast<std::size_t>(int_offsets_[a + 1] - begin)};
-}
-
-SocialGraph::IntRowMut SocialGraph::int_row_mut(NodeId a) noexcept {
-  const std::uint32_t slot = int_overlay_slot_[a];
-  if (slot != kNoOverlay) {
-    IntOverlayRow& row = int_overlay_[slot];
-    return {row.targets.data(), row.counts.data(), row.targets.size()};
-  }
-  const std::uint64_t begin = int_offsets_[a];
-  return {int_targets_.data() + begin, int_counts_.data() + begin,
-          static_cast<std::size_t>(int_offsets_[a + 1] - begin)};
-}
-
-std::size_t SocialGraph::find_in(const NodeId* targets, std::size_t size,
-                                 NodeId b) noexcept {
-  const NodeId* end = targets + size;
-  const NodeId* it = std::lower_bound(targets, end, b);
-  return (it != end && *it == b) ? static_cast<std::size_t>(it - targets)
-                                 : static_cast<std::size_t>(-1);
-}
-
-SocialGraph::RelOverlayRow& SocialGraph::materialize_rel(NodeId a) {
-  std::uint32_t slot = rel_overlay_slot_[a];
-  if (slot == kNoOverlay) {
-    slot = static_cast<std::uint32_t>(rel_overlay_.size());
-    rel_overlay_.emplace_back();
-    RelOverlayRow& row = rel_overlay_.back();
-    const std::uint64_t begin = rel_offsets_[a];
-    const std::uint64_t end = rel_offsets_[a + 1];
-    row.targets.assign(rel_targets_.begin() + static_cast<std::ptrdiff_t>(begin),
-                       rel_targets_.begin() + static_cast<std::ptrdiff_t>(end));
-    row.masks.assign(rel_masks_.begin() + static_cast<std::ptrdiff_t>(begin),
-                     rel_masks_.begin() + static_cast<std::ptrdiff_t>(end));
-    rel_overlay_slot_[a] = slot;
-    rel_overlay_entries_ += row.targets.size();
-    ++rel_overlay_live_;
-  }
-  return rel_overlay_[slot];
-}
-
-SocialGraph::IntOverlayRow& SocialGraph::materialize_int(NodeId a) {
-  std::uint32_t slot = int_overlay_slot_[a];
-  if (slot == kNoOverlay) {
-    slot = static_cast<std::uint32_t>(int_overlay_.size());
-    int_overlay_.emplace_back();
-    IntOverlayRow& row = int_overlay_.back();
-    const std::uint64_t begin = int_offsets_[a];
-    const std::uint64_t end = int_offsets_[a + 1];
-    row.targets.assign(int_targets_.begin() + static_cast<std::ptrdiff_t>(begin),
-                       int_targets_.begin() + static_cast<std::ptrdiff_t>(end));
-    row.counts.assign(int_counts_.begin() + static_cast<std::ptrdiff_t>(begin),
-                      int_counts_.begin() + static_cast<std::ptrdiff_t>(end));
-    int_overlay_slot_[a] = slot;
-    int_overlay_entries_ += row.targets.size();
-    ++int_overlay_live_;
-  }
-  return int_overlay_[slot];
-}
-
-// --- compaction --------------------------------------------------------------
-
-void SocialGraph::rebuild() {
-  const std::uint64_t delta =
-      rel_overlay_entries_ + int_overlay_entries_ + int_tombstones_;
-
-  // Adjacency: one node-ordered sweep, each row taken from its overlay
-  // when routed there, from the old CSR slice otherwise. Rows are already
-  // sorted, so the result is the canonical sorted CSR independent of the
-  // mutation order that produced the overlay.
-  {
-    std::vector<std::uint64_t> offsets(node_count_ + 1, 0);
-    std::uint64_t total = 0;
-    for (NodeId a = 0; a < node_count_; ++a) {
-      offsets[a] = total;
-      total += rel_row(a).size;
-    }
-    offsets[node_count_] = total;
-    std::vector<NodeId> targets(total);
-    std::vector<std::uint8_t> masks(total);
-    for (NodeId a = 0; a < node_count_; ++a) {
-      const RelRow row = rel_row(a);
-      std::copy(row.targets, row.targets + row.size,
-                targets.begin() + static_cast<std::ptrdiff_t>(offsets[a]));
-      std::copy(row.masks, row.masks + row.size,
-                masks.begin() + static_cast<std::ptrdiff_t>(offsets[a]));
-    }
-    rel_offsets_ = std::move(offsets);
-    rel_targets_ = std::move(targets);
-    rel_masks_ = std::move(masks);
-    rel_overlay_.clear();
-    std::fill(rel_overlay_slot_.begin(), rel_overlay_slot_.end(), kNoOverlay);
-    rel_overlay_entries_ = 0;
-    rel_overlay_live_ = 0;
-  }
-
-  // Interactions: same sweep; zero-count tombstones (cleared targets) are
-  // dropped — interaction() treats missing and zero identically, so this
-  // is invisible to every accessor.
-  {
-    std::vector<std::uint64_t> offsets(node_count_ + 1, 0);
-    std::uint64_t total = 0;
-    for (NodeId a = 0; a < node_count_; ++a) {
-      offsets[a] = total;
-      const IntRow row = int_row(a);
-      for (std::size_t k = 0; k < row.size; ++k) {
-        if (row.counts[k] > 0.0) ++total;
-      }
-    }
-    offsets[node_count_] = total;
-    std::vector<NodeId> targets(total);
-    std::vector<double> counts(total);
-    std::uint64_t out = 0;
-    for (NodeId a = 0; a < node_count_; ++a) {
-      const IntRow row = int_row(a);
-      for (std::size_t k = 0; k < row.size; ++k) {
-        if (row.counts[k] > 0.0) {
-          targets[out] = row.targets[k];
-          counts[out] = row.counts[k];
-          ++out;
-        }
-      }
-    }
-    int_offsets_ = std::move(offsets);
-    int_targets_ = std::move(targets);
-    int_counts_ = std::move(counts);
-    int_overlay_.clear();
-    std::fill(int_overlay_slot_.begin(), int_overlay_slot_.end(), kNoOverlay);
-    int_overlay_entries_ = 0;
-    int_overlay_live_ = 0;
-    int_tombstones_ = 0;
-  }
-
+  int_tombstones_ = 0;
   ++rebuilds_;
   obs_rebuilds_->add(1);
-  obs_delta_edges_->add(delta);
-}
-
-void SocialGraph::begin_interval() {
-  if (delta_mass() > 0) rebuild();
+  obs_delta_edges_->add(absorbed);
 }
 
 // --- relationships -----------------------------------------------------------
@@ -226,21 +70,15 @@ bool SocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) {
   if (a == b) return false;
   const auto mask = static_cast<std::uint8_t>(1U << static_cast<unsigned>(r));
   auto insert_half = [&](NodeId from, NodeId to) {
-    const RelRowMut row = rel_row_mut(from);
-    const std::size_t idx = find_in(row.targets, row.size, to);
-    if (idx != static_cast<std::size_t>(-1)) {
-      if (row.masks[idx] & mask) return false;
-      row.masks[idx] |= mask;  // in-place: row length is unchanged
+    const std::size_t idx = rel_.find(from, to);
+    if (idx == rel_.npos) {
+      rel_.insert(from, to, mask);
+      ++half_edges_;
       return true;
     }
-    RelOverlayRow& overlay = materialize_rel(from);
-    const auto it = std::lower_bound(overlay.targets.begin(),
-                                     overlay.targets.end(), to);
-    const auto pos = it - overlay.targets.begin();
-    overlay.targets.insert(it, to);
-    overlay.masks.insert(overlay.masks.begin() + pos, mask);
-    ++rel_overlay_entries_;
-    ++half_edges_;
+    std::uint8_t& entry = rel_.payload(from)[idx];
+    if (entry & mask) return false;
+    entry |= mask;  // in place: the row keeps its length
     return true;
   };
   const bool added = insert_half(a, b);
@@ -248,7 +86,6 @@ bool SocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) {
   // The halves are symmetric, but bump on either so a broken half-edge
   // invariant can never strand an un-revisioned write.
   if (added || added_rev) bump_structure();
-  maybe_rebuild();
   return added;
 }
 
@@ -257,32 +94,23 @@ bool SocialGraph::remove_relationship(NodeId a, NodeId b, Relationship r) {
   check_node(b);
   const auto mask = static_cast<std::uint8_t>(1U << static_cast<unsigned>(r));
   auto remove_half = [&](NodeId from, NodeId to) {
-    const RelRowMut row = rel_row_mut(from);
-    const std::size_t idx = find_in(row.targets, row.size, to);
-    if (idx == static_cast<std::size_t>(-1) || !(row.masks[idx] & mask))
-      return false;
-    const auto next =
-        static_cast<std::uint8_t>(row.masks[idx] & ~unsigned{mask});
+    const std::size_t idx = rel_.find(from, to);
+    if (idx == rel_.npos) return false;
+    std::uint8_t& entry = rel_.payload(from)[idx];
+    if (!(entry & mask)) return false;
+    const auto next = static_cast<std::uint8_t>(entry & ~unsigned{mask});
     if (next != 0) {
-      row.masks[idx] = next;  // in-place: the edge survives
+      entry = next;  // in place: the edge survives
       return true;
     }
-    // Last type on the edge: the entry disappears, which resizes the row
-    // — materialise and erase from the overlay copy.
-    RelOverlayRow& overlay = materialize_rel(from);
-    const auto it = std::lower_bound(overlay.targets.begin(),
-                                     overlay.targets.end(), to);
-    const auto pos = it - overlay.targets.begin();
-    overlay.targets.erase(it);
-    overlay.masks.erase(overlay.masks.begin() + pos);
-    --rel_overlay_entries_;
+    // Last type on the edge: the entry disappears.
+    rel_.erase(from, idx);
     --half_edges_;
     return true;
   };
   const bool removed = remove_half(a, b);
   const bool removed_rev = remove_half(b, a);
   if (removed || removed_rev) bump_structure();
-  maybe_rebuild();
   return removed;
 }
 
@@ -308,25 +136,22 @@ std::vector<Relationship> SocialGraph::relationships(NodeId a,
 std::uint8_t SocialGraph::relationship_mask(NodeId a,
                                             NodeId b) const noexcept {
   if (a >= node_count_ || b >= node_count_) return 0;
-  const RelRow row = rel_row(a);
-  const std::size_t idx = find_in(row.targets, row.size, b);
-  return idx != static_cast<std::size_t>(-1) ? row.masks[idx] : 0;
+  return rel_.at(a, b);
 }
 
 std::span<const NodeId> SocialGraph::neighbors(NodeId a) const noexcept {
   if (a >= node_count_) return {};
-  const RelRow row = rel_row(a);
-  return {row.targets, row.size};
+  return rel_.row(a).targets;
 }
 
 std::size_t SocialGraph::degree(NodeId a) const noexcept {
-  return a < node_count_ ? rel_row(a).size : 0;
+  return neighbors(a).size();
 }
 
 SocialGraph::AdjacencyRow SocialGraph::adjacency(NodeId a) const noexcept {
   if (a >= node_count_) return {};
-  const RelRow row = rel_row(a);
-  return {{row.targets, row.size}, {row.masks, row.size}};
+  const auto row = rel_.row(a);
+  return {row.targets, row.payload};
 }
 
 // --- interactions ------------------------------------------------------------
@@ -335,29 +160,20 @@ void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {
   check_node(from);
   check_node(to);
   if (from == to || !std::isfinite(count) || count <= 0.0) return;
-  const IntRowMut row = int_row_mut(from);
-  const std::size_t idx = find_in(row.targets, row.size, to);
-  if (idx != static_cast<std::size_t>(-1)) {
-    if (row.counts[idx] == 0.0 && int_tombstones_ > 0) --int_tombstones_;
-    row.counts[idx] += count;  // in-place: counts are mutable CSR payload
+  const std::size_t idx = int_.find(from, to);
+  if (idx == int_.npos) {
+    int_.insert(from, to, count);
   } else {
-    IntOverlayRow& overlay = materialize_int(from);
-    const auto it =
-        std::lower_bound(overlay.targets.begin(), overlay.targets.end(), to);
-    const auto pos = it - overlay.targets.begin();
-    overlay.targets.insert(it, to);
-    overlay.counts.insert(overlay.counts.begin() + pos, count);
-    ++int_overlay_entries_;
+    double& entry = int_.payload(from)[idx];
+    if (entry == 0.0 && int_tombstones_ > 0) --int_tombstones_;
+    entry += count;  // in place: the row keeps its length
   }
   interaction_totals_[from] += count;
-  maybe_rebuild();
 }
 
 double SocialGraph::interaction(NodeId from, NodeId to) const noexcept {
   if (from >= node_count_) return 0.0;
-  const IntRow row = int_row(from);
-  const std::size_t idx = find_in(row.targets, row.size, to);
-  return idx != static_cast<std::size_t>(-1) ? row.counts[idx] : 0.0;
+  return int_.at(from, to);
 }
 
 double SocialGraph::total_interactions(NodeId from) const noexcept {
@@ -367,8 +183,8 @@ double SocialGraph::total_interactions(NodeId from) const noexcept {
 SocialGraph::InteractionRow SocialGraph::interactions(
     NodeId from) const noexcept {
   if (from >= node_count_) return {};
-  const IntRow row = int_row(from);
-  return {{row.targets, row.size}, {row.counts, row.size}};
+  const auto row = int_.row(from);
+  return {row.targets, row.payload};
 }
 
 // --- derived structure -------------------------------------------------------
@@ -379,12 +195,12 @@ std::vector<NodeId> SocialGraph::common_friends(NodeId a, NodeId b) const {
   // Cache-linear merge over the two sorted CSR rows; a and b themselves
   // are not "common friends" even if the graph contains a triangle
   // through them.
-  const RelRow ra = rel_row(a);
-  const RelRow rb = rel_row(b);
-  const NodeId* pa = ra.targets;
-  const NodeId* ea = ra.targets + ra.size;
-  const NodeId* pb = rb.targets;
-  const NodeId* eb = rb.targets + rb.size;
+  const std::span<const NodeId> ra = rel_.row(a).targets;
+  const std::span<const NodeId> rb = rel_.row(b).targets;
+  const NodeId* pa = ra.data();
+  const NodeId* ea = pa + ra.size();
+  const NodeId* pb = rb.data();
+  const NodeId* eb = pb + rb.size();
   while (pa != ea && pb != eb) {
     if (*pa < *pb) {
       ++pa;
@@ -598,8 +414,8 @@ std::optional<std::vector<NodeId>> SocialGraph::shortest_path(
   check_node(b);
   if (a == b) return std::vector<NodeId>{a};
   BfsScratch& s = bfs_scratch(node_count_);
-  const SearchRows rows{*this, rel_offsets_.data(), rel_targets_.data(),
-                        rel_overlay_live_ == 0};
+  const SearchRows rows{*this, rel_.offsets(), rel_.targets(),
+                        rel_.overlay_rows() == 0};
   const std::optional<Meeting> m = meet_in_the_middle(s, rows, a, b, max_hops);
   if (!m) return std::nullopt;
   // The lexicographically smallest shortest path, which is exactly what
@@ -630,10 +446,10 @@ std::optional<std::vector<NodeId>> SocialGraph::shortest_path(
 void SocialGraph::clear_node(NodeId node) {
   check_node(node);
   // Drop all relationships (removing from both endpoints). The friend
-  // list is copied first: remove_relationship may materialise overlays
-  // or trigger a compaction, either of which moves the row.
-  const RelRow row = rel_row(node);
-  const std::vector<NodeId> friends(row.targets, row.targets + row.size);
+  // list is copied first: removing an edge resizes, and so moves, the
+  // row it is read from.
+  const std::span<const NodeId> row = neighbors(node);
+  const std::vector<NodeId> friends(row.begin(), row.end());
   for (NodeId other : friends) {
     for (std::size_t r = 0; r < kRelationshipCount; ++r) {
       remove_relationship(node, other, static_cast<Relationship>(r));
@@ -641,12 +457,11 @@ void SocialGraph::clear_node(NodeId node) {
   }
   // Drop outgoing interactions: zero the counts in place (zero and
   // absent are indistinguishable through every accessor); the next
-  // rebuild reclaims the tombstones.
-  const IntRowMut mine = int_row_mut(node);
+  // begin_interval() reclaims the tombstones.
   bool any = false;
-  for (std::size_t k = 0; k < mine.size; ++k) {
-    if (mine.counts[k] > 0.0) {
-      mine.counts[k] = 0.0;
+  for (double& count : int_.payload(node)) {
+    if (count > 0.0) {
+      count = 0.0;
       ++int_tombstones_;
       any = true;
     }
@@ -656,36 +471,23 @@ void SocialGraph::clear_node(NodeId node) {
   // shrinks with its row.
   for (NodeId from = 0; from < node_count_; ++from) {
     if (from == node) continue;
-    const IntRowMut row_from = int_row_mut(from);
-    const std::size_t idx = find_in(row_from.targets, row_from.size, node);
-    if (idx != static_cast<std::size_t>(-1) && row_from.counts[idx] > 0.0) {
-      interaction_totals_[from] -= row_from.counts[idx];
-      row_from.counts[idx] = 0.0;
+    const std::size_t idx = int_.find(from, node);
+    if (idx == int_.npos) continue;
+    double& count = int_.payload(from)[idx];
+    if (count > 0.0) {
+      interaction_totals_[from] -= count;
+      count = 0.0;
       ++int_tombstones_;
     }
   }
-  maybe_rebuild();
 }
 
 SocialGraph::MemoryFootprint SocialGraph::memory_footprint() const noexcept {
-  auto vec_bytes = [](const auto& v) {
-    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
-  };
   MemoryFootprint m;
-  m.adjacency_bytes =
-      vec_bytes(rel_offsets_) + vec_bytes(rel_targets_) + vec_bytes(rel_masks_);
-  m.interaction_bytes = vec_bytes(int_offsets_) + vec_bytes(int_targets_) +
-                        vec_bytes(int_counts_) + vec_bytes(interaction_totals_);
-  m.overlay_bytes =
-      vec_bytes(rel_overlay_slot_) + vec_bytes(int_overlay_slot_);
-  for (const RelOverlayRow& row : rel_overlay_) {
-    m.overlay_bytes += vec_bytes(row.targets) + vec_bytes(row.masks) +
-                       sizeof(RelOverlayRow);
-  }
-  for (const IntOverlayRow& row : int_overlay_) {
-    m.overlay_bytes += vec_bytes(row.targets) + vec_bytes(row.counts) +
-                       sizeof(IntOverlayRow);
-  }
+  m.adjacency_bytes = rel_.flat_bytes();
+  m.interaction_bytes = int_.flat_bytes() + interaction_totals_.capacity() *
+                                                sizeof(double);
+  m.overlay_bytes = rel_.overlay_bytes() + int_.overlay_bytes();
   return m;
 }
 

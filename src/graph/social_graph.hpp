@@ -1,5 +1,5 @@
 #pragma once
-// Social-network substrate on a compact, epoch-rebuilt CSR core.
+// Social-network substrate on a compact CSR core.
 //
 // SocialTrust reads four things off the social network (paper Sections 3-4):
 //   1. adjacency + the *set of typed relationships* on each edge
@@ -10,28 +10,26 @@
 // SocialGraph stores exactly that, nothing more: it is the "personal
 // network" of the Overstock analysis, decoupled from the P2P overlay.
 //
-// Storage layout (DESIGN.md §15, docs/ARCHITECTURE.md). Both the typed
-// adjacency and the directed interaction rows live in flat CSR arrays —
-// one offsets array indexed by node, plus parallel structure-of-arrays
-// payload slices (`targets` + `relationship mask` for adjacency,
-// `targets` + `double count` for interactions), each row sorted by
-// target id. Every closeness BFS, common-friend intersection and
-// interaction-row read therefore walks contiguous memory instead of
-// chasing one heap allocation per node. Mutations between rebuilds are absorbed
-// by a small per-node *delta overlay*: the first row-resizing mutation
-// of a node copies its CSR row into a private sorted overlay row and
-// the node reads from there until the next rebuild (mask flips and
-// count increments on existing entries edit the flat arrays in place —
-// no overlay needed). Once the delta mass (overlay entries + cleared
-// tombstones) crosses a deterministic threshold — or explicitly at
-// begin_interval() — the overlay is compacted back into fresh CSR
-// arrays by a single node-ordered sweep.
+// Storage layout (DESIGN.md §15, docs/ARCHITECTURE.md). The typed
+// adjacency and the directed interaction rows are two instances of one
+// row store (csr_rows.hpp): flat CSR arrays — one offsets array indexed
+// by node, plus parallel `targets` and payload slices (the relationship
+// mask for adjacency, the `double` count for interactions), each row
+// sorted by target id. Every closeness BFS, common-friend intersection
+// and interaction-row read therefore walks contiguous memory instead of
+// chasing one heap allocation per node. A mutation that changes a row's
+// length moves that node's row into a sorted overlay row (mask flips and
+// count increments on existing entries edit the row in place), and
+// clear_node() zeroes interaction counts in place, leaving tombstones.
+// Mutators never compact. begin_interval(), which the Simulator calls
+// before each reputation update, is the one place that folds a store's
+// overlay rows (and the interaction tombstones) back into fresh flat
+// arrays, and it rewrites only a store with pending changes: relationships
+// change at setup and on whitewashing, interactions every query cycle.
 //
-// Rebuilds are representation-only: every accessor reads rows through
-// the same sorted-row view before and after, so results are
-// bit-identical and the structure epoch does not move. Rebuild timing
-// is a pure function of the mutation sequence (the counters that trigger
-// it never depend on representation), so runs are reproducible.
+// Compaction is representation-only: every accessor reads the same
+// sorted rows before and after, so results are bit-identical and the
+// structure epoch does not move.
 //
 // Change tracking covers adjacency only (DESIGN.md §13): one graph-wide
 // structure_epoch() witnesses every cached shortest path. Interaction
@@ -39,23 +37,25 @@
 // interval.
 //
 // Span stability: neighbors() spans are invalidated by ANY mutating
-// method — not just mutations of the same node — because a mutation may
-// trigger a compaction that moves every row. Callers must not hold a
-// span across a non-const call (the pre-CSR contract was per-node; the
-// repo's call sites already satisfied the stronger rule).
+// method — not just mutations of the same node — because begin_interval()
+// moves every row of a store it compacts, and a mutator moves each row
+// it resizes, which for a relationship is the other endpoint's too and
+// for clear_node() every former friend's. Callers must not hold a span
+// across a non-const call (the pre-CSR contract was per-node; the repo's
+// call sites already satisfied the stronger rule).
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "graph/csr_rows.hpp"
+
 namespace st::obs {
 class Counter;
 }  // namespace st::obs
 
 namespace st::graph {
-
-using NodeId = std::uint32_t;
 
 /// Typed social relationships. The hardened closeness metric (Eq. 10)
 /// weights relationship types unequally — e.g. kinship counts for more
@@ -76,8 +76,8 @@ inline constexpr std::size_t kRelationshipCount = 6;
 /// SocialStateCache sizes its inline path entries by it.
 inline constexpr std::size_t kMaxPathHops = 6;
 
-/// Default per-type weights used by Eq. (10). Kinship is strongest; a plain
-/// online friendship is the baseline (1.0). Callers may supply their own.
+/// Per-type weights used by Eq. (10). Kinship is strongest; a plain
+/// online friendship is the baseline (1.0).
 double default_relationship_weight(Relationship r) noexcept;
 
 /// Undirected multigraph over a fixed node set with typed parallel edges
@@ -90,10 +90,10 @@ class SocialGraph {
  public:
   /// Monotone change counter for adjacency. The structure epoch never
   /// decreases and bumps exactly when some adjacency actually changes
-  /// (no-op mutator calls, interaction edits and representation rebuilds
-  /// leave it untouched), so equality of the epoch witnessed at compute
-  /// time with the current one proves a structure-derived value would
-  /// come out identical if re-derived.
+  /// (no-op mutator calls, interaction edits and compactions leave it
+  /// untouched), so equality of the epoch witnessed at compute time with
+  /// the current one proves a structure-derived value would come out
+  /// identical if re-derived.
   using Revision = std::uint64_t;
 
   explicit SocialGraph(std::size_t node_count);
@@ -156,8 +156,8 @@ class SocialGraph {
 
   /// Directed interaction row of `from`: parallel spans of target ids
   /// (ascending) and counts. Entries with zero count may appear (cleared
-  /// targets awaiting the next rebuild); callers treat them as absent.
-  /// Same span-stability contract as neighbors().
+  /// targets awaiting the next begin_interval()); callers treat them as
+  /// absent. Same span-stability contract as neighbors().
   struct InteractionRow {
     std::span<const NodeId> targets;
     std::span<const double> counts;
@@ -197,33 +197,34 @@ class SocialGraph {
   /// set is fixed) but is socially blank afterwards.
   void clear_node(NodeId node);
 
-  /// Interval hook: compacts any pending delta overlay (and interaction
-  /// tombstones) into fresh flat CSR arrays. Representation-only — no
-  /// accessor result changes and the structure epoch stays — so callers may
-  /// invoke it at any quiescent point; the Simulator does so at the top
-  /// of every reputation-update interval so the parallel closeness
-  /// passes always read pure CSR rows. Invalidates outstanding spans.
+  /// Interval hook and the graph's one compaction point: rewrites the
+  /// flat CSR arrays of each store with pending changes — overlay rows,
+  /// or for interactions also tombstones — and leaves the other store's
+  /// arrays where they are. Representation-only — no accessor result
+  /// changes and the structure epoch stays — so callers may invoke it at
+  /// any quiescent point; the Simulator does so at the top of every
+  /// reputation-update interval so the parallel closeness passes always
+  /// read pure CSR rows. Invalidates outstanding spans.
   void begin_interval();
 
   /// Graph-wide structure epoch: bumps on every relationship add or
   /// remove that changes something — a new edge, a new type on an
   /// existing edge, a removed type or edge, and so every clear_node() of
   /// a node with a relationship. Interactions, no-op mutator calls and
-  /// rebuilds leave it alone. While it holds still, every structure-
+  /// compactions leave it alone. While it holds still, every structure-
   /// derived value (common-friend sets, distances, lex-min paths) is
   /// unchanged; the path cache's rows are witnessed by it.
   Revision structure_epoch() const noexcept { return structure_epoch_; }
 
   // --- CSR maintenance diagnostics (tests, bench, docs) ---------------------
 
-  /// Compactions performed so far (adjacency + interaction rebuilds).
+  /// begin_interval() calls that compacted at least one store.
   std::uint64_t rebuild_count() const noexcept { return rebuilds_; }
 
-  /// Current delta mass: overlay entries + materialised overlay rows +
-  /// interaction tombstones — the quantity the rebuild threshold watches.
-  std::size_t delta_mass() const noexcept {
-    return rel_overlay_entries_ + rel_overlay_live_ + int_overlay_entries_ +
-           int_overlay_live_ + int_tombstones_;
+  /// Changes the next begin_interval() compacts: overlay rows of both
+  /// stores plus interaction tombstones. 0 on a compacted graph.
+  std::size_t pending_delta() const noexcept {
+    return rel_.overlay_rows() + int_.overlay_rows() + int_tombstones_;
   }
 
   /// Heap bytes of the graph representation, split by component. Measures
@@ -239,107 +240,18 @@ class SocialGraph {
   };
   MemoryFootprint memory_footprint() const noexcept;
 
-  /// Minimum delta mass before a mutator may compact. A rebuild also
-  /// requires delta mass * kRebuildFraction >= CSR entries + node count
-  /// (the node count being a proxy for the O(n) offset sweep a rebuild
-  /// pays regardless of edge count), so rebuild cost stays amortised
-  /// O(1) per mutation at every scale.
-  static constexpr std::size_t kRebuildMinDelta = 256;
-  static constexpr std::size_t kRebuildFraction = 4;
-
  private:
-  static constexpr std::uint32_t kNoOverlay = 0xFFFFFFFFU;
-
-  /// Materialised delta row for one node's adjacency: the CSR row copied
-  /// out, then mutated in place. SoA (targets/masks) so neighbors() can
-  /// return the target slice directly.
-  struct RelOverlayRow {
-    std::vector<NodeId> targets;
-    std::vector<std::uint8_t> masks;
-  };
-  /// Same, for one node's directed interaction row.
-  struct IntOverlayRow {
-    std::vector<NodeId> targets;
-    std::vector<double> counts;
-  };
-
-  /// Read-only view of a node's adjacency row (CSR or overlay).
-  struct RelRow {
-    const NodeId* targets = nullptr;
-    const std::uint8_t* masks = nullptr;
-    std::size_t size = 0;
-  };
-  /// Mutable view of the same (masks editable in place).
-  struct RelRowMut {
-    const NodeId* targets = nullptr;
-    std::uint8_t* masks = nullptr;
-    std::size_t size = 0;
-  };
-  struct IntRow {
-    const NodeId* targets = nullptr;
-    const double* counts = nullptr;
-    std::size_t size = 0;
-  };
-  struct IntRowMut {
-    const NodeId* targets = nullptr;
-    double* counts = nullptr;
-    std::size_t size = 0;
-  };
-
-  RelRow rel_row(NodeId a) const noexcept;
-  RelRowMut rel_row_mut(NodeId a) noexcept;
-  IntRow int_row(NodeId a) const noexcept;
-  IntRowMut int_row_mut(NodeId a) noexcept;
-
-  /// Index of `b` in a's sorted row, or npos.
-  static std::size_t find_in(const NodeId* targets, std::size_t size,
-                             NodeId b) noexcept;
-
-  /// Copies a's CSR adjacency (resp. interaction) row into a fresh
-  /// overlay row and routes the node there. No-op if already routed.
-  RelOverlayRow& materialize_rel(NodeId a);
-  IntOverlayRow& materialize_int(NodeId a);
-
-  void maybe_rebuild() {
-    const std::size_t mass = delta_mass();
-    if (mass >= kRebuildMinDelta &&
-        mass * kRebuildFraction >=
-            rel_targets_.size() + int_targets_.size() + node_count_) {
-      rebuild();
-    }
-  }
-
-  /// Compacts both overlays into fresh CSR arrays (node-ordered sweep;
-  /// zero-count interaction entries are dropped). Representation-only.
-  void rebuild();
-
   void check_node(NodeId a) const;
   void bump_structure() noexcept { ++structure_epoch_; }
 
   std::size_t node_count_ = 0;
 
-  // Adjacency CSR: row a is rel_targets_[rel_offsets_[a] ..
-  // rel_offsets_[a+1]) sorted ascending, rel_masks_ parallel.
-  std::vector<std::uint64_t> rel_offsets_;
-  std::vector<NodeId> rel_targets_;
-  std::vector<std::uint8_t> rel_masks_;
-  // Delta overlay: rel_overlay_slot_[a] routes a's reads/writes to
-  // rel_overlay_[slot] until the next rebuild.
-  std::vector<std::uint32_t> rel_overlay_slot_;
-  std::vector<RelOverlayRow> rel_overlay_;
-  std::size_t rel_overlay_entries_ = 0;  ///< half-edges living in overlay rows
-  std::size_t rel_overlay_live_ = 0;     ///< materialised overlay rows
-
-  // Interaction CSR (directed), same scheme; counts are mutable payload
-  // (+= edits the flat array in place). Cleared entries become 0-count
-  // tombstones until the next rebuild drops them.
-  std::vector<std::uint64_t> int_offsets_;
-  std::vector<NodeId> int_targets_;
-  std::vector<double> int_counts_;
-  std::vector<std::uint32_t> int_overlay_slot_;
-  std::vector<IntOverlayRow> int_overlay_;
-  std::size_t int_overlay_entries_ = 0;
-  std::size_t int_overlay_live_ = 0;
+  // Adjacency: each row holds the node's neighbours with the edge's
+  // relationship mask (never 0).
+  CsrRows<std::uint8_t> rel_;
+  // Directed interactions with their counts. clear_node() zeroes counts
+  // in place; those 0-count tombstones stay until begin_interval().
+  CsrRows<double> int_;
   std::size_t int_tombstones_ = 0;
 
   std::vector<double> interaction_totals_;

@@ -102,14 +102,6 @@ TEST(Closeness, AddingWeakRelationshipsBarelyMoves) {
   EXPECT_DOUBLE_EQ(u_after - u_before, 2.0);
 }
 
-TEST(Closeness, CustomRelationshipWeightFunction) {
-  SocialGraph g(2);
-  g.add_relationship(0, 1, Relationship::kFriendship);
-  g.record_interaction(0, 1, 1.0);
-  ClosenessModel model(true, 0.8, [](graph::Relationship) { return 7.0; });
-  EXPECT_DOUBLE_EQ(model.closeness(g, 0, 1), 7.0);
-}
-
 // --- Eq. (3): friend-of-friend ---------------------------------------------
 
 TEST(Closeness, FofAverageOverCommonFriends) {

@@ -2,12 +2,13 @@
 // that representation is unobservable: every public accessor and the
 // structure epoch of the CSR-backed SocialGraph must match a faithful
 // port of the pre-CSR vector-of-vectors layout on ANY mutation sequence,
-// and compaction timing (threshold-triggered or
-// explicit begin_interval()) must be invisible. The suites here replay
-// randomized mutation mixes — relationship add/remove, interactions,
-// clear_node, whitewashing re-entry — against both representations and
-// compare exhaustively, then check rebuild determinism, memory
-// accounting, and the end-to-end plugin differential at threads {1,2,4}.
+// and compaction timing (whenever begin_interval() runs) must be
+// invisible. The suites here replay randomized mutation mixes —
+// relationship add/remove, interactions, clear_node, whitewashing
+// re-entry — against both representations and compare exhaustively, then
+// check that begin_interval() is the one compaction point and rewrites
+// only the stores that changed, memory accounting, and the end-to-end
+// plugin differential at threads {1,2,4}.
 // The dense InterestProfiles are checked the same way against a port of
 // the sorted-set layout, similarity kernels included.
 
@@ -235,8 +236,8 @@ TEST(CsrEquivalence, RandomizedMutationSequencesMatchReference) {
 
 TEST(CsrEquivalence, CompactionTimingIsUnobservable) {
   // Same mutation sequence on two CSR graphs, one compacted every 37 ops
-  // and one never explicitly compacted: all accessors and counters must
-  // agree — rebuild timing is representation-only.
+  // and one never compacted: all accessors and counters must agree —
+  // compaction timing is representation-only.
   constexpr NodeId kNodes = 20;
   SocialGraph eager(kNodes);
   SocialGraph lazy(kNodes);
@@ -256,29 +257,90 @@ TEST(CsrEquivalence, CompactionTimingIsUnobservable) {
   EXPECT_EQ(eager.structure_epoch(), lazy.structure_epoch());
 }
 
-TEST(CsrEquivalence, RebuildTimingIsDeterministic) {
-  // Rebuild scheduling is a pure function of the mutation sequence: two
-  // graphs fed the identical op stream compact at identical points.
-  auto run = [](std::uint64_t seed) {
-    SocialGraph g(40);
-    stats::Rng rng(seed);
-    std::vector<std::uint64_t> trace;
-    for (int step = 0; step < 4000; ++step) {
-      const auto a = static_cast<NodeId>(rng.index(40));
-      const auto b = static_cast<NodeId>(rng.index(40));
-      if (rng.bernoulli(0.7)) {
-        g.add_relationship(a, b, Relationship::kFriendship);
-      } else {
-        g.remove_relationship(a, b, Relationship::kFriendship);
-      }
-      trace.push_back(g.rebuild_count());
+TEST(CsrEquivalence, OnlyTheIntervalBoundaryCompacts) {
+  // No mutator compacts, however many overlay rows pile up: the graph
+  // reads from them until begin_interval(), which compacts once.
+  SocialGraph g(40);
+  ReferenceSocialGraph ref(40);
+  stats::Rng rng(99);
+  for (int step = 0; step < 4000; ++step) {
+    const auto a = static_cast<NodeId>(rng.index(40));
+    const auto b = static_cast<NodeId>(rng.index(40));
+    if (rng.bernoulli(0.7)) {
+      EXPECT_EQ(g.add_relationship(a, b, Relationship::kFriendship),
+                ref.add_relationship(a, b, Relationship::kFriendship));
+    } else {
+      EXPECT_EQ(g.remove_relationship(a, b, Relationship::kFriendship),
+                ref.remove_relationship(a, b, Relationship::kFriendship));
     }
-    return trace;
+    ASSERT_EQ(g.rebuild_count(), 0u) << "a mutator compacted at step " << step;
+  }
+  EXPECT_GT(g.pending_delta(), 0u);
+  g.begin_interval();
+  EXPECT_EQ(g.rebuild_count(), 1u);
+  EXPECT_EQ(g.pending_delta(), 0u);
+  expect_graphs_identical(g, ref, "after the one compaction");
+}
+
+TEST(CsrEquivalence, BeginIntervalRewritesOnlyTheStoresThatChanged) {
+  // Ring 0..29 with chords; node 30 has interactions but no relationship.
+  constexpr NodeId kNodes = 32;
+  SocialGraph g(kNodes);
+  ReferenceSocialGraph ref(kNodes);
+  auto befriend = [&](NodeId a, NodeId b) {
+    g.add_relationship(a, b, Relationship::kFriendship);
+    ref.add_relationship(a, b, Relationship::kFriendship);
   };
-  const auto first = run(99);
-  const auto second = run(99);
-  EXPECT_EQ(first, second);
-  EXPECT_GT(first.back(), 0u) << "sequence never hit the rebuild threshold";
+  auto interact = [&](NodeId from, NodeId to, double count) {
+    g.record_interaction(from, to, count);
+    ref.record_interaction(from, to, count);
+  };
+  for (NodeId a = 0; a < 30; ++a) {
+    befriend(a, (a + 1) % 30);
+    befriend(a, (a + 7) % 30);
+    interact(a, (a + 1) % 30, 1.0);
+  }
+  interact(30, 3, 2.0);
+  interact(4, 30, 5.0);
+  g.begin_interval();
+  ASSERT_EQ(g.pending_delta(), 0u);
+  const std::uint64_t rebuilds = g.rebuild_count();
+  const SocialGraph::AdjacencyRow adjacency = g.adjacency(0);
+
+  // An interval that only records interactions: new pairs add overlay
+  // rows, repeats count up in place. Only the interaction rows are
+  // rewritten; the adjacency arrays stay where they are.
+  const NodeId* interactions = g.interactions(0).targets.data();
+  for (NodeId a = 0; a < 30; ++a) {
+    interact(a, (a + 1) % 30, 1.0);
+    interact(a, (a + 11) % 30, 3.0);
+  }
+  EXPECT_EQ(g.pending_delta(), 30u);
+  g.begin_interval();
+  EXPECT_EQ(g.rebuild_count(), rebuilds + 1);
+  EXPECT_EQ(g.pending_delta(), 0u);
+  EXPECT_EQ(g.adjacency(0).targets.data(), adjacency.targets.data());
+  EXPECT_EQ(g.adjacency(0).masks.data(), adjacency.masks.data());
+  EXPECT_NE(g.interactions(0).targets.data(), interactions);
+  expect_graphs_identical(g, ref, "interactions only");
+
+  // An interval whose only change is clear_node's tombstones (node 30 has
+  // no relationship, so no row changes length) is compacted too, and the
+  // tombstones are gone.
+  g.clear_node(30);
+  ref.clear_node(30);
+  EXPECT_EQ(g.pending_delta(), 2u);
+  g.begin_interval();
+  EXPECT_EQ(g.rebuild_count(), rebuilds + 2);
+  EXPECT_EQ(g.pending_delta(), 0u);
+  EXPECT_TRUE(g.interactions(30).targets.empty());
+  EXPECT_EQ(g.interactions(4).targets.size(), 2u);  // 5 and 15, not 30
+  EXPECT_EQ(g.adjacency(0).targets.data(), adjacency.targets.data());
+  expect_graphs_identical(g, ref, "tombstones only");
+
+  // Nothing pending: no compaction at all.
+  g.begin_interval();
+  EXPECT_EQ(g.rebuild_count(), rebuilds + 2);
 }
 
 TEST(CsrEquivalence, ExplicitCompactionDrainsDeltaAndKeepsCounters) {
@@ -287,9 +349,10 @@ TEST(CsrEquivalence, ExplicitCompactionDrainsDeltaAndKeepsCounters) {
   g.record_interaction(0, 1, 3.0);
   g.clear_node(2);  // no-op clear: no tombstones, no bumps
   const auto epoch = g.structure_epoch();
-  EXPECT_GT(g.delta_mass(), 0u);
+  // Overlay rows: 0 and 1 for the edge, 0 for the interaction.
+  EXPECT_EQ(g.pending_delta(), 3u);
   g.begin_interval();
-  EXPECT_EQ(g.delta_mass(), 0u);
+  EXPECT_EQ(g.pending_delta(), 0u);
   EXPECT_EQ(g.rebuild_count(), 1u);
   EXPECT_EQ(g.structure_epoch(), epoch);
   g.begin_interval();  // nothing pending: not even a rebuild
@@ -419,7 +482,7 @@ PathCoverage check_generated_graph(SocialGraph g, std::uint64_t seed,
     for (auto& pair : pairs) pair = draw_pair(rng);
     return pairs;
   };
-  EXPECT_EQ(g.delta_mass(), 0u) << "generators hand out compacted graphs";
+  EXPECT_EQ(g.pending_delta(), 0u) << "generators hand out compacted graphs";
   PathCoverage cov;
   {
     SCOPED_TRACE("compacted");
@@ -438,7 +501,7 @@ PathCoverage check_generated_graph(SocialGraph g, std::uint64_t seed,
     EXPECT_TRUE(g.remove_relationship(c, d, Relationship::kFriendship));
     EXPECT_TRUE(ref.remove_relationship(c, d, Relationship::kFriendship));
   }
-  EXPECT_GT(g.delta_mass(), 0u);
+  EXPECT_GT(g.pending_delta(), 0u);
   EXPECT_EQ(g.rebuild_count(), rebuilds) << "overlay rows were compacted";
   {
     SCOPED_TRACE("overlay live");
@@ -561,7 +624,7 @@ TEST(CsrEquivalence, ShortestPathIsLexMinAmongEqualLengthPaths) {
     for (bool compacted : {false, true}) {
       SCOPED_TRACE(compacted ? "compacted" : "overlay live");
       if (compacted) graph->begin_interval();
-      EXPECT_EQ(graph->delta_mass() == 0, compacted);
+      EXPECT_EQ(graph->pending_delta() == 0, compacted);
       const auto n = static_cast<NodeId>(graph->size());
       for (NodeId a = 0; a < n; ++a) {
         for (NodeId b = 0; b < n; ++b) {

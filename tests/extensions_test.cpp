@@ -180,6 +180,7 @@ TEST(GraphIo, EdgeListRoundTrip) {
   graph::write_edge_list(buffer, original);
   graph::SocialGraph copy = graph::read_edge_list(buffer);
   ASSERT_EQ(copy.size(), original.size());
+  EXPECT_EQ(copy.pending_delta(), 0u) << "loaded graphs come compacted";
   for (graph::NodeId a = 0; a < original.size(); ++a) {
     for (graph::NodeId b = 0; b < original.size(); ++b) {
       EXPECT_EQ(copy.relationship_count(a, b),

@@ -1012,7 +1012,8 @@ struct WarmColdPair {
 /// A whitewash as Simulator::whitewash does it (forget_node, clear_node),
 /// then the new identity re-wires: the next update() finds the epoch
 /// moved, drops every path and stores none; the interval after it, with
-/// the topology held, stores again; warm equals cold throughout.
+/// the topology held, stores again, and a repeat of its stream is served
+/// in full; warm equals cold throughout.
 TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   WarmColdPair p;
   p.run_interval(p.make_interval(1));
@@ -1046,6 +1047,14 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   const auto hits = p.warm->social_cache().stats().structure_hits;
   p.run_interval(p.make_interval(5));
   EXPECT_GT(p.warm->social_cache().stats().structure_hits, hits);
+
+  // The steady state: the same stream again, the topology held. Every
+  // path lookup is served from the previous interval's stores.
+  const auto before = p.warm->social_cache().stats();
+  p.run_interval(p.make_interval(5));
+  const auto after = p.warm->social_cache().stats();
+  EXPECT_GT(after.structure_hits, before.structure_hits);
+  EXPECT_EQ(after.structure_misses, before.structure_misses);
 }
 
 /// forget_node alone leaves the graph, and so every cached path, as it

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/resource_manager.hpp"
@@ -317,11 +318,17 @@ TEST(ResourceManagers, RoutesEveryRating) {
   ResourceManagerNetwork net(make_inner(), f.graph, f.profiles,
                              SocialTrustConfig{}, 3);
   auto ratings = f.cycle_ratings();
+  const std::size_t valid = ratings.size();
+  // Ratings the plugin drops are not routed, though each names an
+  // in-range ratee: a NaN value, a self-rating, an out-of-range rater.
+  ratings.push_back(make(2, 3, std::numeric_limits<double>::quiet_NaN()));
+  ratings.push_back(make(4, 4, 1.0));
+  ratings.push_back(make(static_cast<NodeId>(net.size()), 5, 1.0));
   net.update(ratings);
-  EXPECT_EQ(net.last_traffic().ratings_routed, ratings.size());
+  EXPECT_EQ(net.last_traffic().ratings_routed, valid);
   std::uint64_t load_sum = 0;
   for (std::uint64_t l : net.manager_load()) load_sum += l;
-  EXPECT_EQ(load_sum, ratings.size());
+  EXPECT_EQ(load_sum, valid);
 }
 
 TEST(ResourceManagers, CrossManagerFlagsCostInfoRequests) {

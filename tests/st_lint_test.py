@@ -1269,6 +1269,35 @@ void Counter::run(Pool& pool) {
         self.assert_clean(self.lint(self.root / "src"))
 
 
+    def test_comma_declarators_with_parenthesised_initialisers_pass(
+            self) -> None:
+        # Both names of `T a(..), b(..);` are locals of the worker's
+        # helper, so neither increment is a shared write.
+        self.write("src/core/counts.hpp", """#pragma once
+#include <cstdint>
+#include <vector>
+class Pool;
+class Counts {
+ public:
+  void run(Pool& pool);
+ private:
+  void tally(unsigned long n);
+};
+""")
+        self.write("src/core/counts.cpp", """
+#include "core/counts.hpp"
+void Counts::tally(unsigned long n) {
+  std::vector<std::uint32_t> a(n + 1, 0), b(n + 1, 0);
+  ++a[0];
+  ++b[0];
+}
+void Counts::run(Pool& pool) {
+  pool.parallel_for(8, [this](unsigned long i) { tally(i); });
+}
+""")
+        self.assert_clean(self.lint(self.root / "src"))
+
+
 class Lock4OrderTests(LintFixtureCase):
     """LOCK-4: the lock-order graph lifted across function boundaries."""
 
@@ -1314,6 +1343,50 @@ void B::h() {
         self.assertIn("A::ma_", proc.stderr)
         self.assertIn("B::mb_", proc.stderr)
         del f
+
+    def test_cycle_through_a_call_on_a_call_result_fires(self) -> None:
+        # `Obs::instance().flush()` has no named receiver; it resolves like
+        # an unknown receiver, to every method called flush.
+        self.write("src/obs/sink.hpp", """#pragma once
+#include <mutex>
+class Registry {
+ public:
+  void counter();
+  void reset_values();
+ private:
+  std::mutex mutex_;
+};
+class Obs {
+ public:
+  static Obs& instance();
+  void configure();
+  void flush();
+ private:
+  std::mutex mutex_;
+  Registry registry_;
+};
+""")
+        self.write("src/obs/sink.cpp", """
+#include "obs/sink.hpp"
+void Registry::counter() {
+  std::lock_guard lock(mutex_);
+  Obs::instance().flush();
+}
+void Registry::reset_values() { std::lock_guard lock(mutex_); }
+Obs& Obs::instance() {
+  static Obs obs;
+  return obs;
+}
+void Obs::configure() {
+  std::lock_guard lock(mutex_);
+  registry_.reset_values();
+}
+void Obs::flush() { std::lock_guard lock(mutex_); }
+""")
+        proc = self.lint(self.root / "src")
+        self.assert_fires(proc, "LOCK-4")
+        self.assertIn("Registry::counter", proc.stderr)
+        self.assertIn("Obs::configure", proc.stderr)
 
     def test_consistent_global_order_passes(self) -> None:
         self.write("src/core/order2.hpp", """#pragma once

@@ -78,9 +78,17 @@ class CallGraph:
             return self._receiver_type(parent, recv)
         return t
 
+    def _methods_named(self, name: str) -> list[int]:
+        """Every method called `name`: the callees of a call whose
+        receiver's type is unknown (conservative)."""
+        return [g for g in self.index.by_name.get(name, [])
+                if self.index.functions[g]["cls"]]
+
     def resolve(self, fn: dict, call: dict) -> list[int]:
         name = call["name"]
         index = self.index
+        if call.get("on_result"):
+            return self._methods_named(name)
         if call.get("qual"):
             return list(index.by_qname.get(f"{call['qual']}::{name}", []))
         # `auto f = [..]{..}; ... f(...)` — the local *is* the lambda
@@ -98,9 +106,7 @@ class CallGraph:
                                 index.by_qname.get(f"{c}::{name}", []))
                         return targets
                 return []  # known non-class receiver (vector, map, ...)
-            # unknown receiver: every method with this name (conservative)
-            return [g for g in index.by_name.get(name, [])
-                    if index.functions[g]["cls"]]
+            return self._methods_named(name)
         # unqualified (or this->): same class chain first, then free fns
         if fn["cls"]:
             for c in self._class_family(fn["cls"]):
@@ -224,7 +230,9 @@ class CallGraph:
                 # member sub-object: as local as the caller's instance
                 return caller_local
             return False
-        # implicit/this call: same instance as the caller
+        # implicit/this call: same instance as the caller; so is a call
+        # on a call's result (`graph().add_relationship(..)`), which in
+        # this tree reaches the caller's own per-run objects
         return caller_local
 
     # --- lock acquisition closure (LOCK-4) --------------------------------

@@ -29,7 +29,7 @@ from .core import SourceFile
 from .lexer import Token
 from .scopes import (Scope, _match_backward, match_forward, skip_template)
 
-FACTS_VERSION = 9  # bump when the fact schema changes (invalidates caches)
+FACTS_VERSION = 10  # bump when the fact schema changes (invalidates caches)
 
 ACCESS_SPECIFIERS = {"public", "private", "protected"}
 CALL_KEYWORDS = {"if", "for", "while", "switch", "catch", "sizeof",
@@ -210,7 +210,7 @@ def _collect_locals(code: list[Token], lo: int, hi: int,
                     elif tm == "," and depth == 0 and m + 1 < n and \
                             code[m + 1].kind == "ident":
                         follow = code[m + 2].text if m + 2 < n else ""
-                        if follow in (";", "=", ",", "{", "["):
+                        if follow in (";", "=", ",", "{", "[", "("):
                             out.setdefault(code[m + 1].text,
                                            " ".join(type_words))
                     m += 1
@@ -533,15 +533,20 @@ def _scan_body(code: list[Token], lo: int, hi: int, rec: dict,
                 if not looks_decl:
                     close = match_forward(code, j + 1, "(", ")")
                     recv, qual = "", ""
+                    on_result = False
                     if prev_txt in (".", "->"):
                         recv, _, _ = _chain_back(code, j - 2, max(lo - 64, 0))
+                        # `Obs::instance().flush()`: the receiver is a
+                        # call's result (or another unmodelled expression)
+                        on_result = not recv
                     elif prev_txt == "::" and j >= 2 and \
                             code[j - 2].kind == "ident":
                         qual = code[j - 2].text
                     args, lambdas = _call_args(code, j + 1, close, scope)
                     call_rec = {
                         "name": t.text, "line": t.line, "tok": j,
-                        "recv": recv, "qual": qual, "args": args,
+                        "recv": recv, "on_result": on_result,
+                        "qual": qual, "args": args,
                         "lambdas": [scope_ids[s.start] for s in lambdas
                                     if s.start in scope_ids]}
                     rec["calls"].append(call_rec)
