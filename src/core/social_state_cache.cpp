@@ -15,11 +15,11 @@ SocialStateCache::PathEntry search(const graph::SocialGraph& g,
                                    graph::NodeId i, graph::NodeId j) {
   SocialStateCache::PathEntry entry;
   entry.ratee = j;
-  const auto found = g.shortest_path(i, j);
-  if (found) {
-    const std::vector<graph::NodeId>& path = *found;
-    entry.hops = static_cast<std::uint8_t>(path.size() - 1);
-    std::copy(path.begin() + 1, path.end() - 1, entry.interior);
+  graph::NodeId path[graph::kMaxPathHops + 1];
+  const std::size_t count = g.shortest_path(i, j, path);
+  if (count != 0) {
+    entry.hops = static_cast<std::uint8_t>(count - 1);
+    std::copy(path + 1, path + count - 1, entry.interior);
     for (std::size_t s = 1; s < entry.hops; ++s) {
       entry.masks[s - 1] = g.relationship_mask(path[s], path[s + 1]);
     }
@@ -70,24 +70,61 @@ SocialStateCache::SocialStateCache() {
   obs_structure_misses_ = &registry.counter("social_cache.structure_misses");
 }
 
-void SocialStateCache::open_interval(const graph::SocialGraph& g) {
-  const Revision epoch = g.structure_epoch();
-  storing_ = !epoch_ || *epoch_ == epoch;
-  epoch_ = epoch;
+SocialStateCache::Boundary SocialStateCache::open_interval(
+    const graph::SocialGraph& g) {
   if (rows_.size() < g.size()) rows_.resize(g.size());
-  if (storing_) return;
-  // Some relationship changed since these paths were computed; any of
-  // them may now be longer, broken or no longer lex-min.
-  const std::size_t dropped = drop_all();
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-  obs_invalidations_->add(dropped);
+  const Revision epoch = g.structure_epoch();
+  Boundary boundary;
+  if (epoch_ && *epoch_ != epoch) boundary = release_reach(g, *epoch_);
+  epoch_ = epoch;
+  return boundary;
+}
+
+SocialStateCache::Boundary SocialStateCache::release_reach(
+    const graph::SocialGraph& g, Revision since) {
+  // Level by level from the changed nodes: level h holds the nodes whose
+  // nearest changed row is h hops away. A source at level <= kMaxPathHops
+  // - 1 has a changed row inside the BFS its entries came from, so any of
+  // its paths may now be longer, broken or no longer lex-min; a source
+  // past it read only unchanged rows, which give the same levels, order
+  // and parents on the current graph.
+  Boundary boundary;
+  std::vector<bool> reached(g.size(), false);
+  std::vector<NodeId> level, next;
+  for (NodeId v = 0; v < g.size(); ++v) {
+    if (g.node_epoch(v) > since) {
+      reached[v] = true;
+      level.push_back(v);
+    }
+  }
+  boundary.changed_nodes = level.size();
+  std::size_t released = 0;
+  for (std::size_t hops = 0; !level.empty(); ++hops) {
+    for (const NodeId v : level) {
+      released += rows_[v].size();
+      rows_[v].clear();
+    }
+    boundary.released_rows += level.size();
+    if (hops + 1 == graph::kMaxPathHops) break;
+    next.clear();
+    for (const NodeId v : level) {
+      for (const NodeId w : g.neighbors(v)) {
+        if (reached[w]) continue;
+        reached[w] = true;
+        next.push_back(w);
+      }
+    }
+    level.swap(next);
+  }
+  invalidations_.fetch_add(released, std::memory_order_relaxed);
+  obs_invalidations_->add(released);
+  return boundary;
 }
 
 const SocialStateCache::PathEntry& SocialStateCache::path(
     const graph::SocialGraph& g, NodeId i, NodeId j, PathEntry& fresh) {
-  if (!storing_ || g.structure_epoch() != *epoch_ || i >= rows_.size()) {
-    // No store this interval (the topology moved at its boundary, or no
-    // boundary was opened), or a relationship changed since the boundary.
+  if (epoch_ != g.structure_epoch() || i >= rows_.size()) {
+    // No boundary was opened, or a relationship changed since it was.
     count(structure_misses_, *obs_structure_misses_);
     fresh = search(g, i, j);
     return fresh;
@@ -195,21 +232,9 @@ double SocialStateCache::closeness(const ClosenessModel& model,
   return Row(*this, model, g, i).closeness(j);
 }
 
-std::size_t SocialStateCache::drop_all() {
-  std::size_t dropped = 0;
-  for (std::vector<PathEntry>& row : rows_) {
-    dropped += row.size();
-    // Release the storage too: after a topology change the next interval
-    // stores nothing, and under whitewashing none after it reads a row.
-    std::vector<PathEntry>().swap(row);
-  }
-  return dropped;
-}
-
 void SocialStateCache::clear() {
-  drop_all();
+  rows_.clear();
   epoch_.reset();
-  storing_ = false;
 }
 
 std::size_t SocialStateCache::size() const {

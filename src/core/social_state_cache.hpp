@@ -40,26 +40,30 @@
 //     min from the first edge's row value and folds the rest of the path
 //     with the entry's masks.
 //
-// One witness, checked at the interval boundary: open_interval() reads
-// the graph's structure_epoch() once. If it moved since the previous
-// call, the topology changed, every entry is dropped, and the interval
-// stores nothing: its searches go straight to shortest_path(), with no
-// row probe. Otherwise the interval serves and stores paths. The first
-// call after construction or clear() stores too. Under whitewashing the
-// epoch moves before nearly every interval, so a path stored there would
-// never be read; on a graph whose topology holds, the paths of one
-// interval serve every later one (DESIGN.md §13). A lookup also compares
-// the graph's current epoch with the adopted one and bypasses the rows
-// when they differ, so no entry is ever served across a relationship
-// change — in any call order, including tests that mutate the graph
-// between direct lookups with no open_interval() call. Interactions,
-// no-op mutators and CSR rebuilds leave the epoch alone, so a path
-// survives all of them.
+// Two witnesses, both read off the graph. At the interval boundary,
+// open_interval() reads the graph's structure_epoch(). If it moved since
+// the previous call, it releases only the rows the change can reach: a
+// source's row holds what a FIFO BFS from that source returns to depth
+// kMaxPathHops, and that BFS reads only the adjacency rows of nodes at
+// most kMaxPathHops - 1 hops away. So one multi-source BFS over the
+// current rows, from every node whose node_epoch() is newer than the
+// adopted epoch and capped at kMaxPathHops - 1 hops, empties the row of
+// each source it reaches and keeps the rest: none of those keeps a path
+// (or an unreachable record) whose BFS read a changed row (DESIGN.md
+// §13). The interval then serves and stores like any other; so does the
+// first after construction or clear(). Within an interval a lookup also
+// compares the graph's current epoch with the adopted one and searches
+// without storing when they differ, so no entry is served across a
+// relationship change made after the boundary — in any call order,
+// including tests that mutate the graph between direct lookups with no
+// open_interval() call — and a lookup before any boundary stores
+// nothing. Interactions, no-op mutators and CSR rebuilds stamp nothing,
+// so a path survives all of them.
 //
 // Bit-identity: every branch evaluates the same terms as
 // ClosenessModel::closeness(), in the same order, through the same Eq. 2
 // expression (ClosenessModel::edge_closeness); a served path is exactly
-// what shortest_path() returns under the same epoch; and Eq. 4's min is
+// what shortest_path() returns on the current graph; and Eq. 4's min is
 // exact and order-free, so starting it from the first edge's value
 // instead of +inf changes no bit. A Row therefore returns the identical
 // double a direct ClosenessModel::closeness() call would, at every
@@ -75,14 +79,14 @@
 // lookup running; the fields open_interval() sets are only read by
 // lookups.
 //
-// Lifetime: entries are dropped all at once, storage included, by the
-// open_interval() that sees the epoch move or by clear(); there is no
-// eviction.
+// Lifetime: a row is emptied by the open_interval() whose change
+// reaches its source, and every row by clear(); there is no eviction.
 //
 // Observability: per-instance relaxed atomic counters (always on; the
 // bench reads them to prove the hit rate) plus process-wide obs counters
-// `social_cache.invalidations` / `.structure_hits` / `.structure_misses`
-// (see docs/OBSERVABILITY.md).
+// `social_cache.invalidations` / `.structure_hits` / `.structure_misses`;
+// open_interval() returns what its boundary changed and released, which
+// the plugin reports per interval (see docs/OBSERVABILITY.md).
 
 #include <atomic>
 #include <cstdint>
@@ -102,13 +106,22 @@ class SocialStateCache {
 
   SocialStateCache();
 
-  /// Interval boundary: adopts g.structure_epoch() and sizes the path
-  /// rows to g. If the epoch moved since the previous call, drops every
-  /// entry (counted in `invalidations`) and stores nothing until the next
-  /// call; otherwise, and on the first call after construction or
-  /// clear(), this interval serves and stores paths. Call it with the
-  /// graph frozen and no lookup running.
-  void open_interval(const graph::SocialGraph& g);
+  /// What one open_interval() did: the nodes whose adjacency row changed
+  /// since the adopted epoch, and the source rows it emptied because
+  /// such a node lies within kMaxPathHops - 1 hops of them. Both are 0
+  /// when the epoch held, and on the first call after construction or
+  /// clear().
+  struct Boundary {
+    std::size_t changed_nodes = 0;
+    std::size_t released_rows = 0;
+  };
+
+  /// Interval boundary: sizes the path rows to g, empties the row of
+  /// every source a relationship change since the previous call can
+  /// reach (the entries counted in `invalidations`), and adopts
+  /// g.structure_epoch(). The interval then serves and stores paths.
+  /// Call it with the graph frozen and no lookup running.
+  Boundary open_interval(const graph::SocialGraph& g);
 
   /// One stored path from a row's source: the hop count (0 = unreachable
   /// within graph::kMaxPathHops), the interior nodes (source and ratee
@@ -187,7 +200,7 @@ class SocialStateCache {
 
   /// Monotone per-instance totals: structure_hits counts paths served,
   /// structure_misses every search, stored or not; invalidations counts
-  /// the entries open_interval() dropped after the epoch moved.
+  /// the entries open_interval() released after the epoch moved.
   struct StatsSnapshot {
     /// Always 0: these counted the per-pair value memo, which is gone
     /// (every coefficient is evaluated once per interval). Kept only
@@ -204,23 +217,22 @@ class SocialStateCache {
 
  private:
   /// Shortest path i -> j (i != j, both nodes of g): row i's entry, read
-  /// in place, while this interval stores and g's epoch is the adopted
-  /// one (inserted on a miss); otherwise searched into `fresh`.
+  /// in place, while g's epoch is the adopted one (inserted on a miss);
+  /// otherwise searched into `fresh`.
   const PathEntry& path(const graph::SocialGraph& g, NodeId i, NodeId j,
                         PathEntry& fresh);
 
-  /// Empties every row and releases its storage; returns the number of
-  /// entries dropped.
-  std::size_t drop_all();
+  /// The multi-source BFS of open_interval(): empties the row of every
+  /// source within kMaxPathHops - 1 hops of a node stamped after `since`.
+  Boundary release_reach(const graph::SocialGraph& g, Revision since);
 
   /// rows_[i]: source i's stored paths, sorted by ratee.
   std::vector<std::vector<PathEntry>> rows_;
 
   /// The structure epoch the last open_interval() adopted (none after
-  /// construction or clear()), and whether this interval stores paths.
-  /// Written only by open_interval() and clear(); lookups only read them.
+  /// construction or clear()). Written only by open_interval() and
+  /// clear(); lookups only read it.
   std::optional<Revision> epoch_;
-  bool storing_ = false;
 
   // Per-instance totals (see StatsSnapshot). Relaxed: they order nothing;
   // observation-only, never fed back into cached values.

@@ -127,12 +127,13 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   double collect_us = 0.0, adjust_us = 0.0;
   double tally_us = 0.0, coeff_us = 0.0, baseline_us = 0.0;
 
-  // The cache's interval boundary, the one place its witness is checked:
-  // if a relationship changed since the previous update() (whitewash
-  // re-wiring, say), every stored path is dropped and this interval
-  // searches without storing; while the topology holds, the paths stored
-  // in earlier intervals are served without redoing the bounded search.
-  social_cache_.open_interval(graph_);
+  // The cache's interval boundary: if a relationship changed since the
+  // previous update() (whitewash re-wiring, say), the rows of the sources
+  // the change can reach are released; every other stored path, and
+  // every path this interval stores, is served without redoing the
+  // bounded search.
+  const SocialStateCache::Boundary boundary =
+      social_cache_.open_interval(graph_);
   adjusted_.assign(cycle_ratings.begin(), cycle_ratings.end());
   report_ = AdjustmentReport{};
 
@@ -387,6 +388,9 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         {"total_us", total_us},
         {"social_cache_entries", static_cast<double>(social_cache_.size())},
         {"social_cache_hit_rate_pct", hit_rate_pct},
+        {"social_cache_changed_nodes",
+         static_cast<double>(boundary.changed_nodes)},
+        {"social_cache_released", static_cast<double>(boundary.released_rows)},
         {"threads", static_cast<double>(effective_threads())},
     };
     obs::Obs::instance().emit_interval("socialtrust.update", name_, extras);

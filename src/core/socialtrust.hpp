@@ -39,11 +39,12 @@
 // persists only what survives an interval and is expensive to recompute
 // — the shortest paths Eq. 4 reads, one sorted row per source. update()
 // opens the cache's interval first: if the graph's structure epoch moved
-// since the previous update(), the cache drops every path and this
-// interval stores none (under whitewashing no later interval would read
-// them); while the topology holds, paths are stored and served, so the
-// bounded path search is not redone (DESIGN.md §13). Each coefficient
-// itself is evaluated once per interval by the rater walk.
+// since the previous update(), the cache releases the rows of the
+// sources the change can reach (those within kMaxPathHops - 1 hops of a
+// changed adjacency row) and keeps the rest; every interval then stores
+// and serves paths, so the bounded path search is not redone for a
+// source the topology change did not reach (DESIGN.md §13). Each
+// coefficient itself is evaluated once per interval by the rater walk.
 // The cold-vs-warm gates in tests/incremental_state_test.cpp and
 // tests/warm_cold_property_test.cpp pin bit-identity with a cleared cache
 // at every interval and thread count, and a from-scratch oracle there
@@ -51,7 +52,8 @@
 //
 // Observability: when the st::obs layer is enabled, update() times its
 // two stages (collect / adjust), tallies pair and rating counters, and
-// emits one "socialtrust.update" interval event per call.
+// emits one "socialtrust.update" interval event per call, which also
+// says what the cache's boundary changed and released.
 // Instrumentation is observation-only — it never feeds back into the
 // adjustment, so enabling it preserves the bit-identity contract above
 // (DESIGN.md §12, docs/OBSERVABILITY.md).
@@ -212,12 +214,12 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// the per-rater Gaussian statistics are computed.
   std::vector<std::vector<reputation::NodeId>> rated_history_;
 
-  /// Persistent shortest-path memo, opened at the start of every update()
-  /// and valid while the graph's structure epoch holds — NOT per-update
-  /// scratch; it survives across intervals (DESIGN.md §13). The walk's
-  /// workers share it without locks: each opens the rows of the raters it
-  /// walks, and no rater is walked by two workers. Mutable because
-  /// social_cache() hands it out from a const accessor.
+  /// Persistent shortest-path memo, opened at the start of every update(),
+  /// which releases only the rows a relationship change can reach — NOT
+  /// per-update scratch; it survives across intervals (DESIGN.md §13).
+  /// The walk's workers share it without locks: each opens the rows of
+  /// the raters it walks, and no rater is walked by two workers. Mutable
+  /// because social_cache() hands it out from a const accessor.
   mutable SocialStateCache social_cache_;
 
   // Per-update scratch (rebuilt each call).

@@ -31,7 +31,8 @@ SocialGraph::SocialGraph(std::size_t node_count)
     : node_count_(node_count),
       rel_(node_count),
       int_(node_count),
-      interaction_totals_(node_count, 0.0) {
+      interaction_totals_(node_count, 0.0),
+      node_epochs_(node_count, 0) {
   auto& registry = obs::Obs::instance().registry();
   obs_rebuilds_ = &registry.counter("social_graph.csr_rebuilds");
   obs_delta_edges_ = &registry.counter("social_graph.csr_delta_edges");
@@ -85,7 +86,7 @@ bool SocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) {
   const bool added_rev = insert_half(b, a);
   // The halves are symmetric, but bump on either so a broken half-edge
   // invariant can never strand an un-revisioned write.
-  if (added || added_rev) bump_structure();
+  if (added || added_rev) bump_structure(a, b);
   return added;
 }
 
@@ -110,7 +111,7 @@ bool SocialGraph::remove_relationship(NodeId a, NodeId b, Relationship r) {
   };
   const bool removed = remove_half(a, b);
   const bool removed_rev = remove_half(b, a);
-  if (removed || removed_rev) bump_structure();
+  if (removed || removed_rev) bump_structure(a, b);
   return removed;
 }
 
@@ -403,44 +404,61 @@ std::optional<Meeting> meet_in_the_middle(BfsScratch& s,
 
 std::optional<std::size_t> SocialGraph::distance(
     NodeId a, NodeId b, std::size_t max_hops) const {
-  const auto path = shortest_path(a, b, max_hops);
-  if (!path) return std::nullopt;
-  return path->size() - 1;
+  // No shortest path repeats a node, so a cap past size() hops finds
+  // nothing more, and the buffer never needs to be longer.
+  std::vector<NodeId> path(std::min(max_hops, node_count_) + 1);
+  const std::size_t count = shortest_path(a, b, std::span<NodeId>(path));
+  if (count == 0) return std::nullopt;
+  return count - 1;
 }
 
 std::optional<std::vector<NodeId>> SocialGraph::shortest_path(
     NodeId a, NodeId b, std::size_t max_hops) const {
+  std::vector<NodeId> path(std::min(max_hops, node_count_) + 1);  // as above
+  path.resize(shortest_path(a, b, std::span<NodeId>(path)));
+  if (path.empty()) return std::nullopt;
+  return path;
+}
+
+std::size_t SocialGraph::shortest_path(NodeId a, NodeId b,
+                                       std::span<NodeId> out) const {
   check_node(a);
   check_node(b);
-  if (a == b) return std::vector<NodeId>{a};
+  if (out.empty()) return 0;
+  if (a == b) {
+    out[0] = a;
+    return 1;
+  }
   BfsScratch& s = bfs_scratch(node_count_);
   const SearchRows rows{*this, rel_.offsets(), rel_.targets(),
                         rel_.overlay_rows() == 0};
-  const std::optional<Meeting> m = meet_in_the_middle(s, rows, a, b, max_hops);
-  if (!m) return std::nullopt;
+  const std::optional<Meeting> m =
+      meet_in_the_middle(s, rows, a, b, out.size() - 1);
+  if (!m) return 0;
   // The lexicographically smallest shortest path, which is exactly what
   // the forward FIFO BFS returns (DESIGN.md §13/§15): the lex-min path
   // to `via` along the forward parent links, then from `via` the
   // smallest-id neighbour one backward level nearer `b` at every step
-  // (rows ascend, so the first hit is the smallest).
-  std::vector<NodeId> path(std::size_t{m->fwd_level} + m->bwd_level + 2);
+  // (rows ascend, so the first hit is the smallest). The distance is at
+  // most the cap, so the path fits in `out`.
+  const std::size_t count = std::size_t{m->fwd_level} + m->bwd_level + 2;
   NodeId cur = m->via;
   for (std::size_t step = m->fwd_level + 1; step-- > 0;) {
-    path[step] = cur;
+    out[step] = cur;
     cur = s.parent_of(cur);
   }
   cur = m->via;
-  for (std::size_t step = m->fwd_level + 1; step < path.size(); ++step) {
-    const auto level = static_cast<std::uint32_t>(path.size() - 1 - step);
+  for (std::size_t step = m->fwd_level + 1; step < count; ++step) {
+    const auto level = static_cast<std::uint32_t>(count - 1 - step);
     for (const NodeId next : rows(cur)) {
       if (s.at_bwd_level(next, level)) {
         cur = next;
         break;
       }
     }
-    path[step] = cur;
+    out[step] = cur;
   }
-  return path;
+  return count;
 }
 
 void SocialGraph::clear_node(NodeId node) {
@@ -484,7 +502,8 @@ void SocialGraph::clear_node(NodeId node) {
 
 SocialGraph::MemoryFootprint SocialGraph::memory_footprint() const noexcept {
   MemoryFootprint m;
-  m.adjacency_bytes = rel_.flat_bytes();
+  m.adjacency_bytes =
+      rel_.flat_bytes() + node_epochs_.capacity() * sizeof(Revision);
   m.interaction_bytes = int_.flat_bytes() + interaction_totals_.capacity() *
                                                 sizeof(double);
   m.overlay_bytes = rel_.overlay_bytes() + int_.overlay_bytes();

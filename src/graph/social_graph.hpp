@@ -32,9 +32,11 @@
 // structure epoch does not move.
 //
 // Change tracking covers adjacency only (DESIGN.md §13): one graph-wide
-// structure_epoch() witnesses every cached shortest path. Interaction
-// counts carry no epoch — the plugin re-reads every Eq. (2) row each
-// interval.
+// structure_epoch() witnesses every cached shortest path, and each
+// node's node_epoch() names the epoch at which its adjacency row last
+// changed, so the path cache can tell which rows a change touched.
+// Interaction counts carry no epoch — the plugin re-reads every Eq. (2)
+// row each interval.
 //
 // Span stability: neighbors() spans are invalidated by ANY mutating
 // method — not just mutations of the same node — because begin_interval()
@@ -181,12 +183,20 @@ class SocialGraph {
   /// The result is a function of the graph alone — it is the path a FIFO
   /// BFS over ascending rows returns — whatever traversal computes it
   /// (today a meet-in-the-middle search, DESIGN.md §15). Cached path
-  /// entries rely on that: the path can change only through a
-  /// relationship change, which moves structure_epoch() (DESIGN.md §13).
+  /// entries rely on that: the path from `a` can change only through a
+  /// change to the row of a node at most max_hops - 1 hops from `a`,
+  /// which stamps that node's node_epoch() (DESIGN.md §13).
   /// It is direction-dependent: shortest_path(b, a) need not be the
   /// reverse.
   std::optional<std::vector<NodeId>> shortest_path(
       NodeId a, NodeId b, std::size_t max_hops = kMaxPathHops) const;
+
+  /// The same search, allocation-free: writes the path into `out`, whose
+  /// size is max_hops + 1, and returns its node count; 0 means none within
+  /// out.size() - 1 hops (an empty `out` finds nothing). Entries of `out`
+  /// past the count are left as they were. The vector form and
+  /// distance() wrap this one.
+  std::size_t shortest_path(NodeId a, NodeId b, std::span<NodeId> out) const;
 
   /// Total number of undirected edges (distinct adjacent pairs).
   std::size_t edge_count() const noexcept { return half_edges_ / 2; }
@@ -216,6 +226,15 @@ class SocialGraph {
   /// unchanged; the path cache's rows are witnessed by it.
   Revision structure_epoch() const noexcept { return structure_epoch_; }
 
+  /// The structure epoch at which a's adjacency row last changed (a
+  /// neighbour or an edge's type set): every bump of structure_epoch()
+  /// stamps both endpoints of the edge it changed, so clear_node(a)
+  /// stamps a and every former friend. 0 for a row that never changed
+  /// and for an out-of-range id.
+  Revision node_epoch(NodeId a) const noexcept {
+    return a < node_count_ ? node_epochs_[a] : 0;
+  }
+
   // --- CSR maintenance diagnostics (tests, bench, docs) ---------------------
 
   /// begin_interval() calls that compacted at least one store.
@@ -231,7 +250,7 @@ class SocialGraph {
   /// vector capacities (allocated, not just used bytes); used by the
   /// bench_csr_graph memory table and the README footprint numbers.
   struct MemoryFootprint {
-    std::size_t adjacency_bytes = 0;     ///< CSR offsets + targets + masks
+    std::size_t adjacency_bytes = 0;     ///< CSR arrays + node epochs
     std::size_t interaction_bytes = 0;   ///< CSR offsets + targets + counts
     std::size_t overlay_bytes = 0;       ///< delta rows awaiting compaction
     std::size_t total() const noexcept {
@@ -242,7 +261,13 @@ class SocialGraph {
 
  private:
   void check_node(NodeId a) const;
-  void bump_structure() noexcept { ++structure_epoch_; }
+  /// Moves the structure epoch for a change to edge (a, b) and stamps
+  /// both endpoints' rows with it.
+  void bump_structure(NodeId a, NodeId b) noexcept {
+    ++structure_epoch_;
+    node_epochs_[a] = structure_epoch_;
+    node_epochs_[b] = structure_epoch_;
+  }
 
   std::size_t node_count_ = 0;
 
@@ -259,6 +284,7 @@ class SocialGraph {
 
   // Change tracking (see Revision): adjacency only.
   Revision structure_epoch_ = 0;
+  std::vector<Revision> node_epochs_;  ///< node_epoch(), per node
 
   std::uint64_t rebuilds_ = 0;
 

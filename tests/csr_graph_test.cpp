@@ -1,14 +1,14 @@
 // CSR equivalence suite (DESIGN.md §15). The CSR refactor's contract is
-// that representation is unobservable: every public accessor and the
-// structure epoch of the CSR-backed SocialGraph must match a faithful
-// port of the pre-CSR vector-of-vectors layout on ANY mutation sequence,
-// and compaction timing (whenever begin_interval() runs) must be
-// invisible. The suites here replay randomized mutation mixes —
-// relationship add/remove, interactions, clear_node, whitewashing
-// re-entry — against both representations and compare exhaustively, then
-// check that begin_interval() is the one compaction point and rewrites
-// only the stores that changed, memory accounting, and the end-to-end
-// plugin differential at threads {1,2,4}.
+// that representation is unobservable: every public accessor, the
+// structure epoch and every node's epoch of the CSR-backed SocialGraph
+// must match a faithful port of the pre-CSR vector-of-vectors layout on
+// ANY mutation sequence, and compaction timing (whenever
+// begin_interval() runs) must be invisible. The suites here replay
+// randomized mutation mixes — relationship add/remove, interactions,
+// clear_node, whitewashing re-entry — against both representations and
+// compare exhaustively, then check that begin_interval() is the one
+// compaction point and rewrites only the stores that changed, memory
+// accounting, and the end-to-end plugin differential at threads {1,2,4}.
 // The dense InterestProfiles are checked the same way against a port of
 // the sorted-set layout, similarity kernels included.
 
@@ -22,6 +22,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -61,6 +62,24 @@ using graph::SocialGraph;
 /// friend-of-friend reach, one beyond it, and the default.
 constexpr std::size_t kHopCaps[] = {0, 1, 2, 3, 6};
 
+/// shortest_path()'s span form at hop cap `cap`, in the vector form's
+/// shape. The buffer holds cap + 1 nodes and one guard after them; the
+/// search must leave every entry past the count it returns untouched.
+std::optional<std::vector<NodeId>> span_path(const SocialGraph& g, NodeId a,
+                                             NodeId b, std::size_t cap) {
+  constexpr NodeId kUntouched = 0xFFFFFFFFU;
+  std::vector<NodeId> buffer(cap + 2, kUntouched);
+  const std::size_t count =
+      g.shortest_path(a, b, std::span<NodeId>(buffer).first(cap + 1));
+  EXPECT_TRUE(std::all_of(buffer.begin() + static_cast<std::ptrdiff_t>(count),
+                          buffer.end(),
+                          [](NodeId v) { return v == kUntouched; }))
+      << "pair " << a << "," << b << " cap " << cap;
+  if (count == 0) return std::nullopt;
+  buffer.resize(count);
+  return buffer;
+}
+
 /// Compares every public accessor over every node/pair. O(n^2) — keep n
 /// small; the point is exhaustiveness, not scale.
 void expect_graphs_identical(const SocialGraph& csr,
@@ -74,6 +93,7 @@ void expect_graphs_identical(const SocialGraph& csr,
   EXPECT_EQ(csr.structure_epoch(), ref.structure_epoch());
 
   for (NodeId a = 0; a < n; ++a) {
+    EXPECT_EQ(csr.node_epoch(a), ref.node_epoch(a)) << "node " << a;
     EXPECT_EQ(csr.degree(a), ref.degree(a)) << "node " << a;
     EXPECT_TRUE(bits_equal(csr.total_interactions(a),
                            ref.total_interactions(a)))
@@ -114,7 +134,10 @@ void expect_graphs_identical(const SocialGraph& csr,
       for (std::size_t cap : kHopCaps) {
         EXPECT_EQ(csr.distance(a, b, cap), ref.distance(a, b, cap))
             << "pair " << a << "," << b << " cap " << cap;
-        EXPECT_EQ(csr.shortest_path(a, b, cap), ref.shortest_path(a, b, cap))
+        const auto want = ref.shortest_path(a, b, cap);
+        EXPECT_EQ(csr.shortest_path(a, b, cap), want)
+            << "pair " << a << "," << b << " cap " << cap;
+        EXPECT_EQ(span_path(csr, a, b, cap), want)
             << "pair " << a << "," << b << " cap " << cap;
       }
     }
@@ -442,8 +465,8 @@ struct PathCoverage {
   std::size_t unreachable = 0;  ///< none at any cap
 };
 
-/// Compares distance() and shortest_path() on every pair, each at a hop
-/// cap drawn from 0..8.
+/// Compares distance() and both forms of shortest_path() on every pair,
+/// each at a hop cap drawn from 0..8.
 PathCoverage expect_paths_match(
     const SocialGraph& csr, const ReferenceSocialGraph& ref,
     const std::vector<std::pair<NodeId, NodeId>>& pairs, stats::Rng& rng) {
@@ -451,7 +474,9 @@ PathCoverage expect_paths_match(
   for (const auto& [a, b] : pairs) {
     const std::size_t cap = rng.index(9);
     const auto path = csr.shortest_path(a, b, cap);
-    EXPECT_EQ(path, ref.shortest_path(a, b, cap))
+    const auto want = ref.shortest_path(a, b, cap);
+    EXPECT_EQ(path, want) << "pair " << a << "," << b << " cap " << cap;
+    EXPECT_EQ(span_path(csr, a, b, cap), want)
         << "pair " << a << "," << b << " cap " << cap;
     EXPECT_EQ(csr.distance(a, b, cap), ref.distance(a, b, cap))
         << "pair " << a << "," << b << " cap " << cap;

@@ -387,43 +387,93 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeedProperty,
 // The structure epoch is the one witness of the SocialStateCache's path
 // rows (DESIGN.md §13): it must move on every relationship change that
 // changes something, and on nothing else. Interaction edits, no-op
-// mutator calls and CSR compactions carry no epoch.
+// mutator calls and CSR compactions carry no epoch. Each move stamps
+// node_epoch() on exactly the nodes whose adjacency row it changed,
+// which is how the cache finds the rows a change can reach.
+
+/// Snapshot of every node's stamp and the structure epoch they were
+/// taken at.
+struct Stamps {
+  SocialGraph::Revision epoch = 0;
+  std::vector<SocialGraph::Revision> nodes;
+};
+Stamps stamps_of(const SocialGraph& g) {
+  Stamps out{g.structure_epoch(), {}};
+  for (NodeId v = 0; v < g.size(); ++v) out.nodes.push_back(g.node_epoch(v));
+  return out;
+}
+
+/// Exactly the nodes in `stamped` were stamped since `before`: each with
+/// an epoch the graph moved to since then, and every other node keeps
+/// its stamp.
+::testing::AssertionResult stamped_exactly(const SocialGraph& g,
+                                           const Stamps& before,
+                                           const std::set<NodeId>& stamped) {
+  for (NodeId v = 0; v < g.size(); ++v) {
+    const SocialGraph::Revision got = g.node_epoch(v);
+    const bool ok = stamped.count(v) != 0
+                        ? got > before.epoch && got <= g.structure_epoch()
+                        : got == before.nodes[v];
+    if (!ok) {
+      return ::testing::AssertionFailure()
+             << "node " << v << ": node_epoch " << got << " ("
+             << (stamped.count(v) != 0 ? "stamped" : "not stamped") << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(SocialGraphStructureEpoch, EveryEffectiveRelationshipChangeMovesIt) {
   SocialGraph g(4);
   EXPECT_EQ(g.structure_epoch(), 0U);
+  auto before = stamps_of(g);
+  EXPECT_EQ(before.nodes, std::vector<SocialGraph::Revision>(4, 0));
 
   EXPECT_TRUE(g.add_relationship(0, 1, Relationship::kFriendship));
   EXPECT_EQ(g.structure_epoch(), 1U);  // a brand-new edge
+  EXPECT_TRUE(stamped_exactly(g, before, {0, 1}));
+  before = stamps_of(g);
 
   // Re-adding a type the edge has changes nothing, from either end.
   EXPECT_FALSE(g.add_relationship(1, 0, Relationship::kFriendship));
   EXPECT_EQ(g.structure_epoch(), 1U);
+  EXPECT_TRUE(stamped_exactly(g, before, {}));
 
-  // A second type on the edge adds no adjacency but still moves it.
+  // A second type on the edge adds no adjacency but still moves it, and
+  // stamps both ends: their rows hold the edge's mask.
   EXPECT_TRUE(g.add_relationship(0, 1, Relationship::kColleague));
   EXPECT_EQ(g.structure_epoch(), 2U);
+  EXPECT_TRUE(stamped_exactly(g, before, {0, 1}));
 
   EXPECT_TRUE(g.remove_relationship(0, 1, Relationship::kFriendship));
   EXPECT_EQ(g.structure_epoch(), 3U);  // one type off, the edge survives
+  EXPECT_TRUE(stamped_exactly(g, before, {0, 1}));
   EXPECT_TRUE(g.remove_relationship(1, 0, Relationship::kColleague));
   EXPECT_EQ(g.structure_epoch(), 4U);  // the last type: the edge is gone
+  EXPECT_TRUE(stamped_exactly(g, before, {0, 1}));
   EXPECT_FALSE(g.adjacent(0, 1));
+  before = stamps_of(g);
 
   // Removing a type from a non-edge, a missing type from an edge, and a
   // self-relationship are all no-ops.
   EXPECT_FALSE(g.remove_relationship(0, 2, Relationship::kFriendship));
+  EXPECT_TRUE(stamped_exactly(g, before, {}));
   EXPECT_TRUE(g.add_relationship(2, 3, Relationship::kKinship));
   EXPECT_EQ(g.structure_epoch(), 5U);
+  EXPECT_TRUE(stamped_exactly(g, before, {2, 3}));
+  before = stamps_of(g);
   EXPECT_FALSE(g.remove_relationship(2, 3, Relationship::kFriendship));
   EXPECT_FALSE(g.add_relationship(3, 3, Relationship::kFriendship));
   EXPECT_EQ(g.structure_epoch(), 5U);
+  EXPECT_TRUE(stamped_exactly(g, before, {}));
+  EXPECT_EQ(g.node_epoch(4), 0U);  // out of range
 }
 
 TEST(SocialGraphStructureEpoch, InteractionsAndCompactionLeaveItAlone) {
   SocialGraph g(3);
   g.add_relationship(0, 1, Relationship::kFriendship);
   const SocialGraph::Revision before = g.structure_epoch();
+  const auto stamps = stamps_of(g);
 
   g.record_interaction(0, 1, 2.0);  // along an edge
   g.record_interaction(0, 2, 1.0);  // to a non-neighbour
@@ -434,17 +484,21 @@ TEST(SocialGraphStructureEpoch, InteractionsAndCompactionLeaveItAlone) {
   EXPECT_DOUBLE_EQ(g.total_interactions(0), 4.0);
   EXPECT_DOUBLE_EQ(g.total_interactions(2), 1.0);
   EXPECT_EQ(g.structure_epoch(), before);
+  EXPECT_TRUE(stamped_exactly(g, stamps, {}));
 }
 
 TEST(SocialGraphStructureEpoch, ClearNodeMovesItOnlyIfTheNodeHadARelationship) {
-  SocialGraph g(5);
+  SocialGraph g(6);
   g.add_relationship(0, 1, Relationship::kFriendship);
+  g.add_relationship(1, 5, Relationship::kColleague);
+  g.add_relationship(1, 5, Relationship::kKinship);
   g.add_relationship(3, 4, Relationship::kFriendship);
   g.record_interaction(0, 1, 2.0);
   g.record_interaction(0, 2, 1.0);  // 0's row mentions 2
   g.record_interaction(2, 1, 1.0);  // 2's own row
   g.record_interaction(3, 2, 1.0);  // 3's row mentions 2
   const SocialGraph::Revision before = g.structure_epoch();
+  const auto stamps = stamps_of(g);
 
   // Node 2 has no relationship, so clearing it only trims interaction
   // rows: it lies on no path, and no path can move.
@@ -452,19 +506,24 @@ TEST(SocialGraphStructureEpoch, ClearNodeMovesItOnlyIfTheNodeHadARelationship) {
   EXPECT_DOUBLE_EQ(g.total_interactions(0), 2.0);
   EXPECT_DOUBLE_EQ(g.total_interactions(3), 0.0);
   EXPECT_EQ(g.structure_epoch(), before);
+  EXPECT_TRUE(stamped_exactly(g, stamps, {}));
 
-  // Clearing a node with a relationship removes it, which moves the
-  // epoch; clearing it again is a no-op.
+  // Clearing a node with relationships removes them, which moves the
+  // epoch and stamps the node and every former friend; clearing it again
+  // is a no-op.
   g.clear_node(1);
   const SocialGraph::Revision after = g.structure_epoch();
   EXPECT_GT(after, before);
+  EXPECT_TRUE(stamped_exactly(g, stamps, {0, 1, 5}));
   g.clear_node(1);
   EXPECT_EQ(g.structure_epoch(), after);
+  EXPECT_TRUE(stamped_exactly(g, stamps, {0, 1, 5}));
 }
 
 TEST(SocialGraphStructureEpoch, MovesByOneExactlyWhenAMutatorReportsAChange) {
   // Over a mixed workload the epoch never decreases and moves by one
-  // exactly when add/remove_relationship report a change.
+  // exactly when add/remove_relationship report a change, stamping both
+  // endpoints of that change and no other node.
   stats::Rng rng(99);
   SocialGraph g = barabasi_albert(30, 2, rng);
   std::size_t moves = 0;
@@ -474,6 +533,7 @@ TEST(SocialGraphStructureEpoch, MovesByOneExactlyWhenAMutatorReportsAChange) {
     if (b == a) b = (b + 1) % 30;
     const auto r = static_cast<Relationship>(rng.index(kRelationshipCount));
     const SocialGraph::Revision last = g.structure_epoch();
+    const auto stamps = stamps_of(g);
     const double roll = rng.uniform(0.0, 1.0);
     bool changed = false;
     if (roll < 0.3) {
@@ -486,6 +546,10 @@ TEST(SocialGraphStructureEpoch, MovesByOneExactlyWhenAMutatorReportsAChange) {
       g.begin_interval();
     }
     EXPECT_EQ(g.structure_epoch(), last + (changed ? 1 : 0)) << step;
+    EXPECT_TRUE(stamped_exactly(g, stamps,
+                                changed ? std::set<NodeId>{a, b}
+                                        : std::set<NodeId>{}))
+        << step;
     moves += changed ? 1 : 0;
   }
   EXPECT_GT(moves, 0U);

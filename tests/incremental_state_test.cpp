@@ -2,23 +2,27 @@
 //
 // The SocialStateCache persists lex-min shortest paths across update
 // intervals, one sorted row per source, and evaluates Omega_c through a
-// per-rater row context (SocialStateCache::Row). Its one witness is
-// checked at the interval boundary: an open_interval() that finds the
-// graph's structure epoch moved drops every path and stores nothing
-// until the next boundary. The contract is that a warm cache is a pure
-// performance optimisation. Four layers of evidence:
+// per-rater row context (SocialStateCache::Row). Its witness is checked
+// at the interval boundary: an open_interval() that finds the graph's
+// structure epoch moved releases the rows of the sources within
+// kMaxPathHops - 1 hops of a node stamped since the previous boundary,
+// keeps the rest, and the interval stores as usual. The contract is that
+// a warm cache is a pure performance optimisation. Four layers of
+// evidence:
 //   1. unit tests on the cache itself — every lookup bit-equals a direct
 //      ClosenessModel::closeness(), and so does every ordered pair of
 //      seeded BA and WS graphs through the walk's rows, on every branch,
-//      cold, warm and after a relationship change; adjacent and
-//      friend-of-friend pairs store nothing; a path (or an unreachable
-//      record) is served across interaction churn and no-op mutations,
-//      and re-derived after any relationship change, however far from
-//      the path; an interval opened after a relationship change stores
-//      nothing, the next one with the epoch held stores again, and a
-//      change made mid-interval is never served; path keys are
-//      directional; lookups with distinct sources run concurrently on
-//      pool workers, with no lock, and leave what a serial walk leaves;
+//      cold, warm, after batches of random relationship churn and after
+//      a change across the graph, each change checked source by source
+//      against the reach rule; adjacent and friend-of-friend pairs store
+//      nothing; a path (or an unreachable record) is served across
+//      interaction churn, no-op mutations and changes out of its
+//      source's reach, and re-derived after a change within it; on a
+//      chain, a change exactly 5 hops from a source releases its row and
+//      one 6 hops away does not; a change made mid-interval is never
+//      served; path keys are directional; lookups with distinct sources
+//      run concurrently on pool workers, with no lock, and leave what a
+//      serial walk leaves;
 //   2. a cold-vs-warm differential gate — full simulations where one
 //      plugin keeps its cache across intervals and a second has it wiped
 //      before every update() must produce bit-identical adjusted ratings,
@@ -29,9 +33,10 @@
 //      carried);
 //   3. a whitewashing regression — forget_node alone leaves the cache
 //      untouched and every path valid, and a warm plugin driven across a
-//      whitewash (forget_node, clear_node, a new tie) drops every path at
-//      the next update(), stores none in that interval, stores again in
-//      the one after, and stays bit-identical to a cold one throughout;
+//      whitewash (forget_node, clear_node, a new tie) releases every row
+//      within reach at the next update(), stores again in that interval,
+//      is served in the one after it, and stays bit-identical to a cold
+//      one throughout;
 //   4. a from-scratch oracle — one interval recomputed without the cache
 //      or the rater walk, straight from the graph, the profiles and each
 //      rater's cumulative rated set, for every baseline source and
@@ -40,6 +45,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
@@ -250,16 +256,16 @@ TEST(SocialStateCacheTest, PathEntriesSurviveInteractionChurnAndNoOps) {
   EXPECT_EQ(cache.size(), 1U);
 }
 
-TEST(SocialStateCacheTest, EveryRelationshipChangeRederivesThePath) {
-  // 0 -> 4 has two shortest paths, 0-1-2-3-4 (lex-min, bottleneck 1/4
-  // of the friendship mass at 0-1) and 0-5-6-7-4 (3/4 at 0-5); 8-9 is an
-  // edge off both.
+TEST(SocialStateCacheTest, RelationshipChangesRederiveThePathsTheyReach) {
+  // 0 -> 4 has two shortest paths, 0-1-2-3-4 (lex-min; its bottleneck is
+  // the thin edge 1-2, which carries 1/21 of 1's interactions) and
+  // 0-5-6-7-4 (bottleneck 3/4 at 0-5); 8-9 is a component of its own.
   SocialGraph g(10);
   befriend(g, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}, {6, 7},
                {7, 4}, {8, 9}});
   g.record_interaction(0, 1, 1.0);
   g.record_interaction(0, 5, 3.0);
-  g.record_interaction(1, 2, 2.0);
+  g.record_interaction(1, 2, 0.1);
   g.record_interaction(1, 3, 2.0);
   g.record_interaction(2, 3, 3.0);
   g.record_interaction(3, 4, 4.0);
@@ -268,45 +274,55 @@ TEST(SocialStateCacheTest, EveryRelationshipChangeRederivesThePath) {
   g.record_interaction(7, 4, 1.0);
   ClosenessModel model;
   SocialStateCache cache;
-  // An interval whose epoch held since the previous boundary stores the
-  // current path of 0 -> 4.
-  const auto store_path = [&] {
-    cache.open_interval(g);
-    checked_lookup(cache, model, g, 0, 4);
-    ASSERT_EQ(cache.size(), 1U);
+  cache.open_interval(g);
+  checked_lookup(cache, model, g, 0, 4);
+  ASSERT_EQ(cache.size(), 1U);
+  // The boundary after a change keeps the stored path when no changed
+  // row lies within kMaxPathHops - 1 hops of source 0, and serves it.
+  const auto keep = [&] {
+    auto d = stats_delta(cache, [&] { cache.open_interval(g); });
+    EXPECT_EQ(d.invalidations, 0U);
+    d = checked_lookup(cache, model, g, 0, 4);
+    EXPECT_EQ(d.structure_hits, 1U);
+    EXPECT_EQ(d.structure_misses, 0U);
   };
-  // The boundary after a relationship change drops the stored path, and
-  // that interval's lookup re-derives it without storing it.
+  // Otherwise it releases the path, and the lookup re-derives and stores
+  // it: this interval stores like any other.
   const auto rederive = [&] {
     auto d = stats_delta(cache, [&] { cache.open_interval(g); });
     EXPECT_EQ(d.invalidations, 1U);
     d = checked_lookup(cache, model, g, 0, 4);
     EXPECT_EQ(d.structure_misses, 1U);
-    EXPECT_EQ(cache.size(), 0U);
+    EXPECT_EQ(cache.size(), 1U);
   };
 
-  // A type change on an unrelated edge alters no path, but it moves the
-  // one epoch every entry is witnessed by.
-  store_path();
+  // A type change in another component moves the epoch but reaches no
+  // row 0's search reads.
   const double via_1234 = cache.closeness(model, g, 0, 4);
   g.add_relationship(8, 9, Relationship::kColleague);
-  rederive();
+  keep();
   EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 4), via_1234));
+
+  // A new type on the path's bottleneck edge changes no node of the
+  // path, only a mask the entry stores: served stale, the fold would
+  // read the old, thinner edge.
+  ASSERT_TRUE(g.add_relationship(1, 2, Relationship::kKinship));
+  rederive();
+  EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 4), via_1234));
 
   // Removing an interior edge: the stale path would read the missing
   // edge 2-3 as closeness 0.
-  store_path();
   ASSERT_TRUE(g.remove_relationship(2, 3, Relationship::kFriendship));
   rederive();
   EXPECT_GT(cache.closeness(model, g, 0, 4), 0.0);  // now via 0-5-6-7-4
 
   // A brand-new edge touching no node of the cached path 0-5-6-7-4 opens
-  // the shorter 0-1-3-4 (bottleneck 1/4 again).
-  store_path();
+  // the shorter 0-1-3-4 (bottleneck 1/4 at 0-1).
   const double via_5674 = cache.closeness(model, g, 0, 4);
   g.add_relationship(1, 3, Relationship::kFriendship);
   rederive();
   EXPECT_FALSE(bits_equal(cache.closeness(model, g, 0, 4), via_5674));
+  keep();  // the next interval, the epoch held, serves the new path
 }
 
 TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
@@ -341,15 +357,25 @@ TEST(SocialStateCacheTest, UnreachableEntriesSurviveInteractionChurn) {
   EXPECT_EQ(d.structure_hits, 1U);
   EXPECT_EQ(d.structure_misses, 0U);
 
-  // A new edge can. 1-4 touches neither endpoint; the next boundary sees
-  // the moved epoch and drops the record, and the lookup finds the new
-  // path 0-1-4-3.
+  // Neither can a change inside the other component: it moves the epoch,
+  // but no changed row is within reach of 0, so the record is served.
+  ASSERT_TRUE(g.add_relationship(3, 4, Relationship::kColleague));
+  d = stats_delta(cache, [&] {
+    cache.open_interval(g);
+    checked_lookup(cache, model, g, 0, 3);
+  });
+  EXPECT_EQ(d.invalidations, 0U);
+  EXPECT_EQ(d.structure_hits, 1U);
+
+  // A new edge can. 1-4 touches neither endpoint, but 1 is 0's friend:
+  // the next boundary releases the record, and the lookup finds and
+  // stores the new path 0-1-4-3.
   g.add_relationship(1, 4, Relationship::kFriendship);
   d = stats_delta(cache, [&] { cache.open_interval(g); });
   EXPECT_EQ(d.invalidations, 1U);
   d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(cache.size(), 0U);
+  EXPECT_EQ(cache.size(), 1U);
   EXPECT_GT(cache.closeness(model, g, 0, 3), 0.0);
 }
 
@@ -382,78 +408,102 @@ TEST(SocialStateCacheTest, ClosenessKeysAreDirectional) {
   EXPECT_EQ(cache.size(), 0U);
 }
 
-/// The boundary decision across a sequence of intervals: an interval
-/// opened with the epoch held since the previous boundary stores and
-/// serves paths; one opened after a relationship change drops every
-/// entry and stores none.
-TEST(SocialStateCacheTest, OpenIntervalStoresOnlyWhileTheEpochHolds) {
-  // Chain 0-1-2-3 plus an edge 4-5 off it.
-  SocialGraph g(6);
-  befriend(g, {{0, 1}, {1, 2}, {2, 3}, {4, 5}});
-  g.record_interaction(0, 1, 1.0);
-  g.record_interaction(1, 2, 2.0);
-  g.record_interaction(2, 3, 1.0);
-  g.record_interaction(3, 2, 1.0);
-  g.record_interaction(2, 1, 3.0);
-  g.record_interaction(1, 0, 1.0);
+/// The reach rule on a chain, where hop distances are plain: a boundary
+/// releases a source's row exactly when a node whose adjacency row
+/// changed lies within kMaxPathHops - 1 = 5 hops of the source, and every
+/// interval, the one right after a change included, stores and serves.
+TEST(SocialStateCacheTest, OpenIntervalReleasesOnlyTheRowsAChangeCanReach) {
+  // Chain 0-1-...-9; 10 and 11 have no relationship yet.
+  static_assert(graph::kMaxPathHops == 6, "the distances below assume it");
+  SocialGraph g(12);
+  for (graph::NodeId k = 0; k + 1 < 10; ++k) {
+    g.add_relationship(k, k + 1, Relationship::kFriendship);
+    g.record_interaction(k, k + 1, 1.0 + k);
+    g.record_interaction(k + 1, k, 1.0);
+  }
+  g.record_interaction(5, 10, 2.0);
+  g.record_interaction(6, 11, 2.0);
   ClosenessModel model;
   SocialStateCache cache;
+  // What the last boundary changed and released, and the entries it
+  // released.
+  SocialStateCache::Boundary boundary;
+  std::uint64_t released = 0;
   const auto open = [&] {
-    return stats_delta(cache, [&] { cache.open_interval(g); });
+    released = stats_delta(cache, [&] {
+                 boundary = cache.open_interval(g);
+               }).invalidations;
+  };
+  // Source 0's Eq. 4 pairs: a path, a path at the hop cap, and three
+  // records of "unreachable within the cap"; source 9's one path. Returns
+  // the lookups' stats delta.
+  const auto look_up_all = [&] {
+    return stats_delta(cache, [&] {
+      for (const graph::NodeId j : {3U, 6U, 7U, 10U, 11U}) {
+        checked_lookup(cache, model, g, 0, j);
+      }
+      checked_lookup(cache, model, g, 9, 6);
+    });
   };
 
-  // The first boundary after construction stores.
-  EXPECT_EQ(open().invalidations, 0U);
+  // Before any boundary a lookup searches and stores nothing.
   auto d = checked_lookup(cache, model, g, 0, 3);
   EXPECT_EQ(d.structure_misses, 1U);
-  checked_lookup(cache, model, g, 3, 0);
-  ASSERT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.size(), 0U);
 
-  // The next interval, with the epoch held, serves both paths.
-  g.record_interaction(0, 1, 4.0);
-  EXPECT_EQ(open().invalidations, 0U);
-  d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_hits, 1U);
+  // The first boundary changes and releases nothing, and its interval
+  // stores every path; the next, with the epoch held, serves them.
+  open();
+  EXPECT_EQ(boundary.changed_nodes, 0U);
+  EXPECT_EQ(boundary.released_rows, 0U);
+  d = look_up_all();
+  EXPECT_EQ(d.structure_misses, 6U);
+  EXPECT_EQ(cache.size(), 6U);
+  open();
+  EXPECT_EQ(boundary.changed_nodes, 0U);
+  EXPECT_EQ(released, 0U);
+  d = look_up_all();
+  EXPECT_EQ(d.structure_hits, 6U);
   EXPECT_EQ(d.structure_misses, 0U);
-  d = checked_lookup(cache, model, g, 3, 0);
-  EXPECT_EQ(d.structure_hits, 1U);
 
-  // A relationship change far from both paths moves the epoch: the next
-  // boundary drops every entry.
-  const std::size_t held = cache.size();
-  g.add_relationship(4, 5, Relationship::kBusiness);
-  EXPECT_EQ(open().invalidations, held);
-  EXPECT_EQ(cache.size(), 0U);
-
-  // That interval searches on every lookup, repeated ones included, and
-  // stores nothing.
-  for (int k = 0; k < 2; ++k) {
-    d = checked_lookup(cache, model, g, 0, 3);
-    EXPECT_EQ(d.structure_misses, 1U);
-    EXPECT_EQ(d.structure_hits, 0U);
-    d = checked_lookup(cache, model, g, 3, 0);
-    EXPECT_EQ(d.structure_misses, 1U);
-    EXPECT_EQ(d.structure_hits, 0U);
-  }
-  EXPECT_EQ(cache.size(), 0U);
-
-  // The next boundary finds the epoch held since the previous one and
-  // stores again; the interval after it is served.
-  EXPECT_EQ(open().invalidations, 0U);
-  d = checked_lookup(cache, model, g, 0, 3);
+  // A new edge 6 hops from source 0: 6-11 stamps 6 and 11. The sources
+  // within 5 hops of them, 1..9 and 11, are released (9's path with
+  // them); 0's BFS to depth 6 reads no changed row, so its row is kept,
+  // 11 still being 7 hops from 0 and out of reach.
+  ASSERT_TRUE(g.add_relationship(11, 6, Relationship::kFriendship));
+  open();
+  EXPECT_EQ(boundary.changed_nodes, 2U);
+  EXPECT_EQ(boundary.released_rows, 10U);
+  EXPECT_EQ(released, 1U);
+  d = look_up_all();
+  EXPECT_EQ(d.structure_hits, 5U);
   EXPECT_EQ(d.structure_misses, 1U);
-  EXPECT_EQ(cache.size(), 1U);
-  EXPECT_EQ(open().invalidations, 0U);
-  d = checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(d.structure_hits, 1U);
+  EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, 11), 0.0));
 
-  // clear() forgets the adopted epoch too: the next boundary stores even
-  // after a relationship change, as on a freshly constructed cache.
+  // A new edge exactly 5 hops from source 0: 10-5 stamps 10 and 5, and
+  // 0's row goes. Served, its record would call 10 unreachable, though
+  // 0-1-2-3-4-5-10 is now 6 hops long.
+  ASSERT_TRUE(g.add_relationship(10, 5, Relationship::kFriendship));
+  open();
+  EXPECT_EQ(boundary.changed_nodes, 2U);
+  EXPECT_EQ(released, 6U);
+  d = look_up_all();
+  EXPECT_EQ(d.structure_hits, 0U);
+  EXPECT_EQ(d.structure_misses, 6U);
+  EXPECT_EQ(cache.size(), 6U);
+  EXPECT_GT(cache.closeness(model, g, 0, 10), 0.0);
+
+  // clear() forgets the adopted epoch too: the next boundary releases
+  // nothing even after a relationship change, as on a freshly
+  // constructed cache, and its interval stores.
   cache.clear();
-  g.remove_relationship(4, 5, Relationship::kBusiness);
-  EXPECT_EQ(open().invalidations, 0U);
-  checked_lookup(cache, model, g, 0, 3);
-  EXPECT_EQ(cache.size(), 1U);
+  EXPECT_EQ(cache.size(), 0U);
+  g.remove_relationship(10, 5, Relationship::kFriendship);
+  open();
+  EXPECT_EQ(boundary.changed_nodes, 0U);
+  EXPECT_EQ(boundary.released_rows, 0U);
+  look_up_all();
+  EXPECT_EQ(cache.size(), 6U);
 }
 
 /// A relationship change with no boundary after it: the lookup compares
@@ -574,29 +624,153 @@ struct BranchTally {
   std::uint64_t fof = 0;
 };
 
-/// Opens one Row per rater, as the walk does, and checks every ordered
-/// (i, j), i == j included, bit for bit against model.closeness().
+/// Opens source i's Row, as the walk does, and checks every (i, j), i == j
+/// included, bit for bit against model.closeness(); returns the row's
+/// tallies.
+BranchTally check_source(SocialStateCache& cache, const ClosenessModel& model,
+                         const SocialGraph& g, graph::NodeId i) {
+  SocialStateCache::Row row(cache, model, g, i);
+  for (graph::NodeId j = 0; j < g.size(); ++j) {
+    EXPECT_TRUE(bits_equal(row.closeness(j), model.closeness(g, i, j)))
+        << "Omega_c(" << i << "," << j << ")";
+  }
+  return {row.adjacent(), row.fof()};
+}
+
+/// check_source() over every rater.
 BranchTally check_every_pair(SocialStateCache& cache,
                              const ClosenessModel& model,
                              const SocialGraph& g) {
   BranchTally tally;
   for (graph::NodeId i = 0; i < g.size(); ++i) {
-    SocialStateCache::Row row(cache, model, g, i);
-    for (graph::NodeId j = 0; j < g.size(); ++j) {
-      EXPECT_TRUE(bits_equal(row.closeness(j), model.closeness(g, i, j)))
-          << "Omega_c(" << i << "," << j << ")";
-    }
-    tally.adjacent += row.adjacent();
-    tally.fof += row.fof();
+    const BranchTally row = check_source(cache, model, g, i);
+    tally.adjacent += row.adjacent;
+    tally.fof += row.fof;
   }
   return tally;
 }
 
+/// check_every_pair() in the interval opened right after relationship
+/// changes made since epoch `since`, pinning the reach rule source by
+/// source: a source within kMaxPathHops - 1 hops of a node stamped after
+/// `since` had its row released and searches every path again, and any
+/// other source is served every path. The interval before must have
+/// looked up every pair. Returns the interval's stats delta.
+StatsDelta check_every_pair_after_change(SocialStateCache& cache,
+                                         const ClosenessModel& model,
+                                         const SocialGraph& g,
+                                         SocialGraph::Revision since) {
+  std::vector<graph::NodeId> changed;
+  for (graph::NodeId c = 0; c < g.size(); ++c) {
+    if (g.node_epoch(c) > since) changed.push_back(c);
+  }
+  StatsDelta total;
+  for (graph::NodeId i = 0; i < g.size(); ++i) {
+    const bool in_reach =
+        std::any_of(changed.begin(), changed.end(), [&](graph::NodeId c) {
+          return g.distance(i, c, graph::kMaxPathHops - 1).has_value();
+        });
+    const StatsDelta d =
+        stats_delta(cache, [&] { check_source(cache, model, g, i); });
+    EXPECT_EQ(in_reach ? d.structure_hits : d.structure_misses, 0U)
+        << "source " << i << (in_reach ? " in" : " out of") << " reach";
+    total.structure_hits += d.structure_hits;
+    total.structure_misses += d.structure_misses;
+  }
+  return total;
+}
+
+/// One batch of random relationship churn on BranchGraph's main graph.
+/// Even batches apply one mutation of each kind below, counted in
+/// `used`; odd ones toggle a type on the chain's last edge, out of reach
+/// of every main-graph source. The chain stays a dead end off node 0 (or
+/// is cut off), since no mutation adds an edge to it.
+void churn(SocialGraph& g, stats::Rng& rng, int batch,
+           std::array<int, 6>& used) {
+  using B = BranchGraph;
+  const auto type_of = [](std::size_t t) { return static_cast<Relationship>(t); };
+  const auto main_node = [&] {
+    return static_cast<graph::NodeId>(rng.index(B::kMain));
+  };
+  if (batch % 2 == 1) {
+    const graph::NodeId a = B::kChain + B::kChainLength - 2;
+    if (!g.remove_relationship(a, a + 1, Relationship::kColleague)) {
+      g.add_relationship(a, a + 1, Relationship::kColleague);
+    }
+    return;
+  }
+  // A random edge (a, b) of the main graph.
+  const auto some_edge = [&](graph::NodeId& a, graph::NodeId& b) {
+    for (int tries = 0; tries < 100; ++tries) {
+      a = main_node();
+      const auto friends = g.neighbors(a);
+      if (friends.empty()) continue;
+      b = friends[rng.index(friends.size())];
+      if (b < B::kMain) return true;
+    }
+    return false;
+  };
+  graph::NodeId a = 0;
+  graph::NodeId b = 0;
+  // A new edge.
+  a = main_node();
+  b = main_node();
+  if (a != b && !g.adjacent(a, b) &&
+      g.add_relationship(a, b, Relationship::kFriendship)) {
+    g.record_interaction(a, b, rng.uniform(0.1, 5.0));
+    ++used[0];
+  }
+  // A new type on an existing edge.
+  if (some_edge(a, b)) {
+    const std::size_t t = rng.index(graph::kRelationshipCount);
+    if (g.add_relationship(a, b, type_of(t))) ++used[1];
+  }
+  // A type removal that leaves the edge in place.
+  if (some_edge(a, b) && std::popcount(g.relationship_mask(a, b)) > 1) {
+    const auto mask = g.relationship_mask(a, b);
+    const auto t = static_cast<std::size_t>(std::countr_zero(mask));
+    if (g.remove_relationship(a, b, type_of(t))) ++used[2];
+  }
+  // An edge removal.
+  if (some_edge(a, b)) {
+    for (std::size_t t = 0; t < graph::kRelationshipCount; ++t) {
+      g.remove_relationship(a, b, type_of(t));
+    }
+    ++used[3];
+  }
+  // clear_node, then the new identity re-wires.
+  a = main_node();
+  b = main_node();
+  g.clear_node(a);
+  if (a != b && g.add_relationship(a, b, Relationship::kKinship)) {
+    g.record_interaction(b, a, 1.5);
+    ++used[4];
+  }
+  // A far edge: on a stored path i -> j of at least 4 hops, one that
+  // touches neither end joins the nodes 3 and 1 hops short of j, so the
+  // path loses a hop.
+  for (int tries = 0; tries < 200; ++tries) {
+    const auto path = g.shortest_path(main_node(), main_node());
+    if (!path || path->size() < 5) continue;
+    const std::size_t hops = path->size() - 1;
+    ASSERT_TRUE(g.add_relationship((*path)[hops - 3], (*path)[hops - 1],
+                                   Relationship::kNeighbor));
+    EXPECT_EQ(g.distance(path->front(), path->back()), hops - 1);
+    ++used[5];
+    break;
+  }
+}
+
 /// The walk's row context against the reference model on every branch, in
-/// a storing interval that starts cold, the next one served warm, and one
-/// opened after a relationship change.
+/// a storing interval that starts cold, the next one served warm, after
+/// batches of random relationship churn, and after one change across the
+/// graph; each interval after a change releases exactly the rows the
+/// change can reach.
 TEST(SocialStateCacheTest, RowsMatchTheModelOnEveryBranch) {
   using B = BranchGraph;
+  std::array<int, 6> used{};
+  std::uint64_t released = 0;
+  std::uint64_t hits_after_change = 0;
   for (const bool small_world : {false, true}) {
     for (const std::uint64_t seed : {11U, 12U}) {
       SocialGraph g = B::make(small_world, seed);
@@ -638,20 +812,42 @@ TEST(SocialStateCacheTest, RowsMatchTheModelOnEveryBranch) {
         EXPECT_EQ(warm.adjacent, cold.adjacent);
         EXPECT_EQ(warm.fof, cold.fof);
 
-        // A relationship change: the boundary drops every path and the
-        // interval searches them all again, storing none.
+        // Random churn, each batch followed by a boundary (compacting the
+        // graph after every other one, as the simulator does) and the
+        // all-pairs check.
+        stats::Rng rng(seed * 2 + (model.weighted() ? 1 : 0));
+        for (int batch = 0; batch < 8; ++batch) {
+          const SocialGraph::Revision since = h.structure_epoch();
+          churn(h, rng, batch, used);
+          ASSERT_GT(h.structure_epoch(), since);
+          if (batch % 4 == 0) h.begin_interval();
+          released += stats_delta(cache, [&] {
+                        cache.open_interval(h);
+                      }).invalidations;
+          hits_after_change +=
+              check_every_pair_after_change(cache, model, h, since)
+                  .structure_hits;
+        }
+
+        // A relationship change across the graph, joining the chain's
+        // middle to the main graph.
+        const SocialGraph::Revision since = h.structure_epoch();
         ASSERT_TRUE(h.add_relationship(B::kSilent, B::kChain + 4,
                                        Relationship::kKinship));
         h.record_interaction(B::kChain + 4, B::kSilent, 2.5);
-        d = stats_delta(cache, [&] { cache.open_interval(h); });
-        EXPECT_EQ(d.invalidations, cold_paths);
-        d = stats_delta(cache, [&] { check_every_pair(cache, model, h); });
+        released += stats_delta(cache, [&] {
+                      cache.open_interval(h);
+                    }).invalidations;
+        d = check_every_pair_after_change(cache, model, h, since);
         EXPECT_GT(d.structure_misses, 0U);
-        EXPECT_EQ(d.structure_hits, 0U);
-        EXPECT_EQ(cache.size(), 0U);
       }
     }
   }
+  // Every kind of mutation ran, rows were released, and intervals right
+  // after a change served the paths it could not reach.
+  for (const int count : used) EXPECT_GT(count, 0);
+  EXPECT_GT(released, 0U);
+  EXPECT_GT(hits_after_change, 0U);
 
   // Out-of-range ids throw as the reference does, before any stamp is
   // read; i == j is 0 first, in range or not.
@@ -1010,10 +1206,11 @@ struct WarmColdPair {
 };
 
 /// A whitewash as Simulator::whitewash does it (forget_node, clear_node),
-/// then the new identity re-wires: the next update() finds the epoch
-/// moved, drops every path and stores none; the interval after it, with
-/// the topology held, stores again, and a repeat of its stream is served
-/// in full; warm equals cold throughout.
+/// then the new identity re-wires: the next update() releases the rows
+/// of every source within kMaxPathHops - 1 hops of a changed row, which
+/// on this small-world graph is every row, and stores again in that same
+/// interval; the interval after it is served, and warm equals cold
+/// throughout.
 TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   WarmColdPair p;
   p.run_interval(p.make_interval(1));
@@ -1025,6 +1222,8 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   ASSERT_GT(entries, 0U);
   const auto inval_before = p.warm->social_cache().stats().invalidations;
   const SocialGraph::Revision epoch = p.g.structure_epoch();
+  const auto friends = p.g.neighbors(w);
+  const std::vector<graph::NodeId> changed(friends.begin(), friends.end());
   p.warm->forget_node(w);
   p.cold->forget_node(w);
   p.g.clear_node(w);
@@ -1032,24 +1231,29 @@ TEST(IncrementalWhitewashing, ForgetNodeInvalidatesStaleEntries) {
   EXPECT_GT(p.g.structure_epoch(), epoch);  // 7 had relationships
   // The new identity makes a brand-new tie.
   ASSERT_TRUE(p.g.add_relationship(w, 30, Relationship::kKinship));
+  // Every node lies within reach of 7's former friends.
+  for (graph::NodeId v = 0; v < WarmColdPair::kNodes; ++v) {
+    ASSERT_TRUE(std::any_of(changed.begin(), changed.end(), [&](auto c) {
+      return p.g.distance(v, c, graph::kMaxPathHops - 1).has_value();
+    })) << "node " << v;
+  }
 
   // The discarded identity re-joins and gets rated again: warm results
   // must match a from-scratch recompute, not the pre-whitewash state.
   p.run_interval(p.make_interval(3));
   EXPECT_EQ(p.warm->social_cache().stats().invalidations,
             inval_before + entries);
-  EXPECT_EQ(p.warm->social_cache().size(), 0U);
-
-  // No relationship changes before the next interval, which stores again,
-  // and the one after it is served.
-  p.run_interval(p.make_interval(4));
   EXPECT_GT(p.warm->social_cache().size(), 0U);
+
+  // No relationship changes before the next interval, which is served
+  // the paths the whitewash interval stored.
   const auto hits = p.warm->social_cache().stats().structure_hits;
-  p.run_interval(p.make_interval(5));
+  p.run_interval(p.make_interval(4));
   EXPECT_GT(p.warm->social_cache().stats().structure_hits, hits);
 
   // The steady state: the same stream again, the topology held. Every
   // path lookup is served from the previous interval's stores.
+  p.run_interval(p.make_interval(5));
   const auto before = p.warm->social_cache().stats();
   p.run_interval(p.make_interval(5));
   const auto after = p.warm->social_cache().stats();

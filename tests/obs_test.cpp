@@ -2,8 +2,9 @@
 // fixed-bucket histograms, scoped timers), registry handle stability,
 // interval snapshots, JSONL well-formedness (every emitted line must
 // parse as a JSON object), the disabled-mode no-op contract (no file, no
-// snapshots, values frozen at zero), and a concurrent-increment test that
-// the TSan CI job runs to certify the lock-free mutation paths.
+// snapshots, values frozen at zero), a concurrent-increment test that
+// the TSan CI job runs to certify the lock-free mutation paths, and the
+// social cache's per-boundary fields on the plugin's interval event.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/socialtrust.hpp"
+#include "graph/social_graph.hpp"
 #include "obs/obs.hpp"
+#include "reputation/paper_eigentrust.hpp"
 
 namespace st::obs {
 namespace {
@@ -388,6 +394,54 @@ TEST_F(ObsTest, RetainsOnlyTheMostRecentSnapshots) {
     ASSERT_EQ(snaps[i].sequence, snaps[i - 1].sequence + 1) << i;
   }
   EXPECT_EQ(snaps.back().sequence, kEmitted);
+}
+
+/// The socialtrust.update event says what the social cache's boundary
+/// did: how many nodes' adjacency rows changed since the previous
+/// interval, and how many source rows that released. Both read 0 while
+/// the structure epoch holds and are positive after a whitewash.
+TEST_F(ObsTest, SocialTrustUpdateReportsWhatEachBoundaryReleased) {
+  constexpr std::size_t kNodes = 6;
+  graph::SocialGraph g(kNodes);
+  for (const auto& [a, b] : {std::pair<graph::NodeId, graph::NodeId>{0, 1},
+                             {1, 2}, {2, 3}, {3, 4}, {4, 5}}) {
+    g.add_relationship(a, b, graph::Relationship::kFriendship);
+  }
+  core::InterestProfiles profiles(kNodes, 2);
+  core::SocialTrustConfig cfg;
+  cfg.threads = 1;
+  core::SocialTrustPlugin plugin(
+      std::make_unique<reputation::PaperEigenTrust>(
+          kNodes, std::vector<reputation::NodeId>{0},
+          reputation::PaperEigenTrustConfig{}),
+      g, profiles, cfg);
+  // Every rater rates a node at least 3 hops away, so each interval makes
+  // path lookups.
+  const std::vector<reputation::Rating> ratings = {
+      {0, 3, 1.0, 0, 0, 0}, {5, 1, 1.0, 0, 0, 1}, {2, 5, 1.0, 0, 0, 0}};
+  // (social_cache_changed_nodes, social_cache_released) of one update.
+  const auto boundary = [&] {
+    plugin.update(ratings);
+    const Snapshot snap = Obs::instance().snapshots().back();
+    EXPECT_EQ(snap.scope, "socialtrust.update");
+    std::pair<double, double> out{-1.0, -1.0};
+    for (const auto& [key, value] : snap.extras) {
+      if (key == "social_cache_changed_nodes") out.first = value;
+      if (key == "social_cache_released") out.second = value;
+    }
+    return out;
+  };
+
+  EXPECT_EQ(boundary(), std::make_pair(0.0, 0.0));  // the first boundary
+  EXPECT_EQ(boundary(), std::make_pair(0.0, 0.0));  // the epoch held
+
+  // Node 5 whitewashes and its new identity befriends 0: 4, 5 and 0 have
+  // changed rows, and every node is within reach of them.
+  plugin.forget_node(5);
+  g.clear_node(5);
+  g.add_relationship(5, 0, graph::Relationship::kKinship);
+  EXPECT_EQ(boundary(), std::make_pair(3.0, 6.0));
+  EXPECT_EQ(boundary(), std::make_pair(0.0, 0.0));  // held again
 }
 
 TEST_F(ObsTest, ReconfigureResetsValuesAndSequence) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "collusion/models.hpp"
+#include "collusion/whitewashing.hpp"
 #include "core/socialtrust.hpp"
 #include "obs/obs.hpp"
 #include "reputation/paper_eigentrust.hpp"
@@ -82,6 +83,8 @@ std::unique_ptr<sim::CollusionStrategy> make_strategy(
     return std::make_unique<collusion::PairwiseCollusion>(options);
   if (model == "MCM")
     return std::make_unique<collusion::MultiNodeCollusion>(options);
+  if (model == "Whitewashing")
+    return std::make_unique<collusion::WhitewashingCollusion>();
   return std::make_unique<collusion::MutualMultiNodeCollusion>(options);
 }
 
@@ -199,19 +202,49 @@ TEST(ParallelEquivalenceConfig, BitIdenticalOverSeveralBlocksAtOnce) {
   // rater walk never runs two blocks at once there. This network's last
   // interval has more than two blocks of active raters and of pairs, so
   // both parallel passes run blocks concurrently; the CI TSan leg runs
-  // this binary, which makes a race in either pass visible to it.
+  // this binary, which makes a race in either pass visible to it. MMM's
+  // topology never moves after setup. Under whitewashing it moves before
+  // intervals, whose boundaries release the rows the change can reach
+  // and whose workers then store paths into the released rows while
+  // others are served from the kept ones.
   sim::SimConfig sim_config = small_config();
   sim_config.node_count = 600;
   sim_config.colluder_count = 30;
-  Snapshot serial = run_once("MMM", 66, 1, {}, sim_config);
-  Snapshot parallel = run_once("MMM", 66, 4, {}, sim_config);
-  std::vector<bool> active(sim_config.node_count, false);
-  for (const Rating& r : serial.adjusted) active[r.rater] = true;
-  const auto raters = static_cast<std::size_t>(
-      std::count(active.begin(), active.end(), true));
-  EXPECT_GT(raters, 2 * SocialTrustPlugin::kPairBlock);
-  EXPECT_GT(serial.report.pairs_total, 2 * SocialTrustPlugin::kPairBlock);
-  expect_identical(serial, parallel, "600 nodes, threads=4");
+  for (const std::string model : {"MMM", "Whitewashing"}) {
+    SCOPED_TRACE(model);
+    Snapshot serial = run_once(model, 66, 1, {}, sim_config);
+    // The parallel run reports each boundary through the obs layer, which
+    // leaves the outputs bit-identical.
+    obs::StObsConfig obs_config;
+    obs_config.enabled = true;
+    obs::Obs::instance().configure(obs_config);
+    Snapshot parallel = run_once(model, 66, 4, {}, sim_config);
+    std::size_t released = 0;
+    std::size_t served_after_change = 0;
+    for (const obs::Snapshot& snap : obs::Obs::instance().snapshots()) {
+      if (snap.scope != "socialtrust.update") continue;
+      double changed = 0.0, rows = 0.0, hit_rate = 0.0;
+      for (const auto& [key, value] : snap.extras) {
+        if (key == "social_cache_changed_nodes") changed = value;
+        if (key == "social_cache_released") rows = value;
+        if (key == "social_cache_hit_rate_pct") hit_rate = value;
+      }
+      released += rows > 0.0 ? 1 : 0;
+      served_after_change += changed > 0.0 && hit_rate > 0.0 ? 1 : 0;
+    }
+    obs::Obs::instance().configure({});
+    if (model == "Whitewashing") {
+      EXPECT_GT(released, 0U);
+      EXPECT_GT(served_after_change, 0U);
+    }
+    std::vector<bool> active(sim_config.node_count, false);
+    for (const Rating& r : serial.adjusted) active[r.rater] = true;
+    const auto raters = static_cast<std::size_t>(
+        std::count(active.begin(), active.end(), true));
+    EXPECT_GT(raters, 2 * SocialTrustPlugin::kPairBlock);
+    EXPECT_GT(serial.report.pairs_total, 2 * SocialTrustPlugin::kPairBlock);
+    expect_identical(serial, parallel, "600 nodes, threads=4");
+  }
 }
 
 TEST(ParallelEquivalenceConfig, FlaggedPairsOrderedByPairKey) {

@@ -1297,6 +1297,55 @@ void Counts::run(Pool& pool) {
 """)
         self.assert_clean(self.lint(self.root / "src"))
 
+    STATS_HPP = """#pragma once
+class Pool;
+class Stats {
+ public:
+  static Stats& instance();
+  void bump();
+ private:
+  long count_ = 0;
+};
+class Walker {
+ public:
+  void run(Pool& pool);
+};
+"""
+
+    def test_call_through_reference_local_to_shared_state_fires(
+            self) -> None:
+        # `s` is bound to the process-wide instance, so the write in
+        # bump() is shared, as it is for `Stats::instance().bump()`.
+        self.write("src/core/stats.hpp", self.STATS_HPP)
+        self.write("src/core/stats.cpp", """
+#include "core/stats.hpp"
+void Stats::bump() { ++count_; }
+void Walker::run(Pool& pool) {
+  pool.parallel_for(8, [](unsigned long i) {
+    Stats& s = Stats::instance();
+    s.bump();
+  });
+}
+""")
+        proc = self.lint(self.root / "src")
+        self.assert_fires(proc, "CON-3")
+        self.assertIn("count_", proc.stderr)
+
+    def test_call_through_by_value_local_passes(self) -> None:
+        # A by-value local is the worker's own object.
+        self.write("src/core/stats.hpp", self.STATS_HPP)
+        self.write("src/core/stats.cpp", """
+#include "core/stats.hpp"
+void Stats::bump() { ++count_; }
+void Walker::run(Pool& pool) {
+  pool.parallel_for(8, [](unsigned long i) {
+    Stats s;
+    s.bump();
+  });
+}
+""")
+        self.assert_clean(self.lint(self.root / "src"))
+
 
 class Lock4OrderTests(LintFixtureCase):
     """LOCK-4: the lock-order graph lifted across function boundaries."""

@@ -11,7 +11,8 @@ ReferenceSocialGraph::ReferenceSocialGraph(std::size_t node_count)
     : adjacency_(node_count),
       neighbor_ids_(node_count),
       interactions_(node_count),
-      interaction_totals_(node_count, 0.0) {}
+      interaction_totals_(node_count, 0.0),
+      node_epochs_(node_count, 0) {}
 
 void ReferenceSocialGraph::check_node(NodeId a) const {
   if (a >= adjacency_.size())
@@ -54,7 +55,7 @@ bool ReferenceSocialGraph::add_relationship(NodeId a, NodeId b, Relationship r) 
   };
   bool added = insert_half(a, b);
   bool added_rev = insert_half(b, a);
-  if (added || added_rev) bump_structure();
+  if (added || added_rev) bump_structure(a, b);
   return added;
 }
 
@@ -76,7 +77,7 @@ bool ReferenceSocialGraph::remove_relationship(NodeId a, NodeId b, Relationship 
   };
   bool removed = remove_half(a, b);
   bool removed_rev = remove_half(b, a);
-  if (removed || removed_rev) bump_structure();
+  if (removed || removed_rev) bump_structure(a, b);
   return removed;
 }
 
@@ -307,7 +308,8 @@ SocialGraph::MemoryFootprint ReferenceSocialGraph::memory_footprint()
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   SocialGraph::MemoryFootprint m;
-  m.adjacency_bytes = vec_bytes(adjacency_) + vec_bytes(neighbor_ids_);
+  m.adjacency_bytes = vec_bytes(adjacency_) + vec_bytes(neighbor_ids_) +
+                      vec_bytes(node_epochs_);
   for (const auto& edges : adjacency_) m.adjacency_bytes += vec_bytes(edges);
   for (const auto& ids : neighbor_ids_) m.adjacency_bytes += vec_bytes(ids);
   m.interaction_bytes = vec_bytes(interactions_) + vec_bytes(interaction_totals_);

@@ -16,7 +16,9 @@
 // would change: the duplicated neighbour-id arrays (the old layout paid
 // that memory to give neighbors() a span), the lower_bound probe pattern,
 // and the queue-free BFS. Only memory_footprint() is new, so the bench
-// can report bytes per node/edge for the old layout.
+// can report bytes per node/edge for the old layout, and node_epoch(),
+// which stamps the same nodes as SocialGraph's so the suite can compare
+// them.
 
 #include <cstdint>
 #include <optional>
@@ -65,6 +67,9 @@ class ReferenceSocialGraph {
   void begin_interval() {}
 
   Revision structure_epoch() const noexcept { return structure_epoch_; }
+  Revision node_epoch(NodeId a) const noexcept {
+    return a < node_epochs_.size() ? node_epochs_[a] : 0;
+  }
 
   /// Heap bytes of the old layout, on the same axes as
   /// SocialGraph::MemoryFootprint (overlay_bytes counts the per-node
@@ -78,7 +83,12 @@ class ReferenceSocialGraph {
   };
 
   void check_node(NodeId a) const;
-  void bump_structure() noexcept { ++structure_epoch_; }
+  /// Moves the epoch and stamps both endpoints, as SocialGraph does.
+  void bump_structure(NodeId a, NodeId b) noexcept {
+    ++structure_epoch_;
+    node_epochs_[a] = structure_epoch_;
+    node_epochs_[b] = structure_epoch_;
+  }
   const EdgeRecord* find_edge(NodeId a, NodeId b) const noexcept;
   EdgeRecord* find_edge(NodeId a, NodeId b) noexcept;
 
@@ -88,6 +98,7 @@ class ReferenceSocialGraph {
   std::vector<double> interaction_totals_;
 
   Revision structure_epoch_ = 0;
+  std::vector<Revision> node_epochs_;
 };
 
 }  // namespace st::graph

@@ -6,14 +6,15 @@
 // several in one interval) are applied to a shared social substrate;
 // after every interval a plugin with a warm persistent cache is
 // bit-compared against a plugin whose cache is wiped before each update
-// (a cold full recompute — the strongest oracle). Any event sequence the
-// cache's structure-epoch witness mishandles — a relationship change
-// that does not move the epoch, a path served or stored across a moved
-// epoch — diverges the two within one interval and prints the seed that
+// (a cold full recompute — the strongest oracle). An event sequence the
+// cache's witnesses mishandle — a relationship change that does not
+// move the epoch or stamp its endpoints, a path served from a row the
+// change could reach — diverges the two within one interval once a
+// stale path reaches an output, and the failure prints the seed that
 // found it. Structural churn and whitewashes land in many intervals, so
-// the warm cache alternates between intervals that store paths and
-// intervals opened after a change, which store none; at threads=4 the
-// pool's workers look paths up concurrently in both kinds. Random
+// the warm cache's boundaries release the rows a change can reach and
+// keep the rest; at threads=4 the pool's workers look paths up
+// concurrently, refilling released rows and serving kept ones. Random
 // traffic rarely clears the detector's frequency gate and rarely falls
 // along edges, so in the gated cases few outputs read a path at all; the
 // ungated case turns the gate off and gives every initial edge

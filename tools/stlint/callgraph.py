@@ -217,11 +217,13 @@ class CallGraph:
             # locals and params of the caller — or, for a lambda, of any
             # enclosing function whose frame the capture aliases — are
             # worker-private (by-ref params propagate their own caller's
-            # locality transitively through the witness chain)
+            # locality transitively through the witness chain); a local
+            # reference may be bound to shared state, so a call through
+            # one is only as local as the caller
             cur = caller
             while True:
                 if recv in cur["locals"]:
-                    return True
+                    return recv not in cur["ref_locals"] or caller_local
                 if cur["parent"] < 0:
                     break
                 cur = self.index.functions[cur["_base"] + cur["parent"]]

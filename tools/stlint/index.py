@@ -29,7 +29,7 @@ from .core import SourceFile
 from .lexer import Token
 from .scopes import (Scope, _match_backward, match_forward, skip_template)
 
-FACTS_VERSION = 10  # bump when the fact schema changes (invalidates caches)
+FACTS_VERSION = 11  # bump when the fact schema changes (invalidates caches)
 
 ACCESS_SPECIFIERS = {"public", "private", "protected"}
 CALL_KEYWORDS = {"if", "for", "while", "switch", "catch", "sizeof",
@@ -143,14 +143,19 @@ def _function_head(code: list[Token], scope: Scope) -> tuple[int, int]:
 
 
 def _collect_locals(code: list[Token], lo: int, hi: int,
-                    scope_ends: dict[int, int]) -> dict[str, str]:
-    """name -> type string for declarations inside a function body.
+                    scope_ends: dict[int, int]
+                    ) -> tuple[dict[str, str], set[str]]:
+    """(name -> type string, reference names) for declarations inside a
+    function body.
 
     Over-collecting is safe (it only makes CON-3 more conservative), so
     the pattern is permissive: `Type [*&const]* name` followed by a
     declarator-ish token, `auto [a, b]` structured bindings, and range-for
-    loop variables all count."""
+    loop variables all count. A first declarator declared with `&` or
+    `&&` is also a reference name: it may be bound to shared state
+    (`Stats& s = Stats::instance();`), so it is not worker-private."""
     out: dict[str, str] = {}
+    refs: set[str] = set()
     j = lo
     n = min(hi, len(code))
     while j < n:
@@ -194,6 +199,8 @@ def _collect_locals(code: list[Token], lo: int, hi: int,
             after = code[k + 1].text if k + 1 < n else ""
             if after in (";", "=", "{", "(", ",", ")", "[", ":"):
                 out.setdefault(code[k].text, " ".join(type_words))
+                if saw_amp:
+                    refs.add(code[k].text)
                 # follow `Type a = ..., b = ..., c;` comma declarators
                 m = k + 1
                 depth = 0
@@ -217,7 +224,7 @@ def _collect_locals(code: list[Token], lo: int, hi: int,
                 j = k + 1
                 continue
         j += 1
-    return out
+    return out, refs
 
 
 def _chain_back(code: list[Token], k: int, lo: int) -> tuple[str, str, bool]:
@@ -455,7 +462,7 @@ def _scan_function(code: list[Token], scope: Scope, fn_id: int,
     hi = scope.end if scope.end >= 0 else len(code)
     scope_ends = {s.start: (s.end if s.end >= 0 else hi)
                   for s in all_scopes}
-    locals_map = _collect_locals(code, lo, hi, scope_ends)
+    locals_map, ref_locals = _collect_locals(code, lo, hi, scope_ends)
     for p in params:
         if p["name"]:
             locals_map.setdefault(p["name"], p["type"])
@@ -468,6 +475,7 @@ def _scan_function(code: list[Token], scope: Scope, fn_id: int,
         "kind": scope.kind, "line": code[scope.start].line,
         "parent": parent_id, "params": params,
         "locals": sorted(locals_map),
+        "ref_locals": sorted(ref_locals),
         "local_types": locals_map,
         "calls": [], "writes": [], "locks": [], "iters": [],
     }
