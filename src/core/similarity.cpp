@@ -57,8 +57,12 @@ void InterestProfiles::record_request(NodeId node, InterestId category,
   check_node(node);
   if (category >= categories_ || !std::isfinite(count) || count <= 0.0)
     return;
+  // A count that would overflow the total is dropped whole: every share
+  // is a count over a finite total, and no count exceeds its total.
+  const double total = request_totals_[node] + count;
+  if (!std::isfinite(total)) return;
   request_counts_[node * categories_ + category] += count;
-  request_totals_[node] += count;
+  request_totals_[node] = total;
 }
 
 double InterestProfiles::request_weight(NodeId node,
@@ -109,12 +113,21 @@ double InterestProfiles::similarity(NodeId a, NodeId b) const {
 double InterestProfiles::weighted_similarity(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  // An empty effective set shares no category, so the sum stays 0.
+  // A node without requests has every share 0, so the sum is 0.
+  const double total_a = request_totals_[a];
+  const double total_b = request_totals_[b];
+  if (total_a <= 0.0 || total_b <= 0.0) return 0.0;
+  // One pass over every category, with no branch on the data. A category
+  // outside either effective set has count +0.0 there (counts start at
+  // +0.0 and grow only by finite positive amounts, and totals stay
+  // finite), so its term min(+0.0, w) is +0.0 and leaves the sum's bits
+  // as they were: the sum is the one over the shared effective
+  // categories, term by term and in the same order.
+  const double* ca = counts(a);
+  const double* cb = counts(b);
   double sum = 0.0;
   for (std::size_t c = 0; c < categories_; ++c) {
-    if (effective_at(a, c) && effective_at(b, c)) {
-      sum += std::min(weight_at(a, c), weight_at(b, c));
-    }
+    sum += std::min(ca[c] / total_a, cb[c] / total_b);
   }
   return sum;
 }

@@ -16,7 +16,12 @@
 // declared flag and a double request count. Every mutator is a handful
 // of indexed stores, and each similarity variant is one ascending pass
 // over the categories of two contiguous rows — the same terms, in the
-// same order, as a merge of the two sorted interest sets. Profiles carry
+// same order, as a merge of the two sorted interest sets. The weighted
+// kernel, which the rater walk calls once per rated pair, adds a term for
+// every category with no branch on the data: a category outside either
+// effective set adds +0.0, which changes no bit of the sum (DESIGN.md
+// §13, "branch-free walk kernels"). That needs finite totals, so
+// record_request() drops a count that would overflow one. Profiles carry
 // no revision: the plugin re-reads them every interval (DESIGN.md §13).
 
 #include <cstdint>
@@ -49,8 +54,9 @@ class InterestProfiles {
   std::vector<InterestId> declared(NodeId node) const;
 
   /// Records `count` resource requests by `node` in `category` — the
-  /// behavioural signal Eq. (11) weighs. Out-of-range categories and
-  /// counts that are not finite and positive are ignored.
+  /// behavioural signal Eq. (11) weighs. Out-of-range categories, counts
+  /// that are not finite and positive, and a count that would make the
+  /// node's total non-finite are ignored.
   void record_request(NodeId node, InterestId category, double count = 1.0);
 
   /// ws(node, category): share of the node's requests in that category

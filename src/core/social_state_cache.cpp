@@ -130,15 +130,16 @@ const SocialStateCache::PathEntry& SocialStateCache::path(
     return fresh;
   }
   std::vector<PathEntry>& row = rows_[i];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), j,
-      [](const PathEntry& entry, NodeId ratee) { return entry.ratee < ratee; });
-  if (it != row.end() && it->ratee == j) {
+  const std::size_t idx = graph::lower_bound_index(
+      row.data(), row.size(), j,
+      [](const PathEntry& entry) { return entry.ratee; });
+  if (idx != row.size() && row[idx].ratee == j) {
     count(structure_hits_, *obs_structure_hits_);
-    return *it;
+    return row[idx];
   }
   count(structure_misses_, *obs_structure_misses_);
-  return *row.insert(it, search(g, i, j));
+  return *row.insert(row.begin() + static_cast<std::ptrdiff_t>(idx),
+                     search(g, i, j));
 }
 
 SocialStateCache::Row::Row(SocialStateCache& cache,

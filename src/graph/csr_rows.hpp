@@ -12,15 +12,45 @@
 // wherever the row lives. compact() folds every row back into fresh flat
 // arrays in one node-ordered sweep and releases the overlay. Rows are
 // sorted in both places, so reads are the same before and after.
+//
+// An overlay row is copied with kOverlayHeadroom free slots, so a row
+// that grows by a few entries between compactions — a node gaining its
+// friends at set-up, a rater's new interaction targets in a query cycle —
+// grows in place instead of through capacities 1, 2, 4, 8 and 16.
+//
+// A lookup is lower_bound_index(), a binary search that compiles to
+// conditional moves: rows hold unique ascending ids, and the rater walk
+// probes them with keys it cannot predict (DESIGN.md §13, "branch-free
+// walk kernels").
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace st::graph {
 
 using NodeId = std::uint32_t;
+
+/// std::lower_bound's index over the `n` ascending keys key_of(first[0]),
+/// ..., key_of(first[n - 1]), found with no branch on the data: each step
+/// keeps the upper or the lower half of the range by a conditional move,
+/// and the last compare adds one. The loop's trip count depends on `n`
+/// alone.
+template <typename T, typename Key, typename KeyOf = std::identity>
+std::size_t lower_bound_index(const T* first, std::size_t n, const Key& key,
+                              KeyOf key_of = {}) noexcept {
+  if (n == 0) return 0;
+  const T* base = first;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = key_of(base[half]) < key ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - first) + (key_of(*base) < key);
+}
 
 template <typename Payload>
 class CsrRows {
@@ -144,6 +174,8 @@ class CsrRows {
 
  private:
   static constexpr std::uint32_t kNoOverlay = 0xFFFFFFFFU;
+  /// Free slots an overlay row is copied with.
+  static constexpr std::size_t kOverlayHeadroom = 16;
 
   struct OverlayRow {
     std::vector<NodeId> targets;
@@ -152,10 +184,9 @@ class CsrRows {
 
   static std::size_t index_of(std::span<const NodeId> targets,
                               NodeId b) noexcept {
-    const auto it = std::lower_bound(targets.begin(), targets.end(), b);
-    return it != targets.end() && *it == b
-               ? static_cast<std::size_t>(it - targets.begin())
-               : npos;
+    const std::size_t idx =
+        lower_bound_index(targets.data(), targets.size(), b);
+    return idx != targets.size() && targets[idx] == b ? idx : npos;
   }
 
   template <typename T>
@@ -163,12 +194,17 @@ class CsrRows {
     return v.capacity() * sizeof(T);
   }
 
-  /// a's overlay row, copied out of the flat arrays on first use.
+  /// a's overlay row, copied out of the flat arrays on first use with
+  /// kOverlayHeadroom free slots.
   OverlayRow& overlay_row(NodeId a) {
     if (slot_[a] == kNoOverlay) {
       const Row r = row(a);
-      overlay_.push_back({{r.targets.begin(), r.targets.end()},
-                          {r.payload.begin(), r.payload.end()}});
+      OverlayRow copy;
+      copy.targets.reserve(r.targets.size() + kOverlayHeadroom);
+      copy.targets.assign(r.targets.begin(), r.targets.end());
+      copy.payload.reserve(r.payload.size() + kOverlayHeadroom);
+      copy.payload.assign(r.payload.begin(), r.payload.end());
+      overlay_.push_back(std::move(copy));
       slot_[a] = static_cast<std::uint32_t>(overlay_.size() - 1);
     }
     return overlay_[slot_[a]];

@@ -149,18 +149,16 @@ std::size_t SocialGraph::degree(NodeId a) const noexcept {
   return neighbors(a).size();
 }
 
-SocialGraph::AdjacencyRow SocialGraph::adjacency(NodeId a) const noexcept {
-  if (a >= node_count_) return {};
-  const auto row = rel_.row(a);
-  return {row.targets, row.payload};
-}
-
 // --- interactions ------------------------------------------------------------
 
 void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {
   check_node(from);
   check_node(to);
   if (from == to || !std::isfinite(count) || count <= 0.0) return;
+  // A count that would overflow the Eq. (2) total is dropped whole, so
+  // every count and total stays finite.
+  const double total = interaction_totals_[from] + count;
+  if (!std::isfinite(total)) return;
   const std::size_t idx = int_.find(from, to);
   if (idx == int_.npos) {
     int_.insert(from, to, count);
@@ -169,16 +167,7 @@ void SocialGraph::record_interaction(NodeId from, NodeId to, double count) {
     if (entry == 0.0 && int_tombstones_ > 0) --int_tombstones_;
     entry += count;  // in place: the row keeps its length
   }
-  interaction_totals_[from] += count;
-}
-
-double SocialGraph::interaction(NodeId from, NodeId to) const noexcept {
-  if (from >= node_count_) return 0.0;
-  return int_.at(from, to);
-}
-
-double SocialGraph::total_interactions(NodeId from) const noexcept {
-  return from < node_count_ ? interaction_totals_[from] : 0.0;
+  interaction_totals_[from] = total;
 }
 
 SocialGraph::InteractionRow SocialGraph::interactions(

@@ -31,6 +31,14 @@
 // sorted rows before and after, so results are bit-identical and the
 // structure epoch does not move.
 //
+// The rater walk reads adjacency(), interaction() and
+// total_interactions() once or more per rated pair, so they are defined
+// in this header and inline into it; a row lookup behind interaction()
+// and relationship_mask() is csr_rows.hpp's branch-free binary search
+// (DESIGN.md §13, "branch-free walk kernels"). record_interaction()
+// drops a count that would overflow the sender's total, so every Eq. (2)
+// count and total stays finite.
+//
 // Change tracking covers adjacency only (DESIGN.md §13): one graph-wide
 // structure_epoch() witnesses every cached shortest path, and each
 // node's node_epoch() names the epoch at which its adjacency row last
@@ -141,20 +149,30 @@ class SocialGraph {
     std::span<const NodeId> targets;
     std::span<const std::uint8_t> masks;
   };
-  AdjacencyRow adjacency(NodeId a) const noexcept;
+  AdjacencyRow adjacency(NodeId a) const noexcept {
+    if (a >= node_count_) return {};
+    const auto row = rel_.row(a);
+    return {row.targets, row.payload};
+  }
 
   /// Records `count` interactions from `from` to `to` — in the P2P mapping,
   /// "an interaction is an action that a peer requests a resource from
   /// another peer" (Section 4.1). Interactions are directed and need not be
-  /// between adjacent nodes.
+  /// between adjacent nodes. A self-interaction, a count that is not
+  /// finite and positive, and a count that would make `from`'s total
+  /// non-finite are ignored.
   void record_interaction(NodeId from, NodeId to, double count = 1.0);
 
   /// Directed interaction count f(i,j).
-  double interaction(NodeId from, NodeId to) const noexcept;
+  double interaction(NodeId from, NodeId to) const noexcept {
+    return from < node_count_ ? int_.at(from, to) : 0.0;
+  }
 
   /// Sum of f(i, *) over everyone `from` interacted with — the denominator
   /// of Eq. (2).
-  double total_interactions(NodeId from) const noexcept;
+  double total_interactions(NodeId from) const noexcept {
+    return from < node_count_ ? interaction_totals_[from] : 0.0;
+  }
 
   /// Directed interaction row of `from`: parallel spans of target ids
   /// (ascending) and counts. Entries with zero count may appear (cleared

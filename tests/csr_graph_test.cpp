@@ -427,6 +427,49 @@ TEST(ReferenceSocialGraph, InteractionRejectsNonFiniteAndNonPositiveCounts) {
     g.record_interaction(1, 2, bad);  // a rater with no row yet
     EXPECT_EQ(snapshot(), before) << "count " << bad;
   }
+  // As SocialGraph: a count that would overflow a total near DBL_MAX is
+  // dropped whole.
+  g.record_interaction(0, 1, 1e308);
+  const auto near_max = snapshot();
+  ASSERT_GE(g.total_interactions(0), 1e308);
+  g.record_interaction(0, 1, 1e308);  // an existing row entry
+  g.record_interaction(0, 2, std::numeric_limits<double>::max());
+  EXPECT_EQ(snapshot(), near_max);
+}
+
+// ---------------------------------------------------------------------------
+// Row lookup: the branch-free lower bound against std::lower_bound
+
+TEST(CsrRowLookup, MatchesStdLowerBoundAtEveryLengthAndKeyPosition) {
+  // Node 0's row holds 10, 20, ..., 10 * len; keys run from below the
+  // first target to above the last, so every key position occurs: below,
+  // between two targets, equal to each one, and above.
+  for (std::size_t len = 0; len <= 70; ++len) {
+    graph::CsrRows<std::uint32_t> rows(2);
+    std::vector<NodeId> targets;
+    for (std::size_t k = 1; k <= len; ++k) {
+      const auto target = static_cast<NodeId>(10 * k);
+      rows.insert(0, target, target + 1);
+      targets.push_back(target);
+    }
+    // The overlay row first, then the same row as a flat slice.
+    for (const bool flat : {false, true}) {
+      if (flat) rows.compact([](std::uint32_t) { return true; });
+      ASSERT_EQ(rows.overlay_rows(), flat ? 0U : (len > 0 ? 1U : 0U));
+      for (NodeId key = 0; key <= 10 * len + 15; ++key) {
+        SCOPED_TRACE("len " + std::to_string(len) + " key " +
+                     std::to_string(key) + (flat ? " flat" : " overlay"));
+        const auto it = std::lower_bound(targets.begin(), targets.end(), key);
+        const auto expected = static_cast<std::size_t>(it - targets.begin());
+        ASSERT_EQ(graph::lower_bound_index(targets.data(), targets.size(), key),
+                  expected);
+        const bool present = it != targets.end() && *it == key;
+        ASSERT_EQ(rows.find(0, key), present ? expected : rows.npos);
+        ASSERT_EQ(rows.at(0, key), present ? key + 1 : 0U);
+        ASSERT_EQ(rows.find(1, key), rows.npos);  // an empty row
+      }
+    }
+  }
 }
 
 /// A reference graph with `g`'s adjacency, every edge a friendship (the
@@ -703,6 +746,7 @@ class ReferenceInterestProfiles {
   void record_request(NodeId node, InterestId category, double count) {
     if (category >= categories_ || !std::isfinite(count) || count <= 0.0)
       return;
+    if (!std::isfinite(request_totals_[node] + count)) return;
     request_counts_[node][category] += count;
     request_totals_[node] += count;
   }
@@ -840,16 +884,22 @@ TEST(CsrEquivalence, InterestProfilesMatchesReferenceUnderRandomOps) {
   // the other only ever records requests (no declared interest).
   constexpr auto kEmpty = static_cast<NodeId>(kNodes - 2);
   constexpr auto kRequestsOnly = static_cast<NodeId>(kNodes - 1);
-  // Request counts, the guarded-out ones included.
+  // Request counts, the guarded-out ones included: non-integer counts, a
+  // denormal, and one near DBL_MAX that overflows a total it meets twice.
   constexpr double kCounts[] = {1.0,
                                 2.0,
                                 3.0,
                                 4.0,
+                                0.3,
+                                2.5,
+                                1e-310,
+                                1e308,
                                 0.0,
                                 -1.0,
                                 std::numeric_limits<double>::quiet_NaN(),
                                 std::numeric_limits<double>::infinity(),
                                 -std::numeric_limits<double>::infinity()};
+  std::size_t overflows = 0;  // valid counts dropped to keep a total finite
   for (std::uint64_t seed : {3u, 31u}) {
     core::InterestProfiles dense(kNodes, kCats);
     ReferenceInterestProfiles ref(kNodes, kCats);
@@ -879,6 +929,10 @@ TEST(CsrEquivalence, InterestProfilesMatchesReferenceUnderRandomOps) {
         case 4: {
           const NodeId who = rng.bernoulli(0.25) ? kRequestsOnly : node;
           const double count = kCounts[rng.index(std::size(kCounts))];
+          if (cat < kCats && count > 0.0 && std::isfinite(count) &&
+              !std::isfinite(ref.total_requests(who) + count)) {
+            ++overflows;
+          }
           dense.record_request(who, cat, count);
           ref.record_request(who, cat, count);
           break;
@@ -899,6 +953,7 @@ TEST(CsrEquivalence, InterestProfilesMatchesReferenceUnderRandomOps) {
     EXPECT_TRUE(dense.declared(kRequestsOnly).empty());
     EXPECT_FALSE(dense.effective(kRequestsOnly).empty());
   }
+  EXPECT_GT(overflows, 0U) << "no total came near overflowing";
 }
 
 // ---------------------------------------------------------------------------

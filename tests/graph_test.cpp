@@ -181,6 +181,15 @@ TEST(SocialGraph, InteractionRejectsNonFiniteAndNonPositiveCounts) {
     g.record_interaction(1, 2, bad);  // a rater with no row yet
     EXPECT_EQ(snapshot(), before) << "count " << bad;
   }
+  // A finite count that would overflow a total near DBL_MAX is dropped
+  // whole. Kept, it would make the total +Inf, Omega_c(0, 1) NaN and
+  // Omega_c(0, 2) zero.
+  g.record_interaction(0, 1, 1e308);
+  const auto near_max = snapshot();
+  ASSERT_GE(g.total_interactions(0), 1e308);
+  g.record_interaction(0, 1, 1e308);  // an existing row entry
+  g.record_interaction(0, 2, std::numeric_limits<double>::max());
+  EXPECT_EQ(snapshot(), near_max);
 }
 
 TEST(SocialGraph, InteractionsDoNotRequireAdjacency) {

@@ -106,6 +106,15 @@ TEST(Profiles, NonFiniteAndNonPositiveCountsChangeNothing) {
   EXPECT_TRUE(p.effective(2).empty());
   p.clear_requests(2);
   EXPECT_EQ(snapshot(), before);
+  // A finite count that would overflow a total near DBL_MAX is dropped
+  // whole. Kept, it would make the total +Inf, node 0's share of category
+  // 1 NaN and every other share of node 0 zero.
+  p.record_request(0, 1, 1e308);
+  const auto near_max = snapshot();
+  ASSERT_GE(p.total_requests(0), 1e308);
+  p.record_request(0, 1, 1e308);  // an existing entry
+  p.record_request(0, 3, std::numeric_limits<double>::max());  // a new one
+  EXPECT_EQ(snapshot(), near_max);
 }
 
 TEST(Profiles, EffectiveUnionsDeclaredAndRequested) {

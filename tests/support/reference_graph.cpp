@@ -127,6 +127,7 @@ void ReferenceSocialGraph::record_interaction(NodeId from, NodeId to, double cou
   check_node(from);
   check_node(to);
   if (from == to || !std::isfinite(count) || count <= 0.0) return;
+  if (!std::isfinite(interaction_totals_[from] + count)) return;
   auto& row = interactions_[from];
   auto it = std::lower_bound(
       row.begin(), row.end(), to,
