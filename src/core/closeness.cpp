@@ -5,12 +5,19 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace st::core {
 
 ClosenessModel::ClosenessModel(bool weighted, double lambda)
     : weighted_(weighted), lambda_(lambda) {
+  // Eq. 10's range. A negative lambda would give some masks a negative
+  // mass, and so an Eq. 2 value below +0.0, which Eq. 4's zero rule in
+  // SocialStateCache::Row must never meet. Written so that NaN fails too.
+  if (!(lambda >= 0.5 && lambda <= 1.0)) {
+    throw std::invalid_argument("ClosenessModel: lambda must lie in [0.5, 1]");
+  }
   // Tabulate the mass of every possible relationship-type set up front,
   // so relationship_mass reduces to one table read.
   for (std::size_t mask = 0; mask < (1U << graph::kRelationshipCount);

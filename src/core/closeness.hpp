@@ -31,7 +31,9 @@ class ClosenessModel {
  public:
   /// `weighted` selects Eq. (10) vs Eq. (2) for the adjacent case;
   /// `lambda` is the relationship decay of Eq. (10), which weighs each
-  /// relationship type by graph::default_relationship_weight.
+  /// relationship type by graph::default_relationship_weight. Throws
+  /// std::invalid_argument unless 0.5 <= lambda <= 1 (NaN included), so
+  /// every mass, and with it every Eq. 2 value, is at least +0.0.
   explicit ClosenessModel(bool weighted = true, double lambda = 0.8);
 
   /// Full Omega_c(i,j) with the non-adjacent fallbacks. `max_hops` caps

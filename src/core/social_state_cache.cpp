@@ -172,6 +172,25 @@ double SocialStateCache::Row::edge_value(NodeId k) {
   return slot.value;
 }
 
+bool SocialStateCache::Row::edges_all_zero() {
+  if (!edges_all_zero_) {
+    // A friend missing from i's interaction row has f = 0 and so Eq. 2
+    // value +0.0: only the row's stamped targets with a positive count
+    // can carry more, and one of them may still underflow to +0.0.
+    const graph::SocialGraph::InteractionRow row = g_.interactions(i_);
+    edges_all_zero_ = true;
+    for (std::size_t idx = 0; idx < row.targets.size(); ++idx) {
+      const NodeId k = row.targets[idx];
+      if (row.counts[idx] > 0.0 && scratch_.slots[k].stamp == stamp_ &&
+          edge_value(k) != 0.0) {
+        edges_all_zero_ = false;
+        break;
+      }
+    }
+  }
+  return *edges_all_zero_;
+}
+
 double SocialStateCache::Row::closeness(NodeId j) {
   if (j == i_) return 0.0;  // as ClosenessModel::closeness()
   if (i_ >= g_.size() || j >= g_.size()) {
@@ -208,15 +227,25 @@ double SocialStateCache::Row::closeness(NodeId j) {
   }
 
   // Eq. 4: the bottleneck along the stored (or searched) lex-min path.
+  // No Eq. 2 value is below +0.0 (ClosenessModel's lambda precondition),
+  // and min returns its first argument unless the second is smaller, so
+  // +0.0 absorbs the fold. When every edge out of i is +0.0, the path's
+  // first edge is, and the pair is +0.0 whatever the path, reachable or
+  // not: it needs no lookup.
+  if (edges_all_zero()) {
+    ++zero_side_;
+    return 0.0;
+  }
   // Its first edge leaves i, so its value is the row's; min is exact and
   // order-free, so starting from it is starting from +inf. Every later
   // edge is Eq. 2 from the entry's mask, as adjacent_closeness() would
-  // compute it after probing the same mask.
+  // compute it after probing the same mask; the fold stops once the
+  // bottleneck is +0.0, which no later edge can lower.
   const PathEntry& found = cache_.path(g_, i_, j, fresh_);
   if (found.hops == 0) return 0.0;  // unreachable
   NodeId from = found.hops > 1 ? found.interior[0] : j;
   double bottleneck = edge_value(from);
-  for (std::size_t step = 1; step < found.hops; ++step) {
+  for (std::size_t step = 1; step < found.hops && bottleneck > 0.0; ++step) {
     const NodeId to = step + 1 < found.hops ? found.interior[step] : j;
     bottleneck = std::min(
         bottleneck,

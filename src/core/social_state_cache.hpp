@@ -38,7 +38,10 @@
 //     and keeps the stamped entries, which (i and j not being adjacent)
 //     are exactly common_friends(i, j) in the same order; Eq. 4 starts its
 //     min from the first edge's row value and folds the rest of the path
-//     with the entry's masks.
+//     with the entry's masks, stopping once the min is +0.0. On its first
+//     Eq. 4 pair the row works out, once, whether every edge out of i has
+//     Eq. 2 value +0.0 (as when i has rated none of its friends); if so,
+//     each Eq. 4 pair is +0.0 with no path lookup, and nothing is stored.
 //
 // Two witnesses, both read off the graph. At the interval boundary,
 // open_interval() reads the graph's structure_epoch(). If it moved since
@@ -65,9 +68,14 @@
 // expression (ClosenessModel::edge_closeness); a served path is exactly
 // what shortest_path() returns on the current graph; and Eq. 4's min is
 // exact and order-free, so starting it from the first edge's value
-// instead of +inf changes no bit. A Row therefore returns the identical
-// double a direct ClosenessModel::closeness() call would, at every
-// thread count.
+// instead of +inf changes no bit. Zero is absorbing in that min: no Eq. 2
+// value is below +0.0 (counts and totals are finite and non-negative,
+// and ClosenessModel rejects a lambda that would make a mass negative),
+// and std::min keeps its first argument unless the second is smaller. So
+// a min that has reached +0.0 ends at +0.0, and a pair whose every first
+// edge is +0.0 is +0.0, as is an unreachable one. A Row therefore returns
+// the identical double a direct ClosenessModel::closeness() call would,
+// at every thread count (DESIGN.md §13, "zero is absorbing in Eq. 4").
 //
 // Concurrency: no locks. Lookups with distinct sources may run
 // concurrently — each touches only its own source's row; lookups with
@@ -160,11 +168,14 @@ class SocialStateCache {
     /// id is not a node of g, before any stamp is read.
     double closeness(NodeId j);
 
-    /// How many closeness() calls took the Eq. 2 and the Eq. 3 branch.
-    /// Every other call with i != j took Eq. 4 and made exactly one path
-    /// lookup, counted in stats() as a structure hit or miss.
+    /// How many closeness() calls took the Eq. 2 and the Eq. 3 branch, and
+    /// how many Eq. 4 calls returned +0.0 with no path lookup because
+    /// every edge out of i has Eq. 2 value +0.0. Every other call with
+    /// i != j took Eq. 4 and made exactly one path lookup, counted in
+    /// stats() as a structure hit or miss.
     std::uint64_t adjacent() const noexcept { return adjacent_; }
     std::uint64_t fof() const noexcept { return fof_; }
+    std::uint64_t zero_side() const noexcept { return zero_side_; }
 
    private:
     struct Scratch;
@@ -172,6 +183,10 @@ class SocialStateCache {
     /// Omega_c(i, k) of the stamped neighbour k (Eq. 2), computed on
     /// first use.
     double edge_value(NodeId k);
+
+    /// Whether every edge out of i has Eq. 2 value +0.0 (true when i has
+    /// no edge), worked out on the first call.
+    bool edges_all_zero();
 
     SocialStateCache& cache_;
     const ClosenessModel& model_;
@@ -181,8 +196,10 @@ class SocialStateCache {
     std::uint32_t stamp_;
     double total_;  ///< i's total interactions, the Eq. 2 denominator
     PathEntry fresh_;  ///< a path searched but not stored
+    std::optional<bool> edges_all_zero_;
     std::uint64_t adjacent_ = 0;
     std::uint64_t fof_ = 0;
+    std::uint64_t zero_side_ = 0;
   };
 
   /// Omega_c(i,j) through a Row opened for this one pair: the same code

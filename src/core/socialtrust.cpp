@@ -50,6 +50,7 @@ SocialTrustPlugin::SocialTrustPlugin(
   obs_.ratings_adjusted = &registry.counter("socialtrust.ratings_adjusted");
   obs_.walk_adjacent = &registry.counter("socialtrust.walk.adjacent");
   obs_.walk_fof = &registry.counter("socialtrust.walk.fof");
+  obs_.walk_zero_side = &registry.counter("socialtrust.walk.zero_side");
   obs_.cache_hit_rate = &registry.gauge("social_cache.hit_rate_pct");
 }
 
@@ -235,6 +236,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
       if (obs::enabled()) {
         obs_.walk_adjacent->add(closeness_row.adjacent());
         obs_.walk_fof->add(closeness_row.fof());
+        obs_.walk_zero_side->add(closeness_row.zero_side());
       }
     }
   });

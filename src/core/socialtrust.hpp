@@ -250,6 +250,7 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     obs::Counter* ratings_adjusted = nullptr;  ///< socialtrust.ratings_adjusted
     obs::Counter* walk_adjacent = nullptr;  ///< socialtrust.walk.adjacent
     obs::Counter* walk_fof = nullptr;       ///< socialtrust.walk.fof
+    obs::Counter* walk_zero_side = nullptr;  ///< socialtrust.walk.zero_side
     obs::Gauge* cache_hit_rate = nullptr;  ///< social_cache.hit_rate_pct
   };
   ObsHandles obs_;

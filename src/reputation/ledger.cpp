@@ -57,7 +57,10 @@ void RatingLedger::record(const Rating& rating) {
 }
 
 std::uint32_t RatingLedger::close_cycle() {
-  last_ = std::move(open_);
+  // A swap, not a move: the open cycle records into the buffer the
+  // previous close retired, with its capacity, so a steady stream does
+  // not regrow it from empty every cycle.
+  last_.swap(open_);
   open_.clear();
   return cycle_++;
 }

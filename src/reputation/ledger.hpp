@@ -58,7 +58,8 @@ class RatingLedger {
 
   /// Closes the current cycle: the buffered ratings become the last
   /// completed cycle, retrievable via last_cycle(), and a new empty cycle
-  /// opens. Returns the index of the cycle just closed.
+  /// opens in the buffer the previous last cycle held. Returns the index
+  /// of the cycle just closed.
   std::uint32_t close_cycle();
 
   /// Ratings of the most recently closed cycle (empty before first close).

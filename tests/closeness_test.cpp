@@ -1,11 +1,16 @@
 // Unit tests for the social-closeness model (Eqs. 2, 3, 4, 10) against
-// hand-computed values.
+// hand-computed values, and its lambda precondition.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 
 #include "core/closeness.hpp"
+#include "core/socialtrust.hpp"
+#include "reputation/ebay.hpp"
 
 namespace st::core {
 namespace {
@@ -199,6 +204,34 @@ TEST_P(ClosenessLambdaProperty, WeightedMassBoundedByUndecayedSum) {
 
 INSTANTIATE_TEST_SUITE_P(Lambdas, ClosenessLambdaProperty,
                          ::testing::Values(0.5, 0.6, 0.8, 1.0));
+
+// lambda must lie in Eq. 10's [0.5, 1]: below 0 some masks would have a
+// negative mass (lambda = -2 gives {colleague, classmate} 1.2 - 2 * 1.2),
+// so an Eq. 2 value below +0.0, and Eq. 4's zero rule would not hold.
+TEST(Closeness, LambdaOutsideItsRangeIsRejected) {
+  for (const double lambda :
+       {-2.0, std::numeric_limits<double>::quiet_NaN(), 0.49, 1.01}) {
+    for (const bool weighted : {true, false}) {
+      EXPECT_THROW(ClosenessModel(weighted, lambda), std::invalid_argument)
+          << "lambda " << lambda << (weighted ? " weighted" : " unweighted");
+    }
+  }
+  for (const double lambda : {0.5, 1.0}) {
+    const ClosenessModel model(true, lambda);
+    EXPECT_EQ(model.lambda(), lambda);
+  }
+
+  // The plugin builds its model from the config, so a config out of range
+  // fails at construction.
+  const SocialGraph g(3);
+  const InterestProfiles profiles(3, 2);
+  SocialTrustConfig config;
+  config.lambda = 2.0;
+  EXPECT_THROW(SocialTrustPlugin(
+                   std::make_unique<reputation::EbayReputation>(3), g,
+                   profiles, config),
+               std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace st::core

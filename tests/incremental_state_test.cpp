@@ -549,6 +549,79 @@ TEST(SocialStateCacheTest, MidIntervalRelationshipChangeIsNeverServed) {
   EXPECT_EQ(cache.size(), 0U);
 }
 
+/// Zero absorbs Eq. 4's bottleneck: a rater that has interacted with no
+/// friend has Eq. 2 value +0.0 on every edge it can leave by, so each of
+/// its Eq. 4 pairs is +0.0 whatever the path, and needs none. Once it
+/// interacts with a friend, the same pairs search and store their paths,
+/// and the fold runs until the bottleneck is +0.0, not merely small.
+TEST(SocialStateCacheTest, ZeroSideRaterSettlesEq4WithoutALookup) {
+  // Chain 0-1-2-3-4-5; 6 has no relationship. Rater 0 interacts only with
+  // 4, which is not its friend. Edge 1-2 carries about 1e-4 of 1's
+  // interactions and 2-3 about 1e-7 of 2's, so along 0-1-2-3 the
+  // bottleneck is already below 1e-3 at the second edge and falls again
+  // at the third.
+  SocialGraph g(7);
+  befriend(g, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  g.record_interaction(0, 4, 2.0);
+  g.record_interaction(1, 0, 1.0);
+  g.record_interaction(1, 2, 1e-4);
+  g.record_interaction(2, 1, 1.0);
+  g.record_interaction(2, 3, 1e-7);
+  g.record_interaction(3, 4, 1.0);
+  g.record_interaction(4, 5, 1.0);
+  g.begin_interval();
+  const ClosenessModel model;
+  SocialStateCache cache;
+  cache.open_interval(g);
+
+  // 3, 4 and 5 are 3 to 5 hops from 0 and 6 is unreachable: every pair
+  // takes Eq. 4 and is +0.0, and none is looked up or stored.
+  const std::array<graph::NodeId, 4> far = {3, 4, 5, 6};
+  {
+    SocialStateCache::Row row(cache, model, g, 0);
+    const StatsDelta d = stats_delta(cache, [&] {
+      for (const graph::NodeId j : far) {
+        EXPECT_TRUE(bits_equal(row.closeness(j), 0.0)) << "Omega_c(0," << j
+                                                       << ")";
+        EXPECT_TRUE(bits_equal(model.closeness(g, 0, j), 0.0));
+      }
+    });
+    EXPECT_EQ(row.zero_side(), far.size());
+    EXPECT_EQ(d.structure_hits + d.structure_misses, 0U);
+    EXPECT_EQ(cache.size(), 0U);
+  }
+
+  // 0 interacts with its friend 1. The next interval searches and stores
+  // every one of those paths (6's unreachable record included), and each
+  // value matches the model.
+  g.record_interaction(0, 1, 1.0);
+  g.begin_interval();
+  cache.open_interval(g);
+  {
+    SocialStateCache::Row row(cache, model, g, 0);
+    const StatsDelta d = stats_delta(cache, [&] {
+      for (const graph::NodeId j : far) {
+        EXPECT_TRUE(bits_equal(row.closeness(j), model.closeness(g, 0, j)))
+            << "Omega_c(0," << j << ")";
+      }
+    });
+    EXPECT_EQ(row.zero_side(), 0U);
+    EXPECT_EQ(d.structure_hits, 0U);
+    EXPECT_EQ(d.structure_misses, far.size());
+    EXPECT_EQ(cache.size(), far.size());
+  }
+  // Each reachable pair's bottleneck is edge 2-3, past the edge 1-2 at
+  // which it first fell below 1e-3.
+  const double thin = model.adjacent_closeness(g, 2, 3);
+  EXPECT_GT(thin, 0.0);
+  EXPECT_LT(model.adjacent_closeness(g, 1, 2), 1e-3);
+  EXPECT_LT(thin, model.adjacent_closeness(g, 1, 2));
+  for (const graph::NodeId j : {3, 4, 5}) {
+    EXPECT_TRUE(bits_equal(cache.closeness(model, g, 0, j), thin))
+        << "Omega_c(0," << j << ")";
+  }
+}
+
 void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
                         const SocialStateCache::StatsSnapshot& b) {
   EXPECT_EQ(a.invalidations, b.invalidations);
@@ -561,12 +634,19 @@ void expect_stats_equal(const SocialStateCache::StatsSnapshot& a,
 /// relationship types (Eq. 10 masks), fractional interaction counts on
 /// and off the edges (so sums and mins differ in their last bits), node
 /// `kIsolated` with no relationship, node `kSilent` with relationships but
-/// no interaction of its own, and a chain kChain .. kChain + 7 hanging off
-/// node 0 whose far end lies beyond the hop cap from most of the graph.
+/// no interaction of its own, node `kOutward`, which interacts only with
+/// nodes it has no relationship with, node `kUnderflow`, whose one
+/// interaction with a friend (5e-324, its lowest-id friend, beside 1e300
+/// with a non-friend) gives that edge Eq. 2 value +0.0, and a chain
+/// kChain .. kChain + 7 hanging off node 0 whose far end lies beyond the
+/// hop cap from most of the graph. Every edge out of the four special
+/// nodes has Eq. 2 value +0.0, so their Eq. 4 pairs need no path lookup.
 struct BranchGraph {
   static constexpr graph::NodeId kMain = 40;
   static constexpr graph::NodeId kIsolated = 5;
   static constexpr graph::NodeId kSilent = 7;
+  static constexpr graph::NodeId kOutward = 9;
+  static constexpr graph::NodeId kUnderflow = 11;
   static constexpr graph::NodeId kChain = kMain;
   static constexpr graph::NodeId kChainLength = 8;
   static constexpr std::size_t kNodes = kMain + kChainLength;
@@ -602,7 +682,10 @@ struct BranchGraph {
       }
     }
     for (graph::NodeId a = 0; a < kNodes; ++a) {
-      if (a == kIsolated || a == kSilent) continue;
+      if (a == kIsolated || a == kSilent || a == kOutward ||
+          a == kUnderflow) {
+        continue;
+      }
       for (const graph::NodeId b : friends_of(a)) {
         if (rng.bernoulli(0.8)) {
           g.record_interaction(a, b, rng.uniform(0.1, 5.0));
@@ -611,30 +694,56 @@ struct BranchGraph {
       g.record_interaction(a, static_cast<graph::NodeId>(rng.index(kNodes)),
                            rng.uniform(0.1, 5.0));
     }
+    // Past its first node, the chain is adjacent to no main node.
+    g.record_interaction(kOutward, kChain + 2, rng.uniform(0.1, 5.0));
+    g.record_interaction(kOutward, kChain + 5, rng.uniform(0.1, 5.0));
+    g.record_interaction(kUnderflow, g.neighbors(kUnderflow).front(),
+                         5e-324);
+    g.record_interaction(kUnderflow, kChain + 6, 1e300);
     g.begin_interval();
     return g;
   }
 };
 
-/// Eq. 2 and Eq. 3 tallies of a whole pass over every ordered pair. The
-/// pass's Eq. 4 evaluations are its path lookups: the structure hits plus
-/// misses it adds to stats().
+/// Branch tallies of rows over ordered pairs (i != j): Eq. 2, Eq. 3, the
+/// Eq. 4 pairs settled at +0.0 with no path lookup, and the path lookups
+/// (the structure hits plus misses added to stats()), one for each other
+/// Eq. 4 pair. The four add up to the pairs evaluated.
 struct BranchTally {
   std::uint64_t adjacent = 0;
   std::uint64_t fof = 0;
+  std::uint64_t zero_side = 0;
+  std::uint64_t lookups = 0;
 };
 
 /// Opens source i's Row, as the walk does, and checks every (i, j), i == j
 /// included, bit for bit against model.closeness(); returns the row's
-/// tallies.
+/// tallies. Its Eq. 4 pairs are all settled with no lookup when every
+/// edge out of i has Eq. 2 value +0.0 by the model, and otherwise all
+/// looked up.
 BranchTally check_source(SocialStateCache& cache, const ClosenessModel& model,
                          const SocialGraph& g, graph::NodeId i) {
   SocialStateCache::Row row(cache, model, g, i);
-  for (graph::NodeId j = 0; j < g.size(); ++j) {
-    EXPECT_TRUE(bits_equal(row.closeness(j), model.closeness(g, i, j)))
-        << "Omega_c(" << i << "," << j << ")";
-  }
-  return {row.adjacent(), row.fof()};
+  const StatsDelta d = stats_delta(cache, [&] {
+    for (graph::NodeId j = 0; j < g.size(); ++j) {
+      EXPECT_TRUE(bits_equal(row.closeness(j), model.closeness(g, i, j)))
+          << "Omega_c(" << i << "," << j << ")";
+    }
+  });
+  const BranchTally tally{row.adjacent(), row.fof(), row.zero_side(),
+                          d.structure_hits + d.structure_misses};
+  EXPECT_EQ(tally.adjacent + tally.fof + tally.zero_side + tally.lookups,
+            g.size() - 1)
+      << "source " << i;
+  const auto friends = g.neighbors(i);
+  const bool zero_side =
+      std::all_of(friends.begin(), friends.end(), [&](graph::NodeId k) {
+        return model.adjacent_closeness(g, i, k) == 0.0;
+      });
+  EXPECT_EQ(zero_side ? tally.lookups : tally.zero_side, 0U)
+      << "source " << i << (zero_side ? " has" : " has no")
+      << " Eq. 2 value +0.0 on every edge";
+  return tally;
 }
 
 /// check_source() over every rater.
@@ -646,6 +755,8 @@ BranchTally check_every_pair(SocialStateCache& cache,
     const BranchTally row = check_source(cache, model, g, i);
     tally.adjacent += row.adjacent;
     tally.fof += row.fof;
+    tally.zero_side += row.zero_side;
+    tally.lookups += row.lookups;
   }
   return tally;
 }
@@ -777,6 +888,23 @@ TEST(SocialStateCacheTest, RowsMatchTheModelOnEveryBranch) {
       ASSERT_EQ(g.degree(B::kIsolated), 0U);
       ASSERT_GT(g.degree(B::kSilent), 0U);
       ASSERT_EQ(g.total_interactions(B::kSilent), 0.0);
+      for (const graph::NodeId v : {B::kOutward, B::kUnderflow}) {
+        ASSERT_GT(g.degree(v), 0U);
+        ASSERT_GT(g.total_interactions(v), 0.0);
+      }
+      for (const graph::NodeId k : g.neighbors(B::kOutward)) {
+        ASSERT_EQ(g.interaction(B::kOutward, k), 0.0);
+      }
+      // kUnderflow's friend interaction is positive, but its Eq. 2 value
+      // is +0.0 under either model.
+      const graph::NodeId thin = g.neighbors(B::kUnderflow).front();
+      ASSERT_GT(g.interaction(B::kUnderflow, thin), 0.0);
+      ASSERT_TRUE(bits_equal(
+          ClosenessModel(true).adjacent_closeness(g, B::kUnderflow, thin),
+          0.0));
+      ASSERT_TRUE(bits_equal(
+          ClosenessModel(false).adjacent_closeness(g, B::kUnderflow, thin),
+          0.0));
       // The chain's far end is 8 hops from node 0: connected, but beyond
       // the hop cap, so the pair takes Eq. 4 and finds no path.
       const graph::NodeId far_end = B::kChain + B::kChainLength - 1;
@@ -796,10 +924,15 @@ TEST(SocialStateCacheTest, RowsMatchTheModelOnEveryBranch) {
         auto d = stats_delta(cache,
                              [&] { cold = check_every_pair(cache, model, h); });
         const std::uint64_t cold_paths = d.structure_misses;
+        const std::uint64_t pairs = h.size() * (h.size() - 1);
         EXPECT_GT(cold.adjacent, 0U);
         EXPECT_GT(cold.fof, 0U);
+        EXPECT_GT(cold.zero_side, 0U);
         EXPECT_GT(cold_paths, 0U);
         EXPECT_EQ(d.structure_hits, 0U);
+        EXPECT_EQ(cold.lookups, cold_paths);
+        EXPECT_EQ(cold.adjacent + cold.fof + cold.zero_side + cold.lookups,
+                  pairs);
         EXPECT_EQ(cache.size(), cold_paths);
 
         // The next interval, the epoch held: every path is served.
@@ -811,6 +944,8 @@ TEST(SocialStateCacheTest, RowsMatchTheModelOnEveryBranch) {
         EXPECT_EQ(d.structure_misses, 0U);
         EXPECT_EQ(warm.adjacent, cold.adjacent);
         EXPECT_EQ(warm.fof, cold.fof);
+        EXPECT_EQ(warm.zero_side, cold.zero_side);
+        EXPECT_EQ(warm.lookups, cold_paths);
 
         // Random churn, each batch followed by a boundary (compacting the
         // graph after every other one, as the simulator does) and the

@@ -43,9 +43,33 @@ TEST(Ledger, CycleLifecycle) {
 
   EXPECT_EQ(ledger.close_cycle(), 0u);
   EXPECT_EQ(ledger.current_cycle(), 1u);
-  EXPECT_EQ(ledger.last_cycle().size(), 2u);
+  ASSERT_EQ(ledger.last_cycle().size(), 2u);
+  EXPECT_EQ(ledger.last_cycle()[1].value, -1.0);
   EXPECT_TRUE(ledger.open_cycle().empty());
   EXPECT_EQ(ledger.total_ratings(), 2u);
+  const Rating* first_buffer = ledger.last_cycle().data();
+
+  // The second close retires cycle 0's buffer, and cycle 2 records into
+  // it: the ledger swaps its two buffers instead of growing a new one.
+  ledger.record(make(2, 3, 1.0));
+  EXPECT_EQ(ledger.close_cycle(), 1u);
+  ASSERT_EQ(ledger.last_cycle().size(), 1u);
+  EXPECT_EQ(ledger.last_cycle()[0].rater, 2u);
+  EXPECT_EQ(ledger.last_cycle()[0].cycle, 1u);
+  EXPECT_TRUE(ledger.open_cycle().empty());
+  ledger.record(make(4, 5, -1.0));
+  EXPECT_EQ(ledger.open_cycle().data(), first_buffer);
+  ledger.record(make(5, 4, 1.0));
+
+  EXPECT_EQ(ledger.close_cycle(), 2u);
+  EXPECT_EQ(ledger.current_cycle(), 3u);
+  ASSERT_EQ(ledger.last_cycle().size(), 2u);
+  EXPECT_EQ(ledger.last_cycle().data(), first_buffer);
+  EXPECT_EQ(ledger.last_cycle()[0].rater, 4u);
+  EXPECT_EQ(ledger.last_cycle()[1].rater, 5u);
+  EXPECT_EQ(ledger.last_cycle()[1].cycle, 2u);
+  EXPECT_TRUE(ledger.open_cycle().empty());
+  EXPECT_EQ(ledger.total_ratings(), 5u);
 }
 
 TEST(Ledger, StampsCycleOnRecord) {
